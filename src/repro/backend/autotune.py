@@ -1,15 +1,10 @@
-"""Profiler-driven chunk/block autotuner for the litho engine.
+"""Profiler-driven chunk autotuner for the litho engine.
 
-The engine has two hardware-sensitive knobs:
-
-* **batch chunk** — how many masks each adjoint call processes at once
-  (the default caps the per-chunk field tensor at ~8 MB so it stays
-  cache-resident; big-L3 or GPU machines want larger chunks);
-* **passband block** — how many kernels are stacked into one batched
-  passband matmul in the forward/adjoint loops (``1`` reproduces the
-  historic per-kernel loop bit-exactly; larger blocks trade cache
-  residency for fewer, bigger GEMMs, which threaded BLAS and GPUs
-  prefer).
+The engine has one hardware-sensitive knob: the **batch chunk** — how
+many masks each forward/adjoint chunk processes at once.  The default
+caps the per-chunk working set (about four reduced-raster field stacks
+per mask) at ~8 MB so it stays cache-resident; big-L3 or GPU machines
+want larger chunks.
 
 The tuner times a small candidate grid on the actual engine + backend,
 scores each candidate in GFLOP/s against the *exact* per-op FLOP
@@ -24,7 +19,7 @@ Winners persist as config presets in a small JSON file
 (``benchmarks/autotune_presets.json`` in this repo), keyed by
 ``backend/precision/grid/hardware`` — the taoari-style "measure once,
 ship the table" pattern.  ``REPRO_AUTOTUNE=<path>`` points engines at
-a preset file; unset means the built-in heuristics run unchanged.
+a preset file; unset means the built-in heuristic runs unchanged.
 """
 
 from __future__ import annotations
@@ -54,23 +49,18 @@ DEFAULT_PRESET_NAME = "autotune_presets.json"
 class EngineTuning:
     """One chosen engine configuration.
 
-    ``batch_chunk=None`` keeps the engine's built-in ~8 MB heuristic;
-    ``passband_block=1`` keeps the historic per-kernel loop (the
-    bit-exact reference path).
+    ``batch_chunk=None`` keeps the engine's built-in ~8 MB heuristic.
     """
 
     batch_chunk: Optional[int] = None
-    passband_block: int = 1
 
     def to_dict(self) -> Dict[str, Optional[int]]:
-        return {"batch_chunk": self.batch_chunk,
-                "passband_block": self.passband_block}
+        return {"batch_chunk": self.batch_chunk}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "EngineTuning":
         chunk = data.get("batch_chunk")
-        return cls(batch_chunk=None if chunk is None else int(chunk),
-                   passband_block=int(data.get("passband_block", 1)))
+        return cls(batch_chunk=None if chunk is None else int(chunk))
 
 
 def blas_threads() -> str:
@@ -102,39 +92,57 @@ def _cmatmul_flops(a_shape, b_shape) -> int:
     return 4 * matmul_flops(a_shape, b_shape)
 
 
-def forward_flops(grid: int, passband: Tuple[int, int], num_kernels: int,
-                  batch: int) -> int:
+def _resample_flops(grid: int, raster: int, batch: int) -> int:
+    """One exact band-limited resample between the reduced raster and
+    the full grid (two real matmuls; zero when ``raster == grid``)."""
+    if raster >= grid:
+        return 0
+    return (matmul_flops((batch, raster, raster), (raster, grid))
+            + matmul_flops((grid, raster), (batch, raster, grid)))
+
+
+def forward_flops(grid: int, raster: int, passband: Tuple[int, int],
+                  num_kernels: int, batch: int) -> int:
     """Exact FLOPs of one batched engine forward (Eq. 2 pipeline).
 
     Mirrors ``LithoEngine._forward_impl`` term by term: the two
     spectrum matmuls, then per kernel the passband pointwise product,
-    the two inverse-DFT matmuls and the intensity accumulation.
+    the two inverse-DFT matmuls onto the ``raster x raster`` grid and
+    the power sum (the kernel weights are folded into the kernels),
+    then the resample up to the full grid.
     """
     r, c = passband
+    g = raster
     spec = (_cmatmul_flops((r, grid), (batch, grid, grid))
             + _cmatmul_flops((batch, r, grid), (grid, c)))
     per_kernel = (6 * batch * r * c                       # compact * H_k
-                  + _cmatmul_flops((grid, r), (batch, r, c))
-                  + _cmatmul_flops((batch, grid, c), (c, grid))
-                  + 4 * batch * grid * grid)              # |field|^2 fma
-    return spec + num_kernels * per_kernel
+                  + _cmatmul_flops((batch, r, c), (c, g))
+                  + _cmatmul_flops((g, r), (batch, r, g))
+                  + 4 * batch * g * g)                    # |field|^2 sum
+    return (spec + num_kernels * per_kernel
+            + _resample_flops(grid, raster, batch))
 
 
-def adjoint_flops(grid: int, passband: Tuple[int, int],
+def adjoint_flops(grid: int, raster: int, passband: Tuple[int, int],
                   adjoint_passband: Tuple[int, int], num_kernels: int,
                   batch: int) -> int:
     """Exact FLOPs of one batched adjoint call (Eq. 14 pipeline),
-    including the nested keep-fields forward."""
+    including the nested forward: the resist on the full grid, the
+    resample of dE/dI down to the raster, per kernel the weighted
+    field, its two forward-DFT matmuls onto the adjoint passband and
+    the scaled accumulation, then the expand onto the full grid."""
     ar, ac = adjoint_passband
-    per_kernel = (6 * batch * grid * grid                 # conj * dE/dI
-                  + _cmatmul_flops((ar, grid), (batch, grid, grid))
-                  + _cmatmul_flops((batch, ar, grid), (grid, ac))
+    g = raster
+    per_kernel = (6 * batch * g * g                       # conj * dE/dI
+                  + _cmatmul_flops((ar, g), (batch, g, g))
+                  + _cmatmul_flops((batch, ar, g), (g, ac))
                   + 8 * batch * ar * ac)                  # scale + acc
     expand = (_cmatmul_flops((batch, ar, ac), (ac, grid))
               + _cmatmul_flops((grid, ar), (batch, ar, grid)))
     resist = 12 * batch * grid * grid                     # sigmoid/err/up
-    return (forward_flops(grid, passband, num_kernels, batch)
-            + num_kernels * per_kernel + expand + resist)
+    return (forward_flops(grid, raster, passband, num_kernels, batch)
+            + resist + _resample_flops(grid, raster, batch)
+            + num_kernels * per_kernel + expand)
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +150,12 @@ def adjoint_flops(grid: int, passband: Tuple[int, int],
 # ----------------------------------------------------------------------
 def candidate_key(tuning: EngineTuning) -> str:
     chunk = "auto" if tuning.batch_chunk is None else str(tuning.batch_chunk)
-    return f"chunk{chunk}/block{tuning.passband_block}"
+    return f"chunk{chunk}"
 
 
 def parse_candidate_key(key: str) -> EngineTuning:
-    chunk_part, block_part = key.split("/")
-    chunk = chunk_part[len("chunk"):]
-    return EngineTuning(
-        batch_chunk=None if chunk == "auto" else int(chunk),
-        passband_block=int(block_part[len("block"):]))
+    chunk = key[len("chunk"):]
+    return EngineTuning(batch_chunk=None if chunk == "auto" else int(chunk))
 
 
 @dataclass
@@ -197,9 +202,9 @@ def choose_tuning(table: MeasurementTable) -> EngineTuning:
     """Pick the winning tuning from a measurement table.
 
     Pure and deterministic: fastest candidate wins; exact ties break
-    toward the smaller passband block, then the smaller (auto-first)
-    batch chunk — i.e. toward the reference configuration — so a
-    re-run over the same table always returns the same answer.
+    toward the smaller (auto-first) batch chunk — i.e. toward the
+    reference configuration — so a re-run over the same table always
+    returns the same answer.
     """
     if not table.entries:
         return EngineTuning()
@@ -209,7 +214,7 @@ def choose_tuning(table: MeasurementTable) -> EngineTuning:
         tuning = parse_candidate_key(key)
         chunk_rank = (-1 if tuning.batch_chunk is None
                       else tuning.batch_chunk)
-        return (seconds, tuning.passband_block, chunk_rank)
+        return (seconds, chunk_rank)
 
     best_key, _ = min(table.entries.items(), key=order)
     return parse_candidate_key(best_key)
@@ -219,17 +224,12 @@ def choose_tuning(table: MeasurementTable) -> EngineTuning:
 # Measurement (times the real engine)
 # ----------------------------------------------------------------------
 def default_candidates(batch: int) -> List[EngineTuning]:
-    """The candidate grid: the reference config, full-batch chunking,
-    and passband blocks that divide typical kernel counts."""
+    """The candidate grid: the reference heuristic and full-batch
+    chunking."""
     chunks: List[Optional[int]] = [None]
     if batch > 1:
         chunks.append(batch)
-    candidates = []
-    for chunk in chunks:
-        for block in (1, 2, 4, 8):
-            candidates.append(EngineTuning(batch_chunk=chunk,
-                                           passband_block=block))
-    return candidates
+    return [EngineTuning(batch_chunk=chunk) for chunk in chunks]
 
 
 def measure_engine(engine, batch: int = 8,
@@ -257,8 +257,8 @@ def measure_engine(engine, batch: int = 8,
     table = MeasurementTable(
         backend=engine.backend.name, precision=engine.precision,
         grid=grid, batch=batch,
-        flops=adjoint_flops(grid, pb, apb, len(engine.kernels.weights),
-                            batch))
+        flops=adjoint_flops(grid, engine.raster_size, pb, apb,
+                            len(engine.kernels.weights), batch))
     for tuning in (default_candidates(batch) if candidates is None
                    else candidates):
         candidate = LithoEngine(kernels=engine.kernels,

@@ -1,8 +1,9 @@
 """Unified Hopkins forward/adjoint engine (Eqs. 1-3, 11-14).
 
 Every workload in the repo — forward simulation, the ILT baseline,
-Algorithm 2 pre-training, the Fig. 6 refinement stage and the Table 2
-benchmarks — bottoms out in the same two FFT pipelines:
+Algorithm 2 pre-training, the Fig. 6 refinement stage, process-window
+corner stacks and the Table 2 benchmarks — bottoms out in the same two
+pipelines:
 
 * **forward** (Eq. 2): ``I = sum_k w_k |IFFT(FFT(M) * H_k)|^2`` followed
   by a hard or sigmoid resist (Eqs. 3, 12);
@@ -11,41 +12,55 @@ benchmarks — bottoms out in the same two FFT pipelines:
   systems onto the mask.
 
 :class:`LithoEngine` is the one implementation of both.  It accepts
-single ``(H, W)`` masks and batched ``(N, H, W)`` stacks through a
-single code path and caches derived kernel tensors at construction.
+single ``(H, W)`` masks and batched ``(N, H, W)`` stacks, and one core
+serves the nominal condition and process-window corner stacks alike:
+the nominal path is the one-group, dose-scaled case of a
+:class:`_KernelStack`.
 
-The kernels are bandlimited by the pupil cutoff: at grid 64 each
-``H_k`` is exactly zero outside a ~13x13 block of frequency rows and
-columns.  The engine exploits this at construction by slicing every
-kernel (and its adjoint/flipped counterpart) down to that passband and
-precomputing small DFT factor matrices restricted to it.  The mask
-spectrum is evaluated *only on the passband* with two thin matmuls
-(``E_row @ M @ E_col``), forward fields then cost two thin matmuls per
-kernel instead of a full 2-D FFT, and the adjoint transform only ever
-evaluates the frequency bins the flipped kernels can touch.  Work is
-looped over kernels on ``(N, H, W)`` chunks — on one core this
-cache-friendly shape beats materializing ``(N, K, H, W)`` intermediates
-by a wide margin.  The discarded bins are identically zero, so results
-match the plain ``fft2`` reference to machine precision.
+Where the work happens (``G`` = mask grid, ``R`` = signed pupil
+frequencies per axis, ``K`` = kernels, ``g`` = reduced raster):
+
+* **mask spectrum** — the DFT of the mask evaluated only on the
+  ``R x R`` kernel passband, two thin complex matmuls
+  (``O(R G^2)`` per mask);
+* **per kernel, on the g x g raster** — each field ``f_k`` carries only
+  the passband P, so ``|f_k|^2`` and the adjoint products
+  ``conj(f_k) dE/dI`` only matter on the difference band P-P of
+  ``2R-1`` frequencies.  A raster of ``g = 2R-1`` points per axis
+  samples that band without aliasing, so fields, intensities and the
+  adjoint spectra are computed there: ``O(g R (R + g))`` per kernel
+  and direction, against ``O(G R (R + G))`` on the full raster
+  (49 vs 128 points per axis at 128 px / 8 nm, ~5x fewer flops);
+* **two exact resamples** — after the kernel sum the intensity moves
+  up with the real band-limited interpolator ``I = U I_g U^T``
+  (``U`` is ``G x g``), and before the adjoint loop ``dE/dI`` moves
+  down with ``U^T (dE/dI) U``; both ``O(g G^2)`` per mask and group;
+* **expand** — the accumulated adjoint spectrum is inverse-transformed
+  once onto the full raster (``O(R G^2)``).
+
+The kernel axis runs batched: ``(K, N, g, g)`` stacks through one
+matmul per DFT factor.  When ``2R-1 >= G`` (pixels coarser than about
+20 nm) the reduced raster is the full one, ``g = G``, and both
+resamples are skipped.  ``g`` is derived from the kernels; it is not
+an option.  Results match the plain ``fft2`` reference to ~1e-14
+(DESIGN.md §16).
 
 Two single-process fast paths are built in:
 
 * **precision mode** — ``precision="f32"`` runs the whole pipeline in
-  ``float32``/``complex64`` (kernels, DFT factors, fields, resist),
-  roughly halving memory traffic; ``"f64"`` (the default, also
-  selectable via ``REPRO_PRECISION``) remains the bit-parity
-  reference.  Documented f32 tolerance: relaxed litho error within
-  1e-3 of the f64 value on normalized masks (see DESIGN.md §10).
+  ``float32``/``complex64`` (kernels, DFT factors, fields, resist);
+  ``"f64"`` (the default, also selectable via ``REPRO_PRECISION``)
+  remains the parity reference.  Documented f32 tolerance: relaxed
+  litho error within 1e-3 of the f64 value on normalized masks (see
+  DESIGN.md §10).
 * **workspace arena** — per-engine scratch buffers
   (:class:`repro.workspace.Workspace`) are reused across iterations
-  for every intermediate that does not escape the call: field
-  tensors, compact spectra, adjoint accumulators.  Arrays returned to
-  callers are always freshly allocated.
+  for every intermediate that does not escape the call.  Arrays
+  returned to callers are always freshly allocated.
 
-Engines are cheap but not free (the adjoint kernel tensor is an
-``O(K * H * W)`` copy), so :meth:`LithoEngine.for_kernels` memoizes one
-engine per (:class:`~repro.litho.kernels.KernelSet`, precision) pair —
-the facades in :mod:`repro.litho.aerial`, :mod:`repro.litho.simulator`
+:meth:`LithoEngine.for_kernels` memoizes one engine per
+(:class:`~repro.litho.kernels.KernelSet`, precision, backend) — the
+facades in :mod:`repro.litho.aerial`, :mod:`repro.litho.simulator`
 and :mod:`repro.ilt` all share it automatically.
 """
 
@@ -54,7 +69,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -143,8 +158,21 @@ class EngineStats:
         self._counters["gradient_seconds"].inc(seconds)
 
     def snapshot(self) -> Dict[str, float]:
-        """Plain-dict copy (for telemetry deltas and assertions)."""
-        return {name: getattr(self, name) for name in self._FIELDS}
+        """Plain-dict copy (for telemetry deltas and assertions); call
+        and mask counts come back as ints.  Reads the registry counters
+        directly rather than through ``__getattr__``."""
+        snap = {name: counter.value
+                for name, counter in self._counters.items()}
+        for name in self._INT_FIELDS:
+            snap[name] = int(snap[name])
+        return snap
+
+    def since(self, baseline: Dict[str, float]) -> Dict[str, float]:
+        """Raw float growth of every counter since ``baseline`` (an
+        earlier :meth:`snapshot`) in one pass — cheap enough for the
+        worker pool to take twice per task."""
+        return {name: counter.value - baseline[name]
+                for name, counter in self._counters.items()}
 
     def delta(self, previous: Dict[str, float]) -> Dict[str, float]:
         """Per-field difference against an earlier :meth:`snapshot`."""
@@ -184,68 +212,142 @@ def _dft_factor(a: np.ndarray, b: np.ndarray, sign: int, scale: float,
     return (np.exp(sign * omega * np.outer(a, b)) * scale).astype(cdtype)
 
 
-class _ConditionStack:
-    """Precomputed corner tensors for one engine's :class:`ConditionSet`.
+def _signed(bins: np.ndarray, grid: int) -> np.ndarray:
+    """Signed frequency of each FFT bin index (``k`` or ``k - grid``)."""
+    return (bins + grid // 2) % grid - grid // 2
 
-    Internal to :class:`LithoEngine` and built lazily on the first
-    condition-stack call, so nominal engines never pay for it.  Corner
-    kernel stacks are concatenated along the kernel axis, grouped by
-    unique defocus: ``freq_cc[group_slices[g]]`` are the compact
-    kernels of defocus group ``g``, and every corner in
-    ``group_of[c] == g`` shares that group's coherent fields — dose is
-    applied as a pure intensity scale afterwards.  DFT factor matrices
-    are restricted to the union passband of the whole stack, exactly
-    like the nominal engine's single-condition factors.
+
+def _band_interpolator(grid: int, raster: int) -> np.ndarray:
+    """Real ``(grid, raster)`` band-limited interpolator.
+
+    ``U[x, j] = 1/g sum_{|d| <= (g-1)/2} exp(2j*pi d (x/G - j/g))``
+    maps samples at ``j G/g`` of a trigonometric polynomial with
+    frequencies ``|d| <= (g-1)/2`` exactly onto the integer raster.
+    The band is symmetric, so the sum is a real cosine series; phases
+    are reduced modulo ``G g`` in integers before the cosine.
+    """
+    x = np.arange(grid)[:, None, None]
+    j = np.arange(raster)[None, :, None]
+    d = np.arange(1, (raster - 1) // 2 + 1)[None, None, :]
+    period = grid * raster
+    phase = (d * (x * raster - j * grid)) % period
+    return (1.0 + 2.0 * np.cos(2.0 * np.pi * phase / period).sum(-1)) / raster
+
+
+class _Corners(NamedTuple):
+    """Process corners evaluated on one :class:`_KernelStack`: the
+    defocus group each corner reads, its dose, and its weight in the
+    ``weighted`` objective."""
+
+    group_of: Tuple[int, ...]
+    doses: Tuple[float, ...]
+    lam: np.ndarray
+
+
+class _KernelStack:
+    """Precomputed kernel tensors and DFT factors for one or more
+    defocus groups.
+
+    Kernel sets are concatenated along the kernel axis;
+    ``group_slices[f]`` are the kernels of defocus group ``f``, and
+    every corner of that group shares its fields — dose is applied as
+    an intensity scale afterwards.  The nominal engine is the
+    one-group stack of its own kernels.  Transforms are restricted to
+    the union passband of all groups (defocus is a pupil phase, so in
+    practice the groups share one support).
+
+    The forward kernels carry ``sqrt(w_k)`` and the adjoint kernels
+    ``2 sqrt(w_k)`` (the Eq. 14 factor ``2 w_k`` in total), so the
+    intensity is a plain sum of ``|field|^2``.
     """
 
-    __slots__ = ("freq_cc", "adj_cc", "weights", "group_slices", "group_of",
-                 "doses", "lam", "num_groups", "spec_row", "spec_col",
-                 "ifft_row", "ifft_col", "fft_row", "fft_col", "grad_row",
-                 "grad_col", "gradient_chunk")
+    __slots__ = ("tag", "num_kernels", "num_groups", "group_slices", "rows",
+                 "cols", "raster", "freq_cc", "adj_cc", "spec_row",
+                 "spec_col", "ifft_row", "ifft_col", "fft_row", "fft_col",
+                 "grad_row", "grad_col", "up", "down", "chunk")
 
-    def __init__(self, conditions: ConditionSet,
-                 kernel_sets: List[KernelSet], group_of: np.ndarray,
-                 rdtype: np.dtype, cdtype: np.dtype):
+    def __init__(self, tag: str, kernel_sets: List[KernelSet],
+                 rdtype: np.dtype, cdtype: np.dtype, backend: ArrayBackend,
+                 batch_chunk: Optional[int]):
+        self.tag = tag
         grid = kernel_sets[0].grid
-        freq = np.concatenate([ks.freq_kernels for ks in kernel_sets], axis=0)
-        adjoint = np.concatenate([ks.flipped() for ks in kernel_sets], axis=0)
-        self.weights = np.concatenate(
-            [ks.weights for ks in kernel_sets]).astype(rdtype)
-        raw_weights = np.concatenate([ks.weights for ks in kernel_sets])
-
-        self.num_groups = len(kernel_sets)
+        freq = np.concatenate([ks.freq_kernels for ks in kernel_sets])
+        adjoint = np.concatenate([ks.flipped() for ks in kernel_sets])
+        root_weights = np.sqrt(np.concatenate([ks.weights
+                                               for ks in kernel_sets]))
+        self.num_kernels = len(root_weights)
         starts = np.cumsum([0] + [len(ks.weights) for ks in kernel_sets])
-        self.group_slices = tuple(slice(int(starts[g]), int(starts[g + 1]))
-                                  for g in range(self.num_groups))
-        self.group_of = group_of
-        self.doses = conditions.doses.astype(rdtype)
-        self.lam = conditions.normalized_weights().astype(rdtype)
+        self.num_groups = len(kernel_sets)
+        self.group_slices = tuple(slice(int(starts[f]), int(starts[f + 1]))
+                                  for f in range(self.num_groups))
 
-        # Union passband of every corner's kernels; defocus is a pure
-        # pupil phase so in practice all groups share one support, but
-        # the union keeps the slicing exact regardless.
+        # Passband support: the frequency rows/columns where any kernel
+        # is nonzero.  Everything outside is identically zero (pupil
+        # cutoff), so transforms restricted to this block are exact.
         rows = np.where(np.any(freq != 0, axis=(0, 2)))[0]
         cols = np.where(np.any(freq != 0, axis=(0, 1)))[0]
         arows = np.where(np.any(adjoint != 0, axis=(0, 2)))[0]
         acols = np.where(np.any(adjoint != 0, axis=(0, 1)))[0]
+        self.rows, self.cols = rows, cols
         self.freq_cc = np.ascontiguousarray(
-            freq[:, rows[:, None], cols[None, :]], dtype=cdtype)
+            root_weights[:, None, None] * freq[:, rows[:, None], cols[None, :]],
+            dtype=cdtype)
         self.adj_cc = np.ascontiguousarray(
-            (2.0 * raw_weights)[:, None, None]
+            2.0 * root_weights[:, None, None]
             * adjoint[:, arows[:, None], acols[None, :]], dtype=cdtype)
 
+        # Reduced raster: fields carry the signed passband frequencies
+        # s, so |f_k|^2 and conj(f_k) dE/dI live on the difference band
+        # s - s' (the flipped kernels' support is -s, so the adjoint
+        # sees the same band).  2 * span + 1 points per axis sample it
+        # without aliasing.
+        srows, scols = _signed(rows, grid), _signed(cols, grid)
+        span = max(np.ptp(srows), np.ptp(scols))
+        self.raster = raster = min(grid, 2 * int(span) + 1)
+
         x = np.arange(grid)
+        j = np.arange(raster)
+        # ``spec_row @ M @ spec_col`` is the mask DFT on the passband;
+        # ``ifft_row @ P @ ifft_col`` samples the field of a passband
+        # spectrum P at the raster points j G/g (scale 1/G per axis, as
+        # on the full raster); ``fft_*`` is the forward DFT of a raster
+        # image onto the adjoint passband, and ``grad_*`` inverts from
+        # that passband onto the full grid.
         self.spec_row = _dft_factor(rows, x, -1, 1.0, grid, cdtype)
         self.spec_col = _dft_factor(x, cols, -1, 1.0, grid, cdtype)
-        self.ifft_row = _dft_factor(x, rows, +1, 1.0 / grid, grid, cdtype)
-        self.ifft_col = _dft_factor(cols, x, +1, 1.0 / grid, grid, cdtype)
-        self.fft_row = _dft_factor(arows, x, -1, 1.0, grid, cdtype)
-        self.fft_col = _dft_factor(x, acols, -1, 1.0, grid, cdtype)
+        self.ifft_row = _dft_factor(j, srows, +1, 1.0 / grid, raster, cdtype)
+        self.ifft_col = _dft_factor(scols, j, +1, 1.0 / grid, raster, cdtype)
+        self.fft_row = _dft_factor(_signed(arows, grid), j, -1, 1.0, raster,
+                                   cdtype)
+        self.fft_col = _dft_factor(j, _signed(acols, grid), -1, 1.0, raster,
+                                   cdtype)
         self.grad_row = _dft_factor(x, arows, +1, 1.0 / grid, grid, cdtype)
         self.grad_col = _dft_factor(acols, x, +1, 1.0 / grid, grid, cdtype)
+        if raster < grid:
+            up = _band_interpolator(grid, raster)
+            self.up = up.astype(rdtype)
+            self.down = np.ascontiguousarray(up.T, dtype=rdtype)
+        else:
+            self.up = self.down = None
 
-        bytes_per_sample = len(self.weights) * grid * grid * cdtype.itemsize
-        self.gradient_chunk = max(1, (8 << 20) // bytes_per_sample)
+        # Batch chunk size: cap the per-chunk working set at ~8 MB so
+        # it stays cache-resident, unless a tuning overrides it.  Per
+        # mask that is the reduced field stack, its power and partial
+        # transforms, and the full-grid buffers: about four field
+        # stacks (two masks per chunk at 128 px, eight at 64 px).
+        bytes_per_sample = (4 * self.num_kernels * raster * raster
+                            * cdtype.itemsize)
+        self.chunk = (int(batch_chunk) if batch_chunk
+                               else max(1, (8 << 20) // bytes_per_sample))
+
+        # Kernel/DFT constants live on the backend device (identity —
+        # same objects — for the numpy reference backend).
+        for attr in ("freq_cc", "adj_cc", "spec_row", "spec_col",
+                     "ifft_row", "ifft_col", "fft_row", "fft_col",
+                     "grad_row", "grad_col", "up", "down"):
+            value = getattr(self, attr)
+            if value is not None:
+                setattr(self, attr, backend.asarray(value))
 
 
 class LithoEngine:
@@ -275,17 +377,14 @@ class LithoEngine:
     backend:
         :class:`~repro.backend.ArrayBackend` (or backend name) the
         engine computes on; ``None`` consults ``REPRO_BACKEND`` and
-        defaults to the numpy reference backend, which is bit-identical
-        to the pre-seam inline numpy code.  Non-host backends (cupy)
-        accept host or device masks and return device arrays
+        defaults to the numpy reference backend.  Non-host backends
+        (cupy) accept host or device masks and return device arrays
         (``engine.backend.to_numpy`` brings results back).
     tuning:
         Optional :class:`~repro.backend.autotune.EngineTuning`
-        overriding the chunk/block heuristics; ``None`` consults the
+        overriding the batch chunk heuristic; ``None`` consults the
         ``REPRO_AUTOTUNE`` preset file (unset keeps the built-in
-        heuristics).  ``passband_block=1`` (the default) preserves the
-        historic per-kernel loop bit-exactly; larger blocks stack
-        kernels into batched GEMMs (~1e-12 parity, tuned per hardware).
+        heuristic).  Chunking is bit-exact.
 
     All mask-consuming methods accept either a single ``(H, W)`` array
     or a batch ``(N, H, W)`` and return results of matching rank; error
@@ -309,72 +408,18 @@ class LithoEngine:
         self.config = kernels.config
         self.kernels = kernels
         self.precision = resolve_precision(precision)
-        rdtype, cdtype = PRECISION_DTYPES[self.precision]
-        self._rdtype, self._cdtype = rdtype, cdtype
+        self._rdtype, self._cdtype = PRECISION_DTYPES[self.precision]
         self.backend = resolve_backend(backend)
         # The backend's array module: allocations and explicit array
         # constructors route through it; elementwise math on
         # backend-native arrays dispatches via NEP-18 unchanged.
         self._xp = self.backend.xp
 
-        freq = kernels.freq_kernels
-        adjoint = kernels.flipped()
-        self._weights = kernels.weights.astype(rdtype)
-
-        # Passband support: the frequency rows/columns where any kernel
-        # is nonzero.  Everything outside is identically zero (pupil
-        # cutoff), so transforms restricted to this block are exact.
-        grid = kernels.grid
-        rows = np.where(np.any(freq != 0, axis=(0, 2)))[0]
-        cols = np.where(np.any(freq != 0, axis=(0, 1)))[0]
-        arows = np.where(np.any(adjoint != 0, axis=(0, 2)))[0]
-        acols = np.where(np.any(adjoint != 0, axis=(0, 1)))[0]
-        self._rows, self._cols = rows, cols
-        self._freq_cc = np.ascontiguousarray(
-            freq[:, rows[:, None], cols[None, :]], dtype=cdtype)
-        # Adjoint kernels with the Eq. 14 factor ``2 w_k`` folded in, so
-        # the backward loop is a single complex multiply per kernel.
-        self._adj_cc = np.ascontiguousarray(
-            (2.0 * kernels.weights)[:, None, None]
-            * adjoint[:, arows[:, None], acols[None, :]], dtype=cdtype)
-
-        # DFT factor matrices restricted to the passband.  ``spec_row @
-        # M @ spec_col`` evaluates the forward 2-D DFT of a real mask
-        # only at the (rows x cols) kernel support; ``fields = ifft_row
-        # @ (P @ ifft_col)`` is the inverse 2-D DFT of a spectrum P
-        # supported there; the ``fft_*`` pair evaluates a forward DFT
-        # only at the adjoint support, and ``grad_*`` inverts from that
-        # support back to the full grid.
-        x = np.arange(grid)
-        self._spec_row = _dft_factor(rows, x, -1, 1.0, grid, cdtype)
-        self._spec_col = _dft_factor(x, cols, -1, 1.0, grid, cdtype)
-        self._ifft_row = _dft_factor(x, rows, +1, 1.0 / grid, grid, cdtype)
-        self._ifft_col = _dft_factor(cols, x, +1, 1.0 / grid, grid, cdtype)
-        self._fft_row = _dft_factor(arows, x, -1, 1.0, grid, cdtype)
-        self._fft_col = _dft_factor(x, acols, -1, 1.0, grid, cdtype)
-        self._grad_row = _dft_factor(x, arows, +1, 1.0 / grid, grid, cdtype)
-        self._grad_col = _dft_factor(acols, x, +1, 1.0 / grid, grid, cdtype)
-
-        # Kernel/DFT constants live on the backend device (identity —
-        # same objects — for the numpy reference backend).
-        for attr in ("_freq_cc", "_adj_cc", "_weights", "_spec_row",
-                     "_spec_col", "_ifft_row", "_ifft_col", "_fft_row",
-                     "_fft_col", "_grad_row", "_grad_col"):
-            setattr(self, attr, self.backend.asarray(getattr(self, attr)))
-
-        # Batched-gradient chunk size: cap the per-chunk field tensor
-        # at ~8 MB so it stays cache-resident (see _forward) — unless a
-        # tuning (explicit or from the REPRO_AUTOTUNE preset file)
-        # overrides it for this hardware.
         if tuning is None:
-            tuning = env_tuning(self.backend.name, self.precision, grid)
+            tuning = env_tuning(self.backend.name, self.precision,
+                                kernels.grid)
         self.tuning = tuning if tuning is not None else EngineTuning()
-        self._passband_block = max(1, int(self.tuning.passband_block))
-        bytes_per_sample = len(self._weights) * grid * grid * cdtype.itemsize
-        heuristic_chunk = max(1, (8 << 20) // bytes_per_sample)
-        self._gradient_chunk = (int(self.tuning.batch_chunk)
-                                if self.tuning.batch_chunk
-                                else heuristic_chunk)
+        self._nominal = self._stack("nominal", [kernels])
 
         if conditions is None:
             conditions = ConditionSet.nominal(
@@ -383,11 +428,15 @@ class LithoEngine:
             raise TypeError(
                 f"conditions must be a ConditionSet, got {conditions!r}")
         self.conditions = conditions
-        self._condition_stack: Optional[_ConditionStack] = None
+        self._condition_plan: Optional[Tuple[_KernelStack, _Corners]] = None
 
         self.workspace = Workspace(backend=self.backend)
         self.metrics = MetricsRegistry()
         self.stats = EngineStats(self.metrics)
+
+    def _stack(self, tag: str, kernel_sets: List[KernelSet]) -> _KernelStack:
+        return _KernelStack(tag, kernel_sets, self._rdtype, self._cdtype,
+                            self.backend, self.tuning.batch_chunk)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -420,7 +469,7 @@ class LithoEngine:
 
         A single-nominal-corner stack *is* the plain engine: this
         returns the :meth:`for_kernels` instance, so C=1 results are
-        bit-exact with the current nominal engine by construction.
+        bit-exact with the nominal methods.
         """
         if conditions.is_single_nominal(kernels.config.optics.defocus):
             return cls.for_kernels(kernels, precision, backend)
@@ -443,11 +492,19 @@ class LithoEngine:
         return self.kernels.grid
 
     @property
+    def raster_size(self) -> int:
+        """Points per axis of the raster the per-kernel work runs on:
+        ``2R-1`` for ``R`` signed passband frequencies, capped at the
+        grid."""
+        return self._nominal.raster
+
+    @property
     def passband_shape(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """``((rows, cols), (adjoint_rows, adjoint_cols))`` passband
         support sizes — the shapes the autotuner's FLOP model scores."""
-        return ((len(self._rows), len(self._cols)),
-                tuple(self._adj_cc.shape[1:]))
+        stack = self._nominal
+        return ((len(stack.rows), len(stack.cols)),
+                tuple(stack.adj_cc.shape[1:]))
 
     @property
     def threshold(self) -> float:
@@ -480,144 +537,131 @@ class LithoEngine:
                 f"target shape {targets.shape} does not match grid {self.grid}")
         return targets
 
-    def _compact_spectrum(self, batch: np.ndarray,
-                          spectrum: Optional[np.ndarray] = None) -> np.ndarray:
-        """Mask spectrum evaluated on the kernel passband, ``(N, R, C)``.
+    def _nominal_plan(self, dose: float) -> _Corners:
+        return _Corners((0,), (float(dose),),
+                        self._xp.ones(1, dtype=self._rdtype))
+
+    def _compact_spectrum(self, stack: _KernelStack, batch: np.ndarray,
+                          spectrum: Optional[np.ndarray] = None
+                          ) -> np.ndarray:
+        """Mask spectrum evaluated on the stack's passband, ``(N, R, C)``.
 
         Without a precomputed full spectrum this is two thin complex
-        matmuls (the DFT restricted to the support), run on workspace
-        buffers — no full-grid FFT is ever materialized.
+        matmuls (the DFT restricted to the support) — no full-grid FFT
+        is ever materialized.  Condition-independent: defocus is a
+        pupil phase and dose an intensity scale.
         """
-        ws = self.workspace
-        n, grid = batch.shape[0], self.grid
-        n_rows, n_cols = len(self._rows), len(self._cols)
         if spectrum is not None:
             return self.backend.ascontiguousarray(
-                spectrum[:, self._rows[:, None], self._cols[None, :]],
+                spectrum[:, stack.rows[:, None], stack.cols[None, :]],
                 dtype=self._cdtype)
+        ws, tag = self.workspace, stack.tag
+        n, grid = batch.shape[0], self.grid
+        n_rows, n_cols = len(stack.rows), len(stack.cols)
         with trace.span("litho.spectrum", masks=n):
-            complex_batch = ws.get("spec.batch", (n, grid, grid),
+            complex_batch = ws.get((tag, "spec.batch"), (n, grid, grid),
                                    self._cdtype)
             complex_batch[...] = batch
             partial = self.backend.matmul(
-                self._spec_row, complex_batch,
-                out=ws.get("spec.partial", (n, n_rows, grid), self._cdtype))
+                stack.spec_row, complex_batch,
+                out=ws.get((tag, "spec.partial"), (n, n_rows, grid),
+                           self._cdtype))
             return self.backend.matmul(
-                partial, self._spec_col,
-                out=ws.get("spec.compact", (n, n_rows, n_cols),
+                partial, stack.spec_col,
+                out=ws.get((tag, "spec.compact"), (n, n_rows, n_cols),
                            self._cdtype))
 
-    def _field_k(self, compact: np.ndarray, k: int,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Coherent field of kernel ``k`` via the passband inverse DFT."""
-        return self.backend.matmul(
-            self._ifft_row,
-            (compact * self._freq_cc[k]) @ self._ifft_col,
-            out=out)
+    def _forward_impl(self, stack: _KernelStack, compact: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fields and per-group intensities of a compact spectrum (no
+        accounting).
 
-    def _forward(self, batch: np.ndarray, dose: float, keep_fields: bool,
-                 spectrum: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Public forward pipeline: ``_forward_impl`` plus accounting.
+        Returns ``(group_intensity, fields)``: the aerial image of each
+        defocus group on the full raster, ``(F, N, G, G)``, and every
+        stacked kernel's (``sqrt(w_k)``-scaled) field on the reduced
+        raster, ``(K, N, g, g)``.  Both live in the workspace arena and
+        must be consumed before the next engine call.
+        """
+        ws, tag, backend = self.workspace, stack.tag, self.backend
+        n, (n_rows, n_cols) = compact.shape[0], compact.shape[1:]
+        g, grid, k = stack.raster, self.grid, stack.num_kernels
+
+        prod = ws.get((tag, "passband"), (k, n, n_rows, n_cols),
+                      self._cdtype)
+        np.multiply(stack.freq_cc[:, None], compact[None], out=prod)
+        partial = backend.matmul(
+            prod, stack.ifft_col,
+            out=ws.get((tag, "partial"), (k, n, n_rows, g),
+                       self._cdtype))
+        fields = backend.matmul(
+            stack.ifft_row, partial,
+            out=ws.get((tag, "fwd.fields"), (k, n, g, g), self._cdtype))
+
+        # Sum of |f_k|^2 over each group's kernels, in kernel order.
+        power = ws.get((tag, "fwd.power"), fields.shape, self._rdtype)
+        np.multiply(fields.real, fields.real, out=power)
+        power += fields.imag ** 2
+        reduced = ws.get((tag, "fwd.reduced"), (stack.num_groups, n, g, g),
+                         self._rdtype)
+        for f, group in enumerate(stack.group_slices):
+            np.sum(power[group], axis=0, out=reduced[f])
+        if stack.up is None:
+            return reduced, fields
+
+        # Exact band-limited resample onto the full raster: U I_g U^T.
+        half = backend.matmul(
+            reduced, stack.down,
+            out=ws.get((tag, "fwd.up"), (stack.num_groups, n, g, grid),
+                       self._rdtype))
+        intensity = backend.matmul(
+            stack.up, half,
+            out=ws.get((tag, "fwd.intensity"),
+                       (stack.num_groups, n, grid, grid), self._rdtype))
+        return intensity, fields
+
+    def _forward(self, stack: _KernelStack, plan: _Corners,
+                 batch: np.ndarray, **span_args) -> np.ndarray:
+        """Public forward pipeline: per-corner aerial images
+        ``(N, C, G, G)`` (freshly allocated) plus accounting.
 
         Every execution bumps the ``forward_*`` stats and opens a
         ``litho.forward`` span; the adjoint path calls
         :meth:`_forward_impl` directly so its nested forward work is
         attributed to ``gradient_*`` instead of being double-counted.
         """
+        n, grid, chunk = batch.shape[0], self.grid, stack.chunk
         started = time.perf_counter()
-        with trace.span("litho.forward", masks=batch.shape[0]):
-            intensity, fields = self._forward_impl(batch, dose, keep_fields,
-                                                   spectrum)
-        self.stats.record_forward(batch.shape[0],
-                                  time.perf_counter() - started)
-        return intensity, fields
-
-    def _forward_impl(self, batch: np.ndarray, dose: float,
-                      keep_fields: bool,
-                      spectrum: Optional[np.ndarray] = None,
-                      ws: Optional[Workspace] = None
-                      ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Fused aerial-intensity loop over kernels (no accounting).
-
-        Returns ``(intensity, fields)`` with fields in ``(K, N, H, W)``
-        layout (contiguous per kernel) or ``None`` when not requested.
-        Looping keeps the per-kernel working set cache-resident.
-
-        ``ws`` opts the *escaping* outputs (intensity, fields) into the
-        workspace arena — pass it only from call sites that consume
-        both before the next engine call (the adjoint path).  Public
-        paths leave it ``None`` so returned arrays are freshly owned;
-        non-escaping scratch always comes from the engine workspace.
-        """
-        compact = self._compact_spectrum(batch, spectrum)
-        n, grid = batch.shape[0], self.grid
-        num_kernels = len(self._weights)
-        if keep_fields:
-            shape = (num_kernels, n, grid, grid)
-            fields = (ws.get("fwd.fields", shape, self._cdtype)
-                      if ws is not None
-                      else self._xp.empty(shape, dtype=self._cdtype))
-        else:
-            fields = None
-        if ws is not None:
-            intensity = ws.zeros("fwd.intensity", (n, grid, grid),
-                                 self._rdtype)
-        else:
-            intensity = self._xp.zeros((n, grid, grid), dtype=self._rdtype)
-        block = self._passband_block
-        if block <= 1:
-            scratch = self.workspace.get("fwd.scratch", (n, grid, grid),
-                                         self._cdtype)
-            for k in range(num_kernels):
-                out = fields[k] if keep_fields else scratch
-                field = self._field_k(compact, k, out=out)
-                intensity += self._weights[k] * (field.real ** 2 +
-                                                 field.imag ** 2)
-        else:
-            # Tuned passband blocking: stack ``block`` kernels into one
-            # batched matmul pair — fewer, bigger GEMMs for threaded
-            # BLAS / device backends.  The intensity accumulation keeps
-            # the exact per-kernel order; only the GEMM granularity
-            # changes (parity ~1e-12 vs the block=1 reference).
-            arena = self.workspace
-            n_rows, n_cols = self._freq_cc.shape[1:]
-            for k0 in range(0, num_kernels, block):
-                k1 = min(k0 + block, num_kernels)
-                b = k1 - k0
-                prod = arena.get(("fwd.block.prod", b),
-                                 (b, n, n_rows, n_cols), self._cdtype)
-                np.multiply(self._freq_cc[k0:k1, None], compact[None],
-                            out=prod)
-                partial = self.backend.matmul(
-                    self._ifft_row, prod,
-                    out=arena.get(("fwd.block.partial", b),
-                                  (b, n, grid, n_cols), self._cdtype))
-                if keep_fields:
-                    block_fields = fields[k0:k1]
-                else:
-                    block_fields = arena.get(("fwd.block.fields", b),
-                                             (b, n, grid, grid),
-                                             self._cdtype)
-                self.backend.matmul(partial, self._ifft_col,
-                                    out=block_fields)
-                for j in range(b):
-                    field = block_fields[j]
-                    intensity += self._weights[k0 + j] * (
-                        field.real ** 2 + field.imag ** 2)
-        if dose != 1.0:
-            intensity *= dose
-        return intensity, fields
+        with trace.span("litho.forward", masks=n, **span_args):
+            out = self._xp.empty((n, len(plan.doses), grid, grid),
+                                 dtype=self._rdtype)
+            for i in range(0, n, chunk):
+                part = slice(i, i + chunk)
+                group_intensity, _ = self._forward_impl(
+                    stack, self._compact_spectrum(stack, batch[part]))
+                for c, (group, dose) in enumerate(zip(plan.group_of,
+                                                      plan.doses)):
+                    if dose != 1.0:
+                        np.multiply(group_intensity[group], dose,
+                                    out=out[part, c])
+                    else:
+                        out[part, c] = group_intensity[group]
+        self.stats.record_forward(n, time.perf_counter() - started)
+        return out
 
     def _fields(self, batch: np.ndarray,
                 spectrum: Optional[np.ndarray] = None) -> np.ndarray:
-        """Coherent fields ``M (x) h_k``, shaped ``(N, K, grid, grid)``."""
-        compact = self._compact_spectrum(batch, spectrum)
-        num_kernels = len(self._weights)
-        stacked = self._xp.empty((num_kernels,) + batch.shape,
-                                 dtype=self._cdtype)
-        for k in range(num_kernels):
-            self._field_k(compact, k, out=stacked[k])
+        """Coherent fields ``M (x) h_k`` on the full raster,
+        ``(N, K, grid, grid)`` — a reference path off the hot loops."""
+        stack, grid, asarray = self._nominal, self.grid, self.backend.asarray
+        compact = self._compact_spectrum(stack, batch, spectrum)
+        kernels = asarray(self.kernels.freq_kernels[
+            :, stack.rows[:, None], stack.cols[None, :]], dtype=self._cdtype)
+        x = np.arange(grid)
+        row = asarray(
+            _dft_factor(x, stack.rows, +1, 1.0 / grid, grid, self._cdtype))
+        col = asarray(
+            _dft_factor(stack.cols, x, +1, 1.0 / grid, grid, self._cdtype))
+        stacked = row @ ((kernels[:, None] * compact[None]) @ col)
         return stacked.transpose(1, 0, 2, 3)
 
     # ------------------------------------------------------------------
@@ -646,15 +690,16 @@ class LithoEngine:
     def aerial(self, mask: np.ndarray, dose: float = 1.0) -> np.ndarray:
         """Aerial image (Eq. 2), scaled by the exposure ``dose``."""
         batch, single = self._as_batch(mask)
-        intensity, _ = self._forward(batch, dose, keep_fields=False)
+        intensity = self._forward(self._nominal, self._nominal_plan(dose),
+                                  batch)[:, 0]
         return intensity[0] if single else intensity
 
     def aerial_and_fields(self, mask: np.ndarray, dose: float = 1.0
                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(intensity, fields)`` sharing one FFT of the mask."""
+        """``(intensity, fields)``, fields on the full raster."""
         batch, single = self._as_batch(mask)
-        intensity, stacked = self._forward(batch, dose, keep_fields=True)
-        fields = stacked.transpose(1, 0, 2, 3)
+        intensity = self.aerial(batch, dose=dose)
+        fields = self._fields(batch)
         if single:
             return intensity[0], fields[0]
         return intensity, fields
@@ -689,21 +734,14 @@ class LithoEngine:
     # ------------------------------------------------------------------
     # Adjoint model (Eq. 14)
     # ------------------------------------------------------------------
-    def error_and_gradient_wrt_mask(
-            self, mask_relaxed: np.ndarray, target: np.ndarray,
-            threshold: Optional[float] = None,
-            resist_steepness: Optional[float] = None,
-            dose: float = 1.0) -> Tuple[ArrayOrScalar, np.ndarray]:
-        """Relaxed litho error and gradient w.r.t. the relaxed mask.
-
-        This is the inner term of Eq. 14 — the quantity Algorithm 2
-        back-propagates into the generator — computed for the whole
-        batch in one pipeline.  The adjoint sum over kernels is
-        accumulated on the flipped kernels' passband support, so the
-        backward pass never evaluates a frequency bin the kernels
-        cannot touch; one small inverse DFT expands the accumulated
-        spectrum back to the mask grid.
-        """
+    def _error_and_gradient(
+            self, stack: _KernelStack, plan: _Corners, objective: str,
+            mask_relaxed: np.ndarray, target: np.ndarray,
+            threshold: Optional[float], resist_steepness: Optional[float],
+            **span_args) -> Tuple[ArrayOrScalar, np.ndarray]:
+        """Aggregated relaxed litho error and its mask gradient, with
+        accounting; large batches run in chunks of independent
+        samples (bit-exact with one call)."""
         started = time.perf_counter()
         threshold = self.threshold if threshold is None else threshold
         steepness = (self.config.resist_steepness if resist_steepness is None
@@ -713,101 +751,122 @@ class LithoEngine:
         if targets.ndim == 2:
             targets = np.broadcast_to(targets, batch.shape)
 
-        # Samples are independent, so large batches are processed in
-        # chunks sized to keep the per-chunk field tensor cache-resident
-        # (~8 MB); past that point batching degrades on one core.
-        with trace.span("litho.adjoint", masks=batch.shape[0]):
-            chunk = self._gradient_chunk
-            if batch.shape[0] > chunk:
-                errors = self._xp.empty(batch.shape[0], dtype=self._rdtype)
-                grads = self._xp.empty(batch.shape, dtype=self._rdtype)
-                for i in range(0, batch.shape[0], chunk):
-                    errors[i:i + chunk], grads[i:i + chunk] = \
-                        self._gradient_chunk_wrt_mask(
-                            batch[i:i + chunk], targets[i:i + chunk],
-                            threshold, steepness, dose)
-                self.stats.record_gradient(batch.shape[0],
-                                           time.perf_counter() - started)
-                return errors, grads
-            errors, grads = self._gradient_chunk_wrt_mask(
-                batch, targets, threshold, steepness, dose)
-        self.stats.record_gradient(batch.shape[0],
-                                   time.perf_counter() - started)
+        n, chunk = batch.shape[0], stack.chunk
+        with trace.span("litho.adjoint", masks=n, **span_args):
+            errors = self._xp.empty(n, dtype=self._rdtype)
+            grads = self._xp.empty(batch.shape, dtype=self._rdtype)
+            for i in range(0, n, chunk):
+                part = slice(i, i + chunk)
+                self._gradient_chunk(stack, plan, objective, batch[part],
+                                     targets[part], threshold, steepness,
+                                     errors[part], grads[part])
+        self.stats.record_gradient(n, time.perf_counter() - started)
         if single:
             return float(errors[0]), grads[0]
         return errors, grads
 
-    def _gradient_chunk_wrt_mask(
-            self, batch: np.ndarray, targets: np.ndarray, threshold: float,
-            steepness: float, dose: float) -> Tuple[np.ndarray, np.ndarray]:
-        ws = self.workspace
-        intensity, fields = self._forward_impl(batch, dose, keep_fields=True,
-                                               ws=ws)
-        wafer = _stable_sigmoid(steepness * (intensity - threshold))
-        diff = wafer - targets
-        errors = np.sum(diff * diff, axis=(-2, -1))
+    def _gradient_chunk(
+            self, stack: _KernelStack, plan: _Corners, objective: str,
+            batch: np.ndarray, targets: np.ndarray, threshold: float,
+            steepness: float, errors_out: np.ndarray,
+            grads_out: np.ndarray) -> None:
+        """One chunk of the adjoint, written into ``errors_out`` /
+        ``grads_out``."""
+        ws, tag, backend = self.workspace, stack.tag, self.backend
+        group_intensity, fields = self._forward_impl(
+            stack, self._compact_spectrum(stack, batch))
+        n, grid, g = batch.shape[0], self.grid, stack.raster
+        num_corners = len(plan.doses)
 
-        # dE/dI, including the resist sigmoid slope and dose scaling.
-        grad_intensity = 2.0 * steepness * diff * wafer * (1.0 - wafer)
-        if dose != 1.0:
-            grad_intensity = grad_intensity * dose
+        # Per-corner errors and upstream dE_c/dI (resist slope and the
+        # dose chain-rule factor folded in).
+        errors = self._xp.empty((n, num_corners), dtype=self._rdtype)
+        upstream = []
+        for c, (group, dose) in enumerate(zip(plan.group_of, plan.doses)):
+            intensity = group_intensity[group]
+            if dose != 1.0:
+                intensity = intensity * dose
+            wafer = _stable_sigmoid(steepness * (intensity - threshold))
+            diff = wafer - targets
+            errors[:, c] = np.sum(diff * diff, axis=(-2, -1))
+            grad_intensity = 2.0 * steepness * diff * wafer * (1.0 - wafer)
+            if dose != 1.0:
+                grad_intensity *= dose
+            upstream.append(grad_intensity)
+
+        # Aggregation coefficients per (sample, corner).
+        if objective == "weighted":
+            coef = np.broadcast_to(plan.lam, (n, num_corners))
+            aggregated = errors @ plan.lam
+        else:  # worst corner, per sample
+            worst = np.argmax(errors, axis=1)
+            coef = self._xp.zeros((n, num_corners), dtype=self._rdtype)
+            coef[self._xp.arange(n), worst] = 1.0
+            aggregated = errors[self._xp.arange(n), worst]
+
+        # Combine corner upstreams per defocus group, then resample
+        # them onto the reduced raster: U^T (dE/dI) U.
+        combined = ws.zeros((tag, "adj.combined"),
+                            (stack.num_groups, n, grid, grid), self._rdtype)
+        for c, group in enumerate(plan.group_of):
+            combined[group] += coef[:, c, None, None] * upstream[c]
+        if stack.up is not None:
+            half = backend.matmul(
+                combined, stack.up,
+                out=ws.get((tag, "adj.down"),
+                           (stack.num_groups, n, grid, g), self._rdtype))
+            combined = backend.matmul(
+                stack.down, half,
+                out=ws.get((tag, "adj.reduced"),
+                           (stack.num_groups, n, g, g), self._rdtype))
 
         # Adjoint push through every coherent system: transform
-        # ``dE/dI * conj(field_k)`` only onto the flipped kernel's
-        # passband, multiply there (``_adj_cc`` carries the ``2 w_k``
-        # factor), and accumulate over k.  All intermediates live in
-        # the workspace arena; only ``errors``/``grad`` escape.
-        n, grid = batch.shape[0], self.grid
-        n_arows, n_acols = self._adj_cc.shape[1:]
-        accumulated = ws.zeros("adj.acc", (n, n_arows, n_acols),
-                               self._cdtype)
-        block = self._passband_block
-        if block <= 1:
-            weighted = ws.get("adj.weighted", (n, grid, grid), self._cdtype)
-            partial = ws.get("adj.partial", (n, n_arows, grid), self._cdtype)
-            spectrum_k = ws.get("adj.spectrum", (n, n_arows, n_acols),
-                                self._cdtype)
-            for k in range(len(self._weights)):
-                self.backend.conjugate(fields[k], out=weighted)
-                weighted *= grad_intensity
-                self.backend.matmul(self._fft_row, weighted, out=partial)
-                self.backend.matmul(partial, self._fft_col, out=spectrum_k)
-                spectrum_k *= self._adj_cc[k]
-                accumulated += spectrum_k
-        else:
-            # Tuned passband blocking (see _forward_impl): the kernel
-            # sum keeps its exact sequential order per block, only the
-            # DFT matmuls are batched.
-            num_kernels = len(self._weights)
-            for k0 in range(0, num_kernels, block):
-                k1 = min(k0 + block, num_kernels)
-                b = k1 - k0
-                weighted = ws.get(("adj.block.weighted", b),
-                                  (b, n, grid, grid), self._cdtype)
-                self.backend.conjugate(fields[k0:k1], out=weighted)
-                weighted *= grad_intensity
-                partial = self.backend.matmul(
-                    self._fft_row, weighted,
-                    out=ws.get(("adj.block.partial", b),
-                               (b, n, n_arows, grid), self._cdtype))
-                spectrum_b = self.backend.matmul(
-                    partial, self._fft_col,
-                    out=ws.get(("adj.block.spectrum", b),
-                               (b, n, n_arows, n_acols), self._cdtype))
-                spectrum_b *= self._adj_cc[k0:k1, None]
-                for j in range(b):
-                    accumulated += spectrum_b[j]
-        expanded = self.backend.matmul(
-            self._grad_row,
-            self.backend.matmul(
-                accumulated, self._grad_col,
-                out=ws.get("adj.expand", (n, n_arows, grid),
+        # ``conj(f_k) dE/dI`` onto the flipped kernel's passband,
+        # multiply there (``adj_cc`` carries ``2 sqrt(w_k)``) and sum
+        # over k.  The fields are spent, so the product overwrites
+        # them, and the transforms reuse the forward's buffers.
+        weighted = backend.conjugate(fields, out=fields)
+        for f, group in enumerate(stack.group_slices):
+            weighted[group] *= combined[f]
+        n_arows, n_acols = stack.adj_cc.shape[1:]
+        partial = backend.matmul(
+            stack.fft_row, weighted,
+            out=ws.get((tag, "partial"), (stack.num_kernels, n, n_arows, g),
+                       self._cdtype))
+        spectra = backend.matmul(
+            partial, stack.fft_col,
+            out=ws.get((tag, "passband"),
+                       (stack.num_kernels, n, n_arows, n_acols),
+                       self._cdtype))
+        spectra *= stack.adj_cc[:, None]
+        accumulated = np.sum(
+            spectra, axis=0,
+            out=ws.get((tag, "adj.acc"), (n, n_arows, n_acols),
+                       self._cdtype))
+        expanded = backend.matmul(
+            stack.grad_row,
+            backend.matmul(
+                accumulated, stack.grad_col,
+                out=ws.get((tag, "adj.expand"), (n, n_arows, grid),
                            self._cdtype)),
-            out=ws.get("adj.grad", (n, grid, grid), self._cdtype))
-        # ``.real`` is a view into the workspace buffer — copy so the
-        # returned gradient owns its memory.
-        grad = self._xp.array(expanded.real, dtype=self._rdtype)
-        return errors, grad
+            out=ws.get((tag, "adj.grad"), (n, grid, grid), self._cdtype))
+        errors_out[...] = aggregated
+        grads_out[...] = expanded.real
+
+    def error_and_gradient_wrt_mask(
+            self, mask_relaxed: np.ndarray, target: np.ndarray,
+            threshold: Optional[float] = None,
+            resist_steepness: Optional[float] = None,
+            dose: float = 1.0) -> Tuple[ArrayOrScalar, np.ndarray]:
+        """Relaxed litho error and gradient w.r.t. the relaxed mask.
+
+        This is the inner term of Eq. 14 — the quantity Algorithm 2
+        back-propagates into the generator — computed for the whole
+        batch in one pipeline.
+        """
+        return self._error_and_gradient(
+            self._nominal, self._nominal_plan(dose), "weighted",
+            mask_relaxed, target, threshold, resist_steepness)
 
     def error_and_gradient(
             self, mask_params: np.ndarray, target: np.ndarray,
@@ -852,13 +911,6 @@ class LithoEngine:
     def num_conditions(self) -> int:
         return self.conditions.num_conditions
 
-    @property
-    def _nominal_conditions(self) -> bool:
-        """True when the stack is the engine's own single nominal corner
-        — the C=1 fast path that delegates to the untouched nominal
-        methods (bit-exact by construction)."""
-        return self.conditions.is_single_nominal(self.config.optics.defocus)
-
     def _kernels_for_defocus(self, defocus: float) -> KernelSet:
         """Kernel set for one defocus plane, through the build caches.
 
@@ -874,86 +926,31 @@ class LithoEngine:
                                         defocus=float(defocus)))
         return build_kernels(focus_config)
 
-    def _condition(self) -> _ConditionStack:
-        """The lazily-built corner tensor stack."""
-        if self._condition_stack is None:
-            groups = self.conditions.defocus_groups()
-            kernel_sets = [self._kernels_for_defocus(defocus)
-                           for defocus, _ in groups]
-            group_of = np.empty(self.num_conditions, dtype=int)
-            for g, (_, indices) in enumerate(groups):
-                group_of[list(indices)] = g
-            stack = _ConditionStack(
-                self.conditions, kernel_sets, group_of,
-                self._rdtype, self._cdtype)
-            # Corner kernel tensors and DFT factors move to the
-            # backend device (identity for numpy); per-corner scalars
-            # (weights, doses) and the group index stay host-side.
-            for attr in ("freq_cc", "adj_cc", "lam", "spec_row",
-                         "spec_col", "ifft_row", "ifft_col", "fft_row",
-                         "fft_col", "grad_row", "grad_col"):
-                setattr(stack, attr, self.backend.asarray(
-                    getattr(stack, attr)))
-            self._condition_stack = stack
-        return self._condition_stack
+    def _condition(self) -> Tuple[_KernelStack, _Corners]:
+        """The corner stack and its corners, built on first use.
 
-    def _condition_compact_spectrum(self, batch: np.ndarray) -> np.ndarray:
-        """Mask spectrum on the condition stack's union passband.
-
-        Condition-independent: defocus is a pupil phase and dose an
-        intensity scale, so one spectrum serves every corner.
+        A single nominal corner reuses the nominal stack, so its
+        results are bit-exact with the nominal methods.
         """
-        cond = self._condition()
-        ws = self.workspace
-        n, grid = batch.shape[0], self.grid
-        n_rows = cond.spec_row.shape[0]
-        n_cols = cond.spec_col.shape[1]
-        with trace.span("litho.spectrum", masks=n):
-            complex_batch = ws.get("cond.spec.batch", (n, grid, grid),
-                                   self._cdtype)
-            complex_batch[...] = batch
-            partial = self.backend.matmul(
-                cond.spec_row, complex_batch,
-                out=ws.get("cond.spec.partial", (n, n_rows, grid),
-                           self._cdtype))
-            return self.backend.matmul(
-                partial, cond.spec_col,
-                out=ws.get("cond.spec.compact", (n, n_rows, n_cols),
-                           self._cdtype))
-
-    def _condition_forward_impl(self, batch: np.ndarray, keep_fields: bool
-                                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Fused forward over the corner kernel stack (no accounting).
-
-        Returns ``(group_intensity, fields)``: per-defocus-group aerial
-        intensities ``(F, N, H, W)`` — corners sharing a defocus share
-        fields, their doses are applied by the callers as intensity
-        scales — and fields ``(J, N, H, W)`` over all stacked kernels
-        when requested.  Both live in the workspace arena and must be
-        consumed before the next engine call.
-        """
-        cond = self._condition()
-        compact = self._condition_compact_spectrum(batch)
-        ws = self.workspace
-        n, grid = batch.shape[0], self.grid
-        total_kernels = len(cond.weights)
-        if keep_fields:
-            fields = ws.get("cond.fields", (total_kernels, n, grid, grid),
-                            self._cdtype)
-        else:
-            fields = None
-        scratch = ws.get("cond.scratch", (n, grid, grid), self._cdtype)
-        group_intensity = ws.zeros(
-            "cond.intensity", (cond.num_groups, n, grid, grid), self._rdtype)
-        for g, group in enumerate(cond.group_slices):
-            for j in range(group.start, group.stop):
-                out = fields[j] if keep_fields else scratch
-                field = self.backend.matmul(
-                    cond.ifft_row, (compact * cond.freq_cc[j]) @ cond.ifft_col,
-                    out=out)
-                group_intensity[g] += cond.weights[j] * (field.real ** 2 +
-                                                         field.imag ** 2)
-        return group_intensity, fields
+        if self._condition_plan is None:
+            conditions = self.conditions
+            groups = conditions.defocus_groups()
+            if conditions.is_single_nominal(self.config.optics.defocus):
+                stack = self._nominal
+            else:
+                stack = self._stack("condition", [
+                    self._kernels_for_defocus(defocus)
+                    for defocus, _ in groups])
+            group_of = [0] * self.num_conditions
+            for f, (_, indices) in enumerate(groups):
+                for c in indices:
+                    group_of[c] = f
+            corners = _Corners(
+                tuple(group_of), tuple(float(d) for d in conditions.doses),
+                self.backend.asarray(
+                    conditions.normalized_weights().astype(self._rdtype)))
+            self._condition_plan = (stack, corners)
+        return self._condition_plan
 
     def condition_aerial(self, mask: np.ndarray) -> np.ndarray:
         """Aerial images at every corner: ``(C, H, W)`` or ``(N, C, H, W)``.
@@ -961,25 +958,8 @@ class LithoEngine:
         Corner ordering follows ``self.conditions.corners``.
         """
         batch, single = self._as_batch(mask)
-        if self._nominal_conditions:
-            intensity = self.aerial(batch)[:, None]
-            return intensity[0] if single else intensity
-        cond = self._condition()
-        n, grid = batch.shape[0], self.grid
-        started = time.perf_counter()
-        with trace.span("litho.forward", masks=n,
-                        corners=self.num_conditions):
-            group_intensity, _ = self._condition_forward_impl(
-                batch, keep_fields=False)
-            out = self._xp.empty((n, self.num_conditions, grid, grid),
-                                 dtype=self._rdtype)
-            for c in range(self.num_conditions):
-                source = group_intensity[cond.group_of[c]]
-                if cond.doses[c] != 1.0:
-                    np.multiply(source, cond.doses[c], out=out[:, c])
-                else:
-                    out[:, c] = source
-        self.stats.record_forward(n, time.perf_counter() - started)
+        stack, plan = self._condition()
+        out = self._forward(stack, plan, batch, corners=self.num_conditions)
         return out[0] if single else out
 
     def condition_wafers(self, mask: np.ndarray) -> np.ndarray:
@@ -1017,117 +997,17 @@ class LithoEngine:
         ``objective="weighted"`` minimizes the corner-weight average
         ``E = sum_c lam_c E_c`` (lam normalized); ``"worst"`` follows
         the per-sample worst corner (a subgradient of ``max_c E_c``).
-        Both share the nominal adjoint: per-corner upstream intensity
-        gradients are combined per defocus group, pushed through the
-        stacked flipped kernels, and expanded once.
+        Per-corner upstream intensity gradients are combined per
+        defocus group, pushed through the stacked flipped kernels, and
+        expanded once.
         """
         if objective not in ("weighted", "worst"):
             raise ValueError(
                 f"objective must be 'weighted' or 'worst', got {objective!r}")
-        if self._nominal_conditions:
-            return self.error_and_gradient_wrt_mask(
-                mask_relaxed, target, threshold=threshold,
-                resist_steepness=resist_steepness)
-        started = time.perf_counter()
-        threshold = self.threshold if threshold is None else threshold
-        steepness = (self.config.resist_steepness if resist_steepness is None
-                     else resist_steepness)
-        batch, single = self._as_batch(mask_relaxed)
-        targets = self._as_targets(target)
-        if targets.ndim == 2:
-            targets = np.broadcast_to(targets, batch.shape)
-
-        with trace.span("litho.adjoint", masks=batch.shape[0],
-                        corners=self.num_conditions):
-            chunk = (int(self.tuning.batch_chunk) if self.tuning.batch_chunk
-                     else self._condition().gradient_chunk)
-            if batch.shape[0] > chunk:
-                errors = self._xp.empty(batch.shape[0], dtype=self._rdtype)
-                grads = self._xp.empty(batch.shape, dtype=self._rdtype)
-                for i in range(0, batch.shape[0], chunk):
-                    errors[i:i + chunk], grads[i:i + chunk] = \
-                        self._condition_gradient_chunk(
-                            batch[i:i + chunk], targets[i:i + chunk],
-                            threshold, steepness, objective)
-            else:
-                errors, grads = self._condition_gradient_chunk(
-                    batch, targets, threshold, steepness, objective)
-        self.stats.record_gradient(batch.shape[0],
-                                   time.perf_counter() - started)
-        if single:
-            return float(errors[0]), grads[0]
-        return errors, grads
-
-    def _condition_gradient_chunk(
-            self, batch: np.ndarray, targets: np.ndarray, threshold: float,
-            steepness: float, objective: str
-            ) -> Tuple[np.ndarray, np.ndarray]:
-        cond = self._condition()
-        ws = self.workspace
-        group_intensity, fields = self._condition_forward_impl(
-            batch, keep_fields=True)
-        n, grid = batch.shape[0], self.grid
-        num_corners = self.num_conditions
-
-        # Per-corner errors and upstream dE_c/dI (resist slope and the
-        # dose chain-rule factor folded in, matching the nominal path).
-        errors = self._xp.empty((n, num_corners), dtype=self._rdtype)
-        grad_intensity = ws.get(
-            "cond.grad_i", (num_corners, n, grid, grid), self._rdtype)
-        for c in range(num_corners):
-            intensity = group_intensity[cond.group_of[c]]
-            if cond.doses[c] != 1.0:
-                intensity = intensity * cond.doses[c]
-            wafer = _stable_sigmoid(steepness * (intensity - threshold))
-            diff = wafer - targets
-            errors[:, c] = np.sum(diff * diff, axis=(-2, -1))
-            gi = 2.0 * steepness * diff * wafer * (1.0 - wafer)
-            if cond.doses[c] != 1.0:
-                gi *= cond.doses[c]
-            grad_intensity[c] = gi
-
-        # Aggregation coefficients per (sample, corner).
-        if objective == "weighted":
-            coef = np.broadcast_to(cond.lam, (n, num_corners))
-            aggregated = errors @ cond.lam
-        else:  # worst corner, per sample
-            worst = np.argmax(errors, axis=1)
-            coef = self._xp.zeros((n, num_corners), dtype=self._rdtype)
-            coef[self._xp.arange(n), worst] = 1.0
-            aggregated = errors[self._xp.arange(n), worst]
-
-        # Combine corner upstreams per defocus group, then run the
-        # standard adjoint over the whole stacked kernel tensor.
-        combined = ws.zeros("cond.combined",
-                            (cond.num_groups, n, grid, grid), self._rdtype)
-        for c in range(num_corners):
-            combined[cond.group_of[c]] += (coef[:, c, None, None]
-                                           * grad_intensity[c])
-
-        n_arows, n_acols = cond.adj_cc.shape[1:]
-        accumulated = ws.zeros("cond.adj.acc", (n, n_arows, n_acols),
-                               self._cdtype)
-        weighted = ws.get("cond.adj.weighted", (n, grid, grid), self._cdtype)
-        partial = ws.get("cond.adj.partial", (n, n_arows, grid), self._cdtype)
-        spectrum_j = ws.get("cond.adj.spectrum", (n, n_arows, n_acols),
-                            self._cdtype)
-        for g, group in enumerate(cond.group_slices):
-            for j in range(group.start, group.stop):
-                self.backend.conjugate(fields[j], out=weighted)
-                weighted *= combined[g]
-                self.backend.matmul(cond.fft_row, weighted, out=partial)
-                self.backend.matmul(partial, cond.fft_col, out=spectrum_j)
-                spectrum_j *= cond.adj_cc[j]
-                accumulated += spectrum_j
-        expanded = self.backend.matmul(
-            cond.grad_row,
-            self.backend.matmul(
-                accumulated, cond.grad_col,
-                out=ws.get("cond.adj.expand", (n, n_arows, grid),
-                           self._cdtype)),
-            out=ws.get("cond.adj.grad", (n, grid, grid), self._cdtype))
-        grad = self._xp.array(expanded.real, dtype=self._rdtype)
-        return self._xp.asarray(aggregated, dtype=self._rdtype), grad
+        stack, plan = self._condition()
+        return self._error_and_gradient(
+            stack, plan, objective, mask_relaxed, target, threshold,
+            resist_steepness, corners=self.num_conditions)
 
     def condition_error_and_gradient(
             self, mask_params: np.ndarray, target: np.ndarray,

@@ -46,14 +46,15 @@ def binarize_mask(mask: np.ndarray, level: float = 0.5) -> np.ndarray:
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Sigmoid without overflow for large-magnitude inputs.
 
-    Preserves float32 input dtype (the engine's f32 precision mode
-    flows through here); everything else computes in float64.
+    With ``e = exp(-|x|)`` (never overflows) this is ``1 / (1 + e)``
+    for ``x >= 0`` and ``e / (1 + e)`` otherwise — branch-free, with
+    no boolean gathers.  Preserves float32 input dtype (the engine's
+    f32 precision mode flows through here); everything else computes
+    in float64.
     """
     x = np.asarray(x)
     dtype = x.dtype if x.dtype == np.float32 else np.float64
-    out = np.empty_like(x, dtype=dtype)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    x = x.astype(dtype, copy=False)
+    e = np.exp(-np.abs(x))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)

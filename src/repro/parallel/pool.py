@@ -172,9 +172,9 @@ def _engine_totals() -> Dict[str, float]:
     """
     totals: Dict[str, float] = {}
     for engine, baseline in _WORKER_STATE["engines"]:
-        for name, value in engine.stats.snapshot().items():
-            totals[name] = (totals.get(name, 0.0) + value
-                            - baseline.get(name, 0.0))
+        grown = engine.stats.since(baseline)
+        totals = ({name: totals[name] + value
+                   for name, value in grown.items()} if totals else grown)
     return totals
 
 

@@ -209,6 +209,45 @@ class TestConditionGradients:
             numeric = (upper - lower) / (2.0 * eps)
             assert abs(numeric - grad[i, j]) <= 1e-5 * max(abs(numeric), 1.0)
 
+    @pytest.mark.parametrize("objective", ["weighted", "worst"])
+    def test_window_stack_matches_per_corner_engines(self, litho32,
+                                                     kernels32, bars32,
+                                                     rng, objective):
+        """The stacked reduced-raster adjoint equals aggregating one
+        nominal engine per corner (defocus plane, dose) at 1e-10."""
+        from dataclasses import replace
+        conditions = ConditionSet.parse("window")
+        engine = LithoEngine.for_conditions(kernels32, conditions)
+        masks = np.stack([0.2 + 0.6 * bars32,
+                          np.clip(0.5 * bars32 + 0.3 * rng.random((32, 32)),
+                                  0.0, 1.0)])
+        targets = np.stack([bars32, bars32])
+        errors, grads = engine.condition_error_and_gradient_wrt_mask(
+            masks, targets, objective=objective)
+
+        corner_errors, corner_grads = [], []
+        for corner in conditions:
+            cfg = replace(litho32, optics=replace(litho32.optics,
+                                                  defocus=corner.defocus))
+            nominal = LithoEngine.for_kernels(build_kernels(cfg))
+            e, g = nominal.error_and_gradient_wrt_mask(masks, targets,
+                                                       dose=corner.dose)
+            corner_errors.append(e)
+            corner_grads.append(g)
+        corner_errors = np.stack(corner_errors, axis=1)   # (N, C)
+        corner_grads = np.stack(corner_grads, axis=1)     # (N, C, H, W)
+        if objective == "weighted":
+            lam = conditions.normalized_weights()
+            expected = corner_errors @ lam
+            expected_grad = np.einsum("c,ncxy->nxy", lam, corner_grads)
+        else:
+            worst = np.argmax(corner_errors, axis=1)
+            expected = corner_errors[np.arange(2), worst]
+            expected_grad = corner_grads[np.arange(2), worst]
+        np.testing.assert_allclose(errors, expected, rtol=1e-10)
+        np.testing.assert_allclose(grads, expected_grad, rtol=1e-10,
+                                   atol=1e-10)
+
     def test_weighted_objective_honors_weights(self, kernels32, bars32):
         """An all-weight-on-one-corner stack must reduce to that
         corner's single-condition gradient."""

@@ -6,7 +6,9 @@ tests pin its semantics against (a) a straight re-implementation of the
 pre-refactor single-image path (plain ``fft2``, per-kernel inverse
 transforms, adjoint accumulated in the spatial domain) to 1e-10, and
 (b) finite differences, over grids {16, 32} x doses {0.98, 1.0, 1.02}
-x batch sizes {1, 3}.
+x batch sizes {1, 3}.  :class:`TestReducedRaster` adds the 128 px
+reproduction grid, an odd grid and coarse-pixel configs where the
+reduced raster falls back to the full one.
 """
 
 import numpy as np
@@ -170,6 +172,60 @@ class TestGradientParity:
             numeric = (upper - lower) / (2 * eps)
             assert abs(numeric - grads[n, i, j]) <= \
                 1e-5 * max(abs(numeric), 1.0)
+
+
+def _assert_matches_reference(engine, masks, targets, dose=1.0):
+    """Aerial, errors and mask gradients of a batch against the fft2
+    reference at the suite's 1e-10 tolerance."""
+    cfg = engine.config
+    aerials = engine.aerial(masks, dose=dose)
+    errors, grads = engine.error_and_gradient_wrt_mask(masks, targets,
+                                                       dose=dose)
+    for i in range(len(masks)):
+        np.testing.assert_allclose(
+            aerials[i], reference_aerial(masks[i], engine.kernels, dose),
+            rtol=1e-10, atol=1e-10)
+        ref_error, ref_grad = reference_gradient_wrt_mask(
+            masks[i], targets[i], engine.kernels, cfg.threshold,
+            cfg.resist_steepness, dose=dose)
+        np.testing.assert_allclose(errors[i], ref_error, rtol=1e-10)
+        np.testing.assert_allclose(grads[i], ref_grad, rtol=1e-10,
+                                   atol=1e-10)
+
+
+class TestReducedRaster:
+    """Per-kernel work runs on the alias-free (2R-1)^2 raster and is
+    resampled exactly onto the mask grid; the full raster is used only
+    when 2R-1 >= grid (coarse pixels)."""
+
+    @pytest.mark.parametrize("grid, pixel_nm, raster", [
+        (128, 8.0, 49), (64, 8.0, 25), (32, 8.0, 13), (16, 8.0, 5),
+        (33, 8.0, 13), (32, 24.0, 32), (32, 32.0, 32)])
+    def test_raster_size(self, grid, pixel_nm, raster):
+        config = LithoConfig.small(grid).with_grid(grid, pixel_nm)
+        engine = LithoEngine.for_kernels(build_kernels(config))
+        assert engine.raster_size == raster
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_matches_reference_at_128(self, batch):
+        engine = _engine(128)
+        _assert_matches_reference(engine, _mask_batch(128, batch),
+                                  _target_batch(128, batch))
+
+    @pytest.mark.parametrize("dose", [0.98, 1.02])
+    def test_odd_grid(self, dose):
+        engine = _engine(33)
+        assert engine.raster_size == 13
+        _assert_matches_reference(engine, _mask_batch(33, 2),
+                                  _target_batch(33, 2), dose=dose)
+
+    @pytest.mark.parametrize("pixel_nm", [24.0, 32.0])
+    def test_coarse_pixels_use_full_raster(self, pixel_nm):
+        config = LithoConfig.small(32).with_grid(32, pixel_nm)
+        engine = LithoEngine.for_kernels(build_kernels(config))
+        assert engine.raster_size == engine.grid
+        _assert_matches_reference(engine, _mask_batch(32, 2),
+                                  _target_batch(32, 2))
 
 
 class TestSpectrum:

@@ -100,8 +100,10 @@ class TestEnginePrecision:
         spectrum = real_spectrum(masks)
         aerial_direct = engine.aerial(masks)
         batch, _ = engine._as_batch(masks)
-        aerial_from_spec, _ = engine._forward_impl(batch, 1.0, False,
-                                                   spectrum=spectrum)
+        stack = engine._nominal
+        group_intensity, _ = engine._forward_impl(
+            stack, engine._compact_spectrum(stack, batch, spectrum))
+        aerial_from_spec = group_intensity[0]
         np.testing.assert_allclose(aerial_from_spec, aerial_direct,
                                    rtol=1e-10, atol=1e-12)
 

@@ -1,12 +1,44 @@
 """Unit tests for resist models (Eqs. 3, 12, 13)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.litho import (binarize_mask, hard_resist, sigmoid_mask,
                          sigmoid_resist)
+from repro.litho.resist import _stable_sigmoid
+
+
+def _masked_sigmoid(x):
+    """The gather/scatter formulation the branch-free sigmoid replaced:
+    each element goes through the same formula for its sign."""
+    x = np.asarray(x)
+    dtype = x.dtype if x.dtype == np.float32 else np.float64
+    out = np.empty_like(x, dtype=dtype)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+class TestStableSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale", [1.0, 50.0, 800.0])
+    def test_bit_identical_to_masked_formula(self, dtype, scale):
+        rng = np.random.default_rng(int(scale))
+        x = (scale * rng.standard_normal((64, 64))).astype(dtype)
+        x[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        out = _stable_sigmoid(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, _masked_sigmoid(x))
+
+    def test_non_float_input_computes_in_f64(self):
+        out = _stable_sigmoid(np.array([-2, 0, 3]))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, _masked_sigmoid([-2, 0, 3]))
 
 
 class TestHardResist:

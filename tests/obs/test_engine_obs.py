@@ -64,7 +64,7 @@ class TestSpanStatsReconciliation:
         assert _span_count(tracer, "litho.forward") == 0
 
     def test_chunked_adjoint_is_one_call_one_span(self, engine):
-        batch = engine._gradient_chunk * 2 + 1
+        batch = engine._nominal.chunk * 2 + 1
         before = engine.stats.snapshot()
         with trace.tracing() as tracer:
             errors, grads = engine.error_and_gradient_wrt_mask(
