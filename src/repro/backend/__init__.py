@@ -1,7 +1,7 @@
 """``repro.backend`` — the pluggable array-ops seam.
 
 Every dense kernel in the repo — the engine's passband matmul-DFTs,
-the nn substrate's im2col/GEMM convolutions, the workspace arenas —
+the nn substrate's GEMM convolutions and pooling, the workspace arenas —
 bottoms out in a small set of array operations: ``matmul``, the 2-D
 FFT family, patch lowering (``im2col``/``col2im``), ``einsum``,
 reductions and dtype/device transfer.  :class:`ArrayBackend` names

@@ -4,8 +4,8 @@ The profiler (PR 3) shows that the litho/ILT hot loop spends a
 measurable slice of its time in the allocator: every
 forward/adjoint call re-allocates the same handful of large
 intermediates — the ``(K, N, H, W)`` field tensor, the full mask
-spectrum, the adjoint accumulation buffer, im2col padding scratch —
-with shapes that are identical from one iteration to the next.
+spectrum, the adjoint accumulation buffer — with shapes that are
+identical from one iteration to the next.
 
 :class:`Workspace` is a tiny keyed arena fixing that: ``get(key,
 shape, dtype)`` returns a preallocated buffer when one with the same
@@ -14,9 +14,8 @@ handed out *uninitialized* (callers must fully overwrite or
 explicitly ``fill``), and a buffer obtained under some key must never
 escape the call that requested it — the next iteration will overwrite
 it.  Anything returned to user code must therefore be freshly
-allocated, never arena-backed; the litho engine and ``repro.nn``
-observe this rule by only passing workspace buffers through internal
-code paths.
+allocated, never arena-backed; the litho engine observes this rule by
+only passing workspace buffers through internal code paths.
 
 Buffers are stored under ``(key, dtype, backend)`` composite keys, so
 an arena shared by f32 and f64 call paths (or by numpy and cupy
@@ -27,10 +26,10 @@ constructed with a :class:`repro.backend.ArrayBackend` allocate on
 that backend (GPU arenas hold device memory).
 
 Workspaces are intentionally not thread-safe: each
-:class:`~repro.litho.engine.LithoEngine` (and the ``repro.nn``
-functional layer) owns one and is driven from a single thread per
-process; the multiprocess execution layer (``repro.parallel``) gives
-every worker its own engine and hence its own arena.
+:class:`~repro.litho.engine.LithoEngine` owns one and is driven from a
+single thread per process; the multiprocess execution layer
+(``repro.parallel``) gives every worker its own engine and hence its
+own arena.
 
 Set ``REPRO_WORKSPACE=off`` (or construct with ``enabled=False``) to
 disable reuse globally — every ``get`` then returns a fresh array,

@@ -1,10 +1,12 @@
-"""Convolution lowering economics: cached columns and workspace reuse.
+"""Convolution lowering economics: what the forward caches for backward.
 
-The forward pass lowers patches with im2col once; the backward pass must
-reuse those cached columns for the weight gradient instead of re-running
-the gather (the gather is ~a third of a conv step's time).  In eval mode
-the closure is dropped, so the columns may live in the module workspace
-and be reused across calls.
+The forward splits its fine operand into phase planes once and, when
+that operand has fewer channels than the result, gathers the planes'
+tap slices into one ``(taps * C, L)`` column stack.  The backward must
+reuse what the forward cached for the weight gradient instead of
+splitting or gathering the input again.  Inference mode runs the same
+code with the closure dropped: there is no workspace arena and no
+separate inference lowering.
 """
 
 import numpy as np
@@ -14,37 +16,44 @@ from repro.nn import no_grad
 from repro.nn.tensor import Tensor
 
 
-def _counting_im2col(monkeypatch):
+def _counting(monkeypatch, name):
     calls = []
-    original = F.im2col
+    original = getattr(F, name)
 
     def wrapper(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(F, "im2col", wrapper)
+    monkeypatch.setattr(F, name, wrapper)
     return calls
 
 
 class TestColumnCaching:
     def test_conv2d_backward_reuses_forward_columns(self, monkeypatch, rng):
-        calls = _counting_im2col(monkeypatch)
+        splits = _counting(monkeypatch, "_fine_operand")
+        gathers = _counting(monkeypatch, "_gather")
         x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         out = F.conv2d(x, w, stride=1, padding=1)
-        assert len(calls) == 1
+        # 3 input channels < 4 output channels: the input is gathered.
+        assert (len(splits), len(gathers)) == (1, 1)
         (out ** 2).sum().backward()
-        # The weight gradient contracts the cached columns: no re-gather.
-        assert len(calls) == 1
+        # The weight gradient contracts the cached stack, and the input
+        # gradient (4 channels in, 3 out) needs no gather: no re-lowering.
+        assert (len(splits), len(gathers)) == (1, 1)
 
     def test_conv_transpose2d_backward_gathers_once(self, monkeypatch, rng):
-        calls = _counting_im2col(monkeypatch)
+        splits = _counting(monkeypatch, "_fine_operand")
+        gathers = _counting(monkeypatch, "_gather")
         x = Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         out = F.conv_transpose2d(x, w, stride=2, padding=1)
-        assert len(calls) == 0  # forward needs no gather
+        # 4 input channels >= 3 output channels: tap by tap, no gather.
+        assert (len(splits), len(gathers)) == (0, 0)
         (out ** 2).sum().backward()
-        assert len(calls) == 1  # one gather of the incoming gradient
+        # One split and one gather of the incoming gradient serve both
+        # the input and the weight gradient.
+        assert (len(splits), len(gathers)) == (1, 1)
 
     def test_backward_matches_einsum_reference(self, rng):
         """The batched-matmul backward is the same math as the obvious
@@ -67,35 +76,17 @@ class TestColumnCaching:
 
 
 class TestInferenceWorkspace:
-    def test_eval_mode_reuses_column_scratch(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
-        with no_grad():
-            F.conv2d(x, w, padding=1)
-            before = F._WORKSPACE.hits
-            F.conv2d(x, w, padding=1)
-        assert F._WORKSPACE.hits > before
-
-    def test_grad_mode_never_touches_workspace(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        before = (F._WORKSPACE.hits, F._WORKSPACE.misses)
-        out = F.conv2d(x, w, padding=1)
-        (out ** 2).sum().backward()
-        assert (F._WORKSPACE.hits, F._WORKSPACE.misses) == before
+    def test_no_workspace_arena(self):
+        assert not hasattr(F, "_WORKSPACE")
 
     def test_eval_and_grad_results_identical(self, rng):
         x_data = rng.normal(size=(2, 3, 8, 8))
         w_data = rng.normal(size=(4, 3, 3, 3))
         with no_grad():
             eval_out = F.conv2d(Tensor(x_data), Tensor(w_data), padding=1)
-            # Second call overwrites the scratch the first call used;
-            # the first result must be a private copy.
             eval_out2 = F.conv2d(Tensor(2.0 * x_data), Tensor(w_data),
                                  padding=1)
         grad_out = F.conv2d(Tensor(x_data, requires_grad=True),
                             Tensor(w_data, requires_grad=True), padding=1)
-        np.testing.assert_allclose(eval_out.data, grad_out.data,
-                                   rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(eval_out2.data, 2.0 * grad_out.data,
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(eval_out.data, grad_out.data)
+        np.testing.assert_array_equal(eval_out2.data, 2.0 * grad_out.data)
