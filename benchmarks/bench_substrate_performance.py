@@ -8,8 +8,6 @@ CPU scale a user can push):
 * one ILT gradient step (Eq. 14),
 * the unified engine's forward and adjoint throughput, batch 1 vs 8,
 * f32 vs f64 engine throughput (the precision fast path),
-* the backend seam (explicit numpy backend vs the default inline path)
-  and the autotuner's chosen engine tuning,
 * f64 vs f32 ILT-guided pretrain steps (end-to-end f32 training),
 * serial vs multiprocess per-clip ILT (the ``repro.parallel`` layer),
 * one generator forward pass,
@@ -21,7 +19,9 @@ fast as looping the pre-refactor single-image implementation over the
 same batch (64 px, batch 8); the f32 engine forward must be at least
 1.3x the f64 forward; a full f32 pretrain step must be at least 1.5x
 the f64 step (64 px, batch 8); and on machines with >= 4 cores,
-parallel per-clip ILT must be at least 2x the serial loop.
+parallel per-clip ILT must be at least 2x the serial loop.  The two
+f32 bars time f64 and f32 in alternating rounds, so a host slowdown
+hits both sides instead of moving their ratio.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def test_batched_gradient_at_least_2x_per_sample_loop():
 def test_f32_forward_at_least_1p3x_f64():
     """Precision fast path acceptance bar: the f32 engine forward must
     be at least 1.3x the f64 forward (64 px, batch 8)."""
-    from repro.bench.record import measure
+    from repro.bench.record import measure_interleaved
 
     grid, batch = 64, 8
     kernels = build_kernels(LithoConfig.small(grid))
@@ -181,8 +181,9 @@ def test_f32_forward_at_least_1p3x_f64():
     engine32 = LithoEngine.for_kernels(kernels, precision="f32")
     masks = _mask_batch(grid, batch)
 
-    t64 = measure(lambda: engine64.aerial(masks), repeats=7)
-    t32 = measure(lambda: engine32.aerial(masks), repeats=7)
+    t64, t32 = measure_interleaved(lambda: engine64.aerial(masks),
+                                   lambda: engine32.aerial(masks),
+                                   rounds=7)
     speedup = t64 / t32
     print(f"\nf64 forward {t64 * 1e3:.1f} ms vs f32 "
           f"{t32 * 1e3:.1f} ms -> {speedup:.2f}x")
@@ -218,15 +219,16 @@ def test_f32_pretrain_step_at_least_1p5x_f64():
     be at least 1.5x the f64 step (64 px, batch 8).  This is the
     headline win of the dtype threading — it only holds if *no* stage
     silently promotes back to double."""
-    from repro.bench.record import measure
+    from repro.bench.record import measure_interleaved
 
     grid, batch = 64, 8
     kernels = build_kernels(LithoConfig.small(grid))
     pre64, targets64 = _pretrainer(kernels, "f64", batch)
     pre32, targets32 = _pretrainer(kernels, "f32", batch)
 
-    t64 = measure(lambda: pre64.step(targets64), repeats=5)
-    t32 = measure(lambda: pre32.step(targets32), repeats=5)
+    t64, t32 = measure_interleaved(lambda: pre64.step(targets64),
+                                   lambda: pre32.step(targets32),
+                                   rounds=7)
     speedup = t64 / t32
     print(f"\nf64 pretrain step {t64 * 1e3:.1f} ms vs f32 "
           f"{t32 * 1e3:.1f} ms -> {speedup:.2f}x")
@@ -353,46 +355,15 @@ def test_write_bench_substrate_record():
             lambda: engine32.error_and_gradient_wrt_mask(masks, targets),
             grid=grid, batch=batch)
 
-    # Backend seam: an engine built on the explicit numpy backend must
-    # cost the same as the default inline path (the seam is free), and
-    # a full ILT-guided pretrain step records the end-to-end f64 vs f32
-    # training throughput the 1.5x acceptance bar gates.
-    from repro.backend import resolve_backend
-    from repro.backend.autotune import autotune_engine, candidate_key
-
+    # A full ILT-guided pretrain step records the end-to-end f64 vs
+    # f32 training throughput the 1.5x acceptance bar gates.
     batch = 8
-    masks = _mask_batch(grid, batch)
-    targets = _target_batch(grid, batch)
-    seamed = LithoEngine.for_kernels(kernels, precision="f64",
-                                     backend=resolve_backend("numpy"))
-    recorder.timeit(
-        f"backend_numpy_gradient/grid{grid}/batch{batch}",
-        lambda: seamed.error_and_gradient_wrt_mask(masks, targets),
-        grid=grid, batch=batch, backend="numpy")
     for precision in ("f64", "f32"):
         pretrainer, pre_targets = _pretrainer(kernels, precision, batch)
         recorder.timeit(
-            f"backend_pretrain_step/grid{grid}/batch{batch}/{precision}",
+            f"pretrain_step/grid{grid}/batch{batch}/{precision}",
             lambda: pretrainer.step(pre_targets),
-            grid=grid, batch=batch, backend="numpy", precision=precision,
-            repeats=3)
-
-    # Autotuner: measure the candidate grid on the live engine, adopt
-    # the winner, and record the tuned gradient throughput next to the
-    # untuned reference above.  The chosen candidate is stored in the
-    # entry metadata so regressions in the *choice* are visible, not
-    # just regressions in the timing.
-    result = autotune_engine(
-        LithoEngine.for_kernels(kernels, precision="f64"),
-        batch=batch, repeats=3)
-    tuned_engine = LithoEngine(kernels=kernels, precision="f64",
-                               tuning=result.tuning)
-    recorder.timeit(
-        f"autotune_gradient/grid{grid}/batch{batch}",
-        lambda: tuned_engine.error_and_gradient_wrt_mask(masks, targets),
-        grid=grid, batch=batch,
-        candidate=candidate_key(result.tuning),
-        gflops=result.gflops)
+            grid=grid, batch=batch, precision=precision, repeats=3)
 
     # Condition-stack throughput: C=4 corners (2 defocus x 2 dose)
     # through one stacked forward/adjoint, plus the per-corner loop it
@@ -530,11 +501,8 @@ def test_write_bench_substrate_record():
     assert f"engine_forward/grid{grid}/batch8" in entries
     assert f"engine_gradient/grid{grid}/batch1" in entries
     assert f"engine_forward_f32/grid{grid}/batch8" in entries
-    assert f"backend_numpy_gradient/grid{grid}/batch8" in entries
-    assert f"backend_pretrain_step/grid{grid}/batch8/f64" in entries
-    assert f"backend_pretrain_step/grid{grid}/batch8/f32" in entries
-    assert f"autotune_gradient/grid{grid}/batch8" in entries
-    assert "candidate" in entries[f"autotune_gradient/grid{grid}/batch8"]
+    assert f"pretrain_step/grid{grid}/batch8/f64" in entries
+    assert f"pretrain_step/grid{grid}/batch8/f32" in entries
     assert f"engine_condition_forward/grid{grid}/batch8/corners4" in entries
     assert f"engine_condition_gradient/grid{grid}/batch1/corners4" in entries
     assert (f"engine_condition_loop_forward/grid{grid}/batch8/corners4"

@@ -16,7 +16,7 @@ import json
 import os
 import platform
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 RECORD_SCHEMA_VERSION = 1
 
@@ -29,13 +29,28 @@ def measure(fn: Callable[[], object], repeats: int = 5,
     the true cost on a shared machine; everything above it is
     interference.
     """
+    return measure_interleaved(fn, rounds=repeats, warmup=warmup)[0]
+
+
+def measure_interleaved(*fns: Callable[[], object], rounds: int = 7,
+                        warmup: int = 1) -> List[float]:
+    """Best-of-``rounds`` wall-clock seconds of each callable, timed in
+    alternating rounds: every round calls ``fns[0]()``, then
+    ``fns[1]()``, and so on.
+
+    Use it for a speed ratio.  Two separate best-of windows let a host
+    slowdown during one of them move the ratio; alternating rounds put
+    both sides under the same load, so the minima move together.
+    """
     for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for fn in fns:
+            fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -56,7 +71,7 @@ class BenchRecorder:
         """Record one entry; ``batch`` adds derived throughput.
 
         Extra metadata is numeric by default; strings pass through
-        unchanged (backend names, autotune candidate keys).
+        unchanged (precision names).
         """
         entry: Dict[str, object] = {"seconds": float(seconds)}
         if grid is not None:

@@ -159,42 +159,17 @@ def _conditions(args, litho):
         raise SystemExit(2)
 
 
-def _engine(litho, precision=None, backend=None):
+def _engine(litho, precision=None):
     """One shared engine per CLI invocation.
 
     Kernel construction goes through the two-level ``build_kernels``
     cache (in-process + on-disk), so repeated CLI runs at the same
     settings skip the eigendecomposition entirely.  ``precision``
-    selects the compute dtype (``f32``/``f64``; default environment)
-    and ``backend`` the array-ops backend (``numpy``/``cupy``).
+    selects the compute dtype (``f32``/``f64``; default environment).
     """
     from .litho import LithoEngine, build_kernels
     return LithoEngine.for_kernels(build_kernels(litho),
-                                   precision=precision,
-                                   backend=backend)
-
-
-def _apply_backend(args) -> None:
-    """Resolve ``--backend`` once, fail fast, and export it.
-
-    The resolved name is installed as the process default *and* into
-    ``REPRO_BACKEND``, so worker subprocesses (tiled/parallel paths)
-    and engines built deep inside library code all agree with the
-    flag without threading it through every constructor.
-    """
-    name = getattr(args, "backend", None)
-    if not name:
-        return
-    import os
-
-    from .backend import BackendUnavailableError, resolve_backend, set_backend
-    try:
-        backend = resolve_backend(name)
-    except (ValueError, BackendUnavailableError) as exc:
-        print(f"error: --backend {name!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    os.environ["REPRO_BACKEND"] = backend.name
-    set_backend(backend)
+                                   precision=precision)
 
 
 def _load_target(path: str, grid: int):
@@ -1044,13 +1019,6 @@ def _add_precision(p) -> None:
                         "REPRO_PRECISION env or f64)")
 
 
-def _add_backend(p) -> None:
-    p.add_argument("--backend", choices=("numpy", "cupy"), default=None,
-                   help="array-ops backend (default: REPRO_BACKEND env "
-                        "or numpy); cupy requires a working GPU "
-                        "installation")
-
-
 def _add_workers(p) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for parallelizable stages "
@@ -1129,7 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--out", help="write the wafer image here (.pgm)")
     _add_precision(p)
-    _add_backend(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ilt", help="ILT mask optimization for a clip")
@@ -1138,7 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=150)
     p.add_argument("--out", default="mask.pgm")
     _add_precision(p)
-    _add_backend(p)
     _add_workers(p)
     _add_tiling(p)
     _add_runs_dir(p)
@@ -1188,7 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "generator updates (0 disables it)")
     p.add_argument("--verbose", action="store_true")
     _add_precision(p)
-    _add_backend(p)
     _add_workers(p)
     _add_corners(p, default_objective="weighted")
     _add_runs_dir(p)
@@ -1206,7 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "stream) under this directory")
     p.add_argument("--out", default="mask.pgm")
     _add_precision(p)
-    _add_backend(p)
     _add_workers(p)
     _add_tiling(p)
     _add_corners(p)
@@ -1230,7 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write an OpenMetrics text exposition of the "
                         "engine/default metric registries to this file")
     _add_precision(p)
-    _add_backend(p)
     _add_workers(p)
     p.set_defaults(func=cmd_profile)
 
@@ -1264,7 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="capture the merged pid-laned Chrome trace "
                         "under this directory")
     _add_precision(p)
-    _add_backend(p)
     _add_workers(p)
     _add_tiling(p, flag=False)
     p.set_defaults(func=cmd_monitor)
@@ -1282,7 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "benchmarks/check_quality_regression.py)")
     p.add_argument("--verbose", action="store_true")
     _add_precision(p)
-    _add_backend(p)
     _add_workers(p)
     _add_corners(p)
     _add_runs_dir(p)
@@ -1330,7 +1291,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_backend(args)
     return args.func(args)
 
 

@@ -59,7 +59,7 @@ Two single-process fast paths are built in:
   returned to callers are always freshly allocated.
 
 :meth:`LithoEngine.for_kernels` memoizes one engine per
-(:class:`~repro.litho.kernels.KernelSet`, precision, backend) — the
+(:class:`~repro.litho.kernels.KernelSet`, precision) — the
 facades in :mod:`repro.litho.aerial`, :mod:`repro.litho.simulator`
 and :mod:`repro.ilt` all share it automatically.
 """
@@ -73,8 +73,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
-from repro.backend.autotune import EngineTuning, env_tuning
 from repro.obs import trace
 from repro.obs.registry import MetricsRegistry
 from repro.workspace import Workspace
@@ -267,8 +265,7 @@ class _KernelStack:
                  "grad_row", "grad_col", "up", "down", "chunk")
 
     def __init__(self, tag: str, kernel_sets: List[KernelSet],
-                 rdtype: np.dtype, cdtype: np.dtype, backend: ArrayBackend,
-                 batch_chunk: Optional[int]):
+                 rdtype: np.dtype, cdtype: np.dtype):
         self.tag = tag
         grid = kernel_sets[0].grid
         freq = np.concatenate([ks.freq_kernels for ks in kernel_sets])
@@ -331,23 +328,13 @@ class _KernelStack:
             self.up = self.down = None
 
         # Batch chunk size: cap the per-chunk working set at ~8 MB so
-        # it stays cache-resident, unless a tuning overrides it.  Per
-        # mask that is the reduced field stack, its power and partial
-        # transforms, and the full-grid buffers: about four field
-        # stacks (two masks per chunk at 128 px, eight at 64 px).
+        # it stays cache-resident.  Per mask that is the reduced field
+        # stack, its power and partial transforms, and the full-grid
+        # buffers: about four field stacks (two masks per chunk at
+        # 128 px f64, four in f32, eight at 64 px f64).
         bytes_per_sample = (4 * self.num_kernels * raster * raster
                             * cdtype.itemsize)
-        self.chunk = (int(batch_chunk) if batch_chunk
-                               else max(1, (8 << 20) // bytes_per_sample))
-
-        # Kernel/DFT constants live on the backend device (identity —
-        # same objects — for the numpy reference backend).
-        for attr in ("freq_cc", "adj_cc", "spec_row", "spec_col",
-                     "ifft_row", "ifft_col", "fft_row", "fft_col",
-                     "grad_row", "grad_col", "up", "down"):
-            value = getattr(self, attr)
-            if value is not None:
-                setattr(self, attr, backend.asarray(value))
+        self.chunk = max(1, (8 << 20) // bytes_per_sample)
 
 
 class LithoEngine:
@@ -374,18 +361,6 @@ class LithoEngine:
         ``litho_error``, ...) always evaluate the engine's own config
         regardless of ``conditions``.
 
-    backend:
-        :class:`~repro.backend.ArrayBackend` (or backend name) the
-        engine computes on; ``None`` consults ``REPRO_BACKEND`` and
-        defaults to the numpy reference backend.  Non-host backends
-        (cupy) accept host or device masks and return device arrays
-        (``engine.backend.to_numpy`` brings results back).
-    tuning:
-        Optional :class:`~repro.backend.autotune.EngineTuning`
-        overriding the batch chunk heuristic; ``None`` consults the
-        ``REPRO_AUTOTUNE`` preset file (unset keeps the built-in
-        heuristic).  Chunking is bit-exact.
-
     All mask-consuming methods accept either a single ``(H, W)`` array
     or a batch ``(N, H, W)`` and return results of matching rank; error
     terms come back as a ``float`` for single masks and an ``(N,)``
@@ -397,9 +372,7 @@ class LithoEngine:
     def __init__(self, config: Optional[LithoConfig] = None,
                  kernels: Optional[KernelSet] = None,
                  precision: Optional[str] = None,
-                 conditions: Optional[ConditionSet] = None,
-                 backend: Optional[Union[str, ArrayBackend]] = None,
-                 tuning: Optional[EngineTuning] = None):
+                 conditions: Optional[ConditionSet] = None):
         if kernels is None:
             config = config or LithoConfig.paper()
             kernels = build_kernels(config)
@@ -409,16 +382,6 @@ class LithoEngine:
         self.kernels = kernels
         self.precision = resolve_precision(precision)
         self._rdtype, self._cdtype = PRECISION_DTYPES[self.precision]
-        self.backend = resolve_backend(backend)
-        # The backend's array module: allocations and explicit array
-        # constructors route through it; elementwise math on
-        # backend-native arrays dispatches via NEP-18 unchanged.
-        self._xp = self.backend.xp
-
-        if tuning is None:
-            tuning = env_tuning(self.backend.name, self.precision,
-                                kernels.grid)
-        self.tuning = tuning if tuning is not None else EngineTuning()
         self._nominal = self._stack("nominal", [kernels])
 
         if conditions is None:
@@ -430,40 +393,33 @@ class LithoEngine:
         self.conditions = conditions
         self._condition_plan: Optional[Tuple[_KernelStack, _Corners]] = None
 
-        self.workspace = Workspace(backend=self.backend)
+        self.workspace = Workspace()
         self.metrics = MetricsRegistry()
         self.stats = EngineStats(self.metrics)
 
     def _stack(self, tag: str, kernel_sets: List[KernelSet]) -> _KernelStack:
-        return _KernelStack(tag, kernel_sets, self._rdtype, self._cdtype,
-                            self.backend, self.tuning.batch_chunk)
+        return _KernelStack(tag, kernel_sets, self._rdtype, self._cdtype)
 
     # ------------------------------------------------------------------
     @classmethod
     def for_kernels(cls, kernels: KernelSet,
-                    precision: Optional[str] = None,
-                    backend: Optional[Union[str, ArrayBackend]] = None
-                    ) -> "LithoEngine":
-        """Shared engine for a kernel set (memoized per
-        (precision, backend) on the instance)."""
+                    precision: Optional[str] = None) -> "LithoEngine":
+        """Shared engine for a kernel set (memoized per precision on
+        the instance)."""
         precision = resolve_precision(precision)
-        be = resolve_backend(backend)
         engines = kernels.__dict__.get("_engines")
         if engines is None:
             engines = {}
             object.__setattr__(kernels, "_engines", engines)
-        key = (precision, be.name)
-        engine = engines.get(key)
+        engine = engines.get(precision)
         if engine is None:
-            engine = cls(kernels=kernels, precision=precision, backend=be)
-            engines[key] = engine
+            engine = cls(kernels=kernels, precision=precision)
+            engines[precision] = engine
         return engine
 
     @classmethod
     def for_conditions(cls, kernels: KernelSet, conditions: ConditionSet,
-                       precision: Optional[str] = None,
-                       backend: Optional[Union[str, ArrayBackend]] = None
-                       ) -> "LithoEngine":
+                       precision: Optional[str] = None) -> "LithoEngine":
         """Shared engine serving a condition stack (memoized per
         (conditions, precision) on the nominal kernel set).
 
@@ -472,18 +428,17 @@ class LithoEngine:
         bit-exact with the nominal methods.
         """
         if conditions.is_single_nominal(kernels.config.optics.defocus):
-            return cls.for_kernels(kernels, precision, backend)
+            return cls.for_kernels(kernels, precision)
         precision = resolve_precision(precision)
-        be = resolve_backend(backend)
         engines = kernels.__dict__.get("_condition_engines")
         if engines is None:
             engines = {}
             object.__setattr__(kernels, "_condition_engines", engines)
-        key = (conditions, precision, be.name)
+        key = (conditions, precision)
         engine = engines.get(key)
         if engine is None:
             engine = cls(kernels=kernels, precision=precision,
-                         conditions=conditions, backend=be)
+                         conditions=conditions)
             engines[key] = engine
         return engine
 
@@ -499,21 +454,13 @@ class LithoEngine:
         return self._nominal.raster
 
     @property
-    def passband_shape(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """``((rows, cols), (adjoint_rows, adjoint_cols))`` passband
-        support sizes — the shapes the autotuner's FLOP model scores."""
-        stack = self._nominal
-        return ((len(stack.rows), len(stack.cols)),
-                tuple(stack.adj_cc.shape[1:]))
-
-    @property
     def threshold(self) -> float:
         return self.config.threshold
 
     # ------------------------------------------------------------------
     def _as_batch(self, masks: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Promote a mask or mask stack to ``(N, grid, grid)``."""
-        masks = self.backend.asarray(masks)
+        masks = np.asarray(masks)
         if masks.dtype != self._rdtype:
             masks = masks.astype(self._rdtype)
         single = masks.ndim == 2
@@ -529,7 +476,7 @@ class LithoEngine:
         return masks, single
 
     def _as_targets(self, targets: np.ndarray) -> np.ndarray:
-        targets = self.backend.asarray(targets)
+        targets = np.asarray(targets)
         if targets.dtype != self._rdtype:
             targets = targets.astype(self._rdtype)
         if targets.shape[-2:] != (self.grid,) * 2:
@@ -539,7 +486,7 @@ class LithoEngine:
 
     def _nominal_plan(self, dose: float) -> _Corners:
         return _Corners((0,), (float(dose),),
-                        self._xp.ones(1, dtype=self._rdtype))
+                        np.ones(1, dtype=self._rdtype))
 
     def _compact_spectrum(self, stack: _KernelStack, batch: np.ndarray,
                           spectrum: Optional[np.ndarray] = None
@@ -552,7 +499,7 @@ class LithoEngine:
         pupil phase and dose an intensity scale.
         """
         if spectrum is not None:
-            return self.backend.ascontiguousarray(
+            return np.ascontiguousarray(
                 spectrum[:, stack.rows[:, None], stack.cols[None, :]],
                 dtype=self._cdtype)
         ws, tag = self.workspace, stack.tag
@@ -562,11 +509,11 @@ class LithoEngine:
             complex_batch = ws.get((tag, "spec.batch"), (n, grid, grid),
                                    self._cdtype)
             complex_batch[...] = batch
-            partial = self.backend.matmul(
+            partial = np.matmul(
                 stack.spec_row, complex_batch,
                 out=ws.get((tag, "spec.partial"), (n, n_rows, grid),
                            self._cdtype))
-            return self.backend.matmul(
+            return np.matmul(
                 partial, stack.spec_col,
                 out=ws.get((tag, "spec.compact"), (n, n_rows, n_cols),
                            self._cdtype))
@@ -582,18 +529,18 @@ class LithoEngine:
         raster, ``(K, N, g, g)``.  Both live in the workspace arena and
         must be consumed before the next engine call.
         """
-        ws, tag, backend = self.workspace, stack.tag, self.backend
+        ws, tag = self.workspace, stack.tag
         n, (n_rows, n_cols) = compact.shape[0], compact.shape[1:]
         g, grid, k = stack.raster, self.grid, stack.num_kernels
 
         prod = ws.get((tag, "passband"), (k, n, n_rows, n_cols),
                       self._cdtype)
         np.multiply(stack.freq_cc[:, None], compact[None], out=prod)
-        partial = backend.matmul(
+        partial = np.matmul(
             prod, stack.ifft_col,
             out=ws.get((tag, "partial"), (k, n, n_rows, g),
                        self._cdtype))
-        fields = backend.matmul(
+        fields = np.matmul(
             stack.ifft_row, partial,
             out=ws.get((tag, "fwd.fields"), (k, n, g, g), self._cdtype))
 
@@ -609,11 +556,11 @@ class LithoEngine:
             return reduced, fields
 
         # Exact band-limited resample onto the full raster: U I_g U^T.
-        half = backend.matmul(
+        half = np.matmul(
             reduced, stack.down,
             out=ws.get((tag, "fwd.up"), (stack.num_groups, n, g, grid),
                        self._rdtype))
-        intensity = backend.matmul(
+        intensity = np.matmul(
             stack.up, half,
             out=ws.get((tag, "fwd.intensity"),
                        (stack.num_groups, n, grid, grid), self._rdtype))
@@ -632,8 +579,8 @@ class LithoEngine:
         n, grid, chunk = batch.shape[0], self.grid, stack.chunk
         started = time.perf_counter()
         with trace.span("litho.forward", masks=n, **span_args):
-            out = self._xp.empty((n, len(plan.doses), grid, grid),
-                                 dtype=self._rdtype)
+            out = np.empty((n, len(plan.doses), grid, grid),
+                           dtype=self._rdtype)
             for i in range(0, n, chunk):
                 part = slice(i, i + chunk)
                 group_intensity, _ = self._forward_impl(
@@ -652,15 +599,13 @@ class LithoEngine:
                 spectrum: Optional[np.ndarray] = None) -> np.ndarray:
         """Coherent fields ``M (x) h_k`` on the full raster,
         ``(N, K, grid, grid)`` — a reference path off the hot loops."""
-        stack, grid, asarray = self._nominal, self.grid, self.backend.asarray
+        stack, grid = self._nominal, self.grid
         compact = self._compact_spectrum(stack, batch, spectrum)
-        kernels = asarray(self.kernels.freq_kernels[
+        kernels = np.asarray(self.kernels.freq_kernels[
             :, stack.rows[:, None], stack.cols[None, :]], dtype=self._cdtype)
         x = np.arange(grid)
-        row = asarray(
-            _dft_factor(x, stack.rows, +1, 1.0 / grid, grid, self._cdtype))
-        col = asarray(
-            _dft_factor(stack.cols, x, +1, 1.0 / grid, grid, self._cdtype))
+        row = _dft_factor(x, stack.rows, +1, 1.0 / grid, grid, self._cdtype)
+        col = _dft_factor(stack.cols, x, +1, 1.0 / grid, grid, self._cdtype)
         stacked = row @ ((kernels[:, None] * compact[None]) @ col)
         return stacked.transpose(1, 0, 2, 3)
 
@@ -670,12 +615,11 @@ class LithoEngine:
     def spectrum(self, mask: np.ndarray) -> np.ndarray:
         """Full FFT of a mask or mask batch (rfft2 + Hermitian expand).
 
-        A host-side reference path: the full-grid spectrum is computed
-        with numpy regardless of backend (the hot paths never call it —
-        they evaluate the passband directly via matmul-DFTs).
+        A reference path: the hot paths never call it — they evaluate
+        the passband directly via matmul-DFTs.
         """
         batch, single = self._as_batch(mask)
-        full = real_spectrum(self.backend.to_numpy(batch))
+        full = real_spectrum(batch)
         return full[0] if single else full
 
     def fields(self, mask: np.ndarray,
@@ -753,8 +697,8 @@ class LithoEngine:
 
         n, chunk = batch.shape[0], stack.chunk
         with trace.span("litho.adjoint", masks=n, **span_args):
-            errors = self._xp.empty(n, dtype=self._rdtype)
-            grads = self._xp.empty(batch.shape, dtype=self._rdtype)
+            errors = np.empty(n, dtype=self._rdtype)
+            grads = np.empty(batch.shape, dtype=self._rdtype)
             for i in range(0, n, chunk):
                 part = slice(i, i + chunk)
                 self._gradient_chunk(stack, plan, objective, batch[part],
@@ -772,7 +716,7 @@ class LithoEngine:
             grads_out: np.ndarray) -> None:
         """One chunk of the adjoint, written into ``errors_out`` /
         ``grads_out``."""
-        ws, tag, backend = self.workspace, stack.tag, self.backend
+        ws, tag = self.workspace, stack.tag
         group_intensity, fields = self._forward_impl(
             stack, self._compact_spectrum(stack, batch))
         n, grid, g = batch.shape[0], self.grid, stack.raster
@@ -780,7 +724,7 @@ class LithoEngine:
 
         # Per-corner errors and upstream dE_c/dI (resist slope and the
         # dose chain-rule factor folded in).
-        errors = self._xp.empty((n, num_corners), dtype=self._rdtype)
+        errors = np.empty((n, num_corners), dtype=self._rdtype)
         upstream = []
         for c, (group, dose) in enumerate(zip(plan.group_of, plan.doses)):
             intensity = group_intensity[group]
@@ -800,9 +744,9 @@ class LithoEngine:
             aggregated = errors @ plan.lam
         else:  # worst corner, per sample
             worst = np.argmax(errors, axis=1)
-            coef = self._xp.zeros((n, num_corners), dtype=self._rdtype)
-            coef[self._xp.arange(n), worst] = 1.0
-            aggregated = errors[self._xp.arange(n), worst]
+            coef = np.zeros((n, num_corners), dtype=self._rdtype)
+            coef[np.arange(n), worst] = 1.0
+            aggregated = errors[np.arange(n), worst]
 
         # Combine corner upstreams per defocus group, then resample
         # them onto the reduced raster: U^T (dE/dI) U.
@@ -811,11 +755,11 @@ class LithoEngine:
         for c, group in enumerate(plan.group_of):
             combined[group] += coef[:, c, None, None] * upstream[c]
         if stack.up is not None:
-            half = backend.matmul(
+            half = np.matmul(
                 combined, stack.up,
                 out=ws.get((tag, "adj.down"),
                            (stack.num_groups, n, grid, g), self._rdtype))
-            combined = backend.matmul(
+            combined = np.matmul(
                 stack.down, half,
                 out=ws.get((tag, "adj.reduced"),
                            (stack.num_groups, n, g, g), self._rdtype))
@@ -825,15 +769,15 @@ class LithoEngine:
         # multiply there (``adj_cc`` carries ``2 sqrt(w_k)``) and sum
         # over k.  The fields are spent, so the product overwrites
         # them, and the transforms reuse the forward's buffers.
-        weighted = backend.conjugate(fields, out=fields)
+        weighted = np.conjugate(fields, out=fields)
         for f, group in enumerate(stack.group_slices):
             weighted[group] *= combined[f]
         n_arows, n_acols = stack.adj_cc.shape[1:]
-        partial = backend.matmul(
+        partial = np.matmul(
             stack.fft_row, weighted,
             out=ws.get((tag, "partial"), (stack.num_kernels, n, n_arows, g),
                        self._cdtype))
-        spectra = backend.matmul(
+        spectra = np.matmul(
             partial, stack.fft_col,
             out=ws.get((tag, "passband"),
                        (stack.num_kernels, n, n_arows, n_acols),
@@ -843,9 +787,9 @@ class LithoEngine:
             spectra, axis=0,
             out=ws.get((tag, "adj.acc"), (n, n_arows, n_acols),
                        self._cdtype))
-        expanded = backend.matmul(
+        expanded = np.matmul(
             stack.grad_row,
-            backend.matmul(
+            np.matmul(
                 accumulated, stack.grad_col,
                 out=ws.get((tag, "adj.expand"), (n, n_arows, grid),
                            self._cdtype)),
@@ -878,7 +822,7 @@ class LithoEngine:
         parameters ``M`` (Eq. 14 in full, including the mask sigmoid)."""
         beta = (self.config.mask_steepness if mask_steepness is None
                 else mask_steepness)
-        params = self.backend.asarray(mask_params)
+        params = np.asarray(mask_params)
         if params.dtype != self._rdtype:
             params = params.astype(self._rdtype)
         relaxed = sigmoid_mask(params, beta)
@@ -901,7 +845,7 @@ class LithoEngine:
         beta = (self.config.mask_steepness if mask_steepness is None
                 else mask_steepness)
         masks = binarize_mask(sigmoid_mask(
-            self.backend.asarray(mask_params, dtype=np.float64), beta))
+            np.asarray(mask_params, dtype=np.float64), beta))
         return masks, self.discrete_l2(masks, target)
 
     # ------------------------------------------------------------------
@@ -947,8 +891,7 @@ class LithoEngine:
                     group_of[c] = f
             corners = _Corners(
                 tuple(group_of), tuple(float(d) for d in conditions.doses),
-                self.backend.asarray(
-                    conditions.normalized_weights().astype(self._rdtype)))
+                conditions.normalized_weights().astype(self._rdtype))
             self._condition_plan = (stack, corners)
         return self._condition_plan
 
@@ -1020,7 +963,7 @@ class LithoEngine:
         (the full Eq. 14 chain through the mask sigmoid)."""
         beta = (self.config.mask_steepness if mask_steepness is None
                 else mask_steepness)
-        params = self.backend.asarray(mask_params)
+        params = np.asarray(mask_params)
         if params.dtype != self._rdtype:
             params = params.astype(self._rdtype)
         relaxed = sigmoid_mask(params, beta)

@@ -28,7 +28,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend import ops as _backend_ops
 from repro.obs import profiler as _profiler
 from repro.obs.profiler import conv2d_flops, conv_transpose2d_flops
 
@@ -60,18 +59,47 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
     Returns
     -------
     ndarray of shape ``(N, C * KH * KW, OH * OW)``.
-
-    The implementation lives in :mod:`repro.backend.ops` (shared,
-    array-module-generic); this wrapper pins it to host numpy.
     """
-    return _backend_ops.im2col(np, x, kernel, stride, padding)
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    if oh <= 0 or ow <= 0:
+        raise ValueError(
+            f"convolution output would be empty: input {h}x{w}, "
+            f"kernel {kh}x{kw}, stride {sh}x{sw}, padding {ph}x{pw}")
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    sn, sc, sh_, sw_ = x.strides
+    shape = (n, c, kh, kw, oh, ow)
+    strides = (sn, sc, sh_, sw_, sh_ * sh, sw_ * sw)
+    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    return patches.reshape(n, c * kh * kw, oh * ow) if patches.flags.c_contiguous \
+        else np.ascontiguousarray(patches).reshape(n, c * kh * kw, oh * ow)
 
 
 def col2im(cols: np.ndarray, image_shape: Tuple[int, int, int, int],
            kernel: Tuple[int, int], stride: Tuple[int, int],
            padding: Tuple[int, int]) -> np.ndarray:
     """Scatter-add columns back into an image (adjoint of :func:`im2col`)."""
-    return _backend_ops.col2im(np, cols, image_shape, kernel, stride, padding)
+    n, c, h, w = image_shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    for i in range(kh):
+        h_end = i + sh * oh
+        for j in range(kw):
+            w_end = j + sw * ow
+            padded[:, :, i:h_end:sh, j:w_end:sw] += cols[:, :, i, j]
+    if ph or pw:
+        return padded[:, :, ph:h + ph, pw:w + pw]
+    return padded
 
 
 # ----------------------------------------------------------------------

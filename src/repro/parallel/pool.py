@@ -59,8 +59,6 @@ from repro.obs.aggregate import FleetTelemetry, TaskTelemetry
 from repro.obs.health import (HeartbeatBoard, ResourceSampler, StallEvent,
                               Watchdog, WorkerHeartbeat)
 
-from repro.backend import resolve_backend
-
 from ..litho.config import LithoConfig
 from ..litho.engine import LithoEngine, resolve_precision
 from ..litho.kernels import build_kernels
@@ -91,7 +89,6 @@ class WorkerCrashError(RuntimeError):
 _WORKER_STATE: Dict[str, Any] = {
     "litho_config": None,
     "precision": None,
-    "backend": None,
     "state": None,
     "arrays": {},
     "engines": [],
@@ -101,8 +98,7 @@ _WORKER_STATE: Dict[str, Any] = {
 
 def _worker_init(litho_config: Optional[LithoConfig], precision: str,
                  state: Any,
-                 heartbeat: Optional[Tuple[str, int, float]] = None,
-                 backend: Optional[str] = None) -> None:
+                 heartbeat: Optional[Tuple[str, int, float]] = None) -> None:
     """Executor initializer: stash the pool-wide context in this worker."""
     # Under ``fork`` the child inherits the parent's active tracer and
     # profiler objects (including an open JSONL file description shared
@@ -113,7 +109,6 @@ def _worker_init(litho_config: Optional[LithoConfig], precision: str,
     profiler._previous.clear()
     _WORKER_STATE["litho_config"] = litho_config
     _WORKER_STATE["precision"] = precision
-    _WORKER_STATE["backend"] = backend
     _WORKER_STATE["state"] = state
     _WORKER_STATE["arrays"] = {}
     _WORKER_STATE["engines"] = []
@@ -139,8 +134,7 @@ def worker_engine(litho_config: Optional[LithoConfig] = None) -> LithoEngine:
     if config is None:
         raise RuntimeError("pool has no litho config and none was given")
     engine = LithoEngine.for_kernels(build_kernels(config),
-                                     precision=_WORKER_STATE["precision"],
-                                     backend=_WORKER_STATE["backend"])
+                                     precision=_WORKER_STATE["precision"])
     engines = _WORKER_STATE["engines"]
     if all(existing is not engine for existing, _ in engines):
         # Under ``fork`` the memoized engine is inherited with the
@@ -336,10 +330,6 @@ class WorkerPool:
         Config whose engine :func:`worker_engine` builds in each worker.
     precision:
         Engine precision for workers (``None`` = ``REPRO_PRECISION``).
-    backend:
-        Array backend name for worker engines (``None`` = each worker
-        resolves ``REPRO_BACKEND``).  Validated in the parent so a
-        typo fails fast instead of inside every worker.
     state:
         Arbitrary picklable broadcast state, shipped once per worker at
         startup and readable via :func:`worker_state` (e.g. generator
@@ -366,7 +356,6 @@ class WorkerPool:
     def __init__(self, workers: int,
                  litho_config: Optional[LithoConfig] = None,
                  precision: Optional[str] = None,
-                 backend: Optional[str] = None,
                  state: Any = None,
                  context: Optional[str] = None,
                  telemetry: Optional[bool] = None,
@@ -379,8 +368,6 @@ class WorkerPool:
         self.workers = int(workers)
         self.litho_config = litho_config
         self.precision = resolve_precision(precision)
-        self.backend = (None if backend is None
-                        else resolve_backend(backend).name)
         self.state = state
         self.context = context or default_context()
         self.telemetry = telemetry
@@ -419,7 +406,7 @@ class WorkerPool:
                 mp_context=multiprocessing.get_context(self.context),
                 initializer=_worker_init,
                 initargs=(self.litho_config, self.precision, self.state,
-                          heartbeat_spec, self.backend))
+                          heartbeat_spec))
         return self._executor
 
     def _absorb(self, pid: int, seconds: float,

@@ -17,13 +17,10 @@ it.  Anything returned to user code must therefore be freshly
 allocated, never arena-backed; the litho engine observes this rule by
 only passing workspace buffers through internal code paths.
 
-Buffers are stored under ``(key, dtype, backend)`` composite keys, so
-an arena shared by f32 and f64 call paths (or by numpy and cupy
-engines) keeps one live buffer per dtype/backend instead of
-thrashing a single slot — and, more importantly, an f32 caller can
-never be handed a view aliasing an f64 caller's live data.  Arenas
-constructed with a :class:`repro.backend.ArrayBackend` allocate on
-that backend (GPU arenas hold device memory).
+Buffers are stored under ``(key, dtype)`` composite keys, so an arena
+shared by f32 and f64 call paths keeps one live buffer per dtype
+instead of thrashing a single slot — and, more importantly, an f32
+caller can never be handed a view aliasing an f64 caller's live data.
 
 Workspaces are intentionally not thread-safe: each
 :class:`~repro.litho.engine.LithoEngine` owns one and is driven from a
@@ -59,35 +56,21 @@ class Workspace:
         ``False`` makes :meth:`get` always allocate (no reuse).  The
         default consults ``REPRO_WORKSPACE`` (anything but
         ``0/off/none/false`` enables).
-    backend:
-        Optional :class:`repro.backend.ArrayBackend` the arena
-        allocates on; ``None`` means host numpy.  The backend name is
-        part of every storage key, so one arena can serve mixed
-        numpy/cupy callers without ever aliasing buffers across
-        backends.
     """
 
-    __slots__ = ("enabled", "backend", "_backend_name", "_buffers",
-                 "hits", "misses")
+    __slots__ = ("enabled", "_buffers", "hits", "misses")
 
-    def __init__(self, enabled: Optional[bool] = None, backend=None):
+    def __init__(self, enabled: Optional[bool] = None):
         self.enabled = _env_enabled() if enabled is None else bool(enabled)
-        self.backend = backend
-        self._backend_name = "numpy" if backend is None else backend.name
         self._buffers: Dict[Hashable, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
-
-    def _alloc(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        if self.backend is None:
-            return np.empty(shape, dtype=dtype)
-        return self.backend.empty(shape, dtype=dtype)
 
     def get(self, key: Hashable, shape: Tuple[int, ...],
             dtype) -> np.ndarray:
         """Uninitialized buffer of ``shape``/``dtype`` for ``key``.
 
-        Reuses the previous buffer for ``(key, dtype, backend)`` when
+        Reuses the previous buffer for ``(key, dtype)`` when
         the shape matches; otherwise (or when disabled) allocates.
         Contents are arbitrary — treat like ``np.empty``.  Requests
         for the same ``key`` under different dtypes coexist: each
@@ -96,14 +79,14 @@ class Workspace:
         """
         dtype = np.dtype(dtype)
         if not self.enabled:
-            return self._alloc(shape, dtype)
-        storage_key = (key, dtype, self._backend_name)
+            return np.empty(shape, dtype=dtype)
+        storage_key = (key, dtype)
         buffer = self._buffers.get(storage_key)
         if buffer is not None and buffer.shape == tuple(shape):
             self.hits += 1
             return buffer
         self.misses += 1
-        buffer = self._alloc(shape, dtype)
+        buffer = np.empty(shape, dtype=dtype)
         self._buffers[storage_key] = buffer
         return buffer
 
@@ -125,6 +108,5 @@ class Workspace:
 
     def __repr__(self) -> str:
         return (f"Workspace(enabled={self.enabled}, "
-                f"backend={self._backend_name!r}, "
                 f"buffers={len(self._buffers)}, nbytes={self.nbytes}, "
                 f"hits={self.hits}, misses={self.misses})")

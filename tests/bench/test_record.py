@@ -1,11 +1,14 @@
 """Tests for the machine-readable benchmark record writer."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.bench import record
 from repro.bench.record import (RECORD_SCHEMA_VERSION, BenchRecorder,
-                                BenchRecordError, load_record, measure)
+                                BenchRecordError, load_record, measure,
+                                measure_interleaved)
 
 
 class TestMeasure:
@@ -14,6 +17,27 @@ class TestMeasure:
         seconds = measure(lambda: calls.append(1), repeats=3, warmup=2)
         assert seconds >= 0.0
         assert len(calls) == 5  # warmup + repeats
+
+    def test_interleaved_alternates_and_keeps_best_of_each(self,
+                                                             monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(record, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        order = []
+
+        def side(name, costs):
+            costs = iter(costs)
+
+            def call():
+                order.append(name)
+                clock[0] += next(costs)
+            return call
+
+        best = measure_interleaved(side("a", [9.0, 3.0, 1.0, 2.0]),
+                                   side("b", [9.0, 5.0, 6.0, 4.0]),
+                                   rounds=3, warmup=1)
+        assert order == ["a", "b"] * 4  # warmup round, then 3 rounds
+        assert best == [1.0, 4.0]
 
 
 class TestBenchRecorder:

@@ -228,6 +228,35 @@ class TestReducedRaster:
                                   _target_batch(32, 2))
 
 
+class TestBatchChunks:
+    """Large batches run in chunks that cap the reduced-raster working
+    set at about 8 MB.  Samples are independent, so a batch spanning
+    several chunks equals per-mask calls bit for bit."""
+
+    @pytest.mark.parametrize("grid, precision, chunk", [
+        (128, "f64", 2), (128, "f32", 4), (64, "f64", 8)])
+    def test_chunk_size(self, grid, precision, chunk):
+        engine = LithoEngine.for_kernels(
+            build_kernels(LithoConfig.small(grid)), precision=precision)
+        assert engine._nominal.chunk == chunk
+
+    @pytest.mark.parametrize("grid, batch, chunks", [(128, 5, 3),
+                                                     (64, 11, 2)])
+    def test_chunked_batch_equals_per_mask_calls(self, grid, batch, chunks):
+        engine = _engine(grid)
+        assert -(-batch // engine._nominal.chunk) == chunks
+        masks = _mask_batch(grid, batch)
+        targets = _target_batch(grid, batch)
+        aerials = engine.aerial(masks)
+        errors, grads = engine.error_and_gradient_wrt_mask(masks, targets)
+        for i in range(batch):
+            np.testing.assert_array_equal(aerials[i], engine.aerial(masks[i]))
+            error, grad = engine.error_and_gradient_wrt_mask(masks[i],
+                                                             targets[i])
+            assert errors[i] == error
+            np.testing.assert_array_equal(grads[i], grad)
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("grid", [16, 32, 33])
     def test_real_spectrum_matches_fft2(self, grid):

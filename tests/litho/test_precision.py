@@ -122,13 +122,44 @@ class TestWorkspace:
         b = ws.get("k", (8, 8), np.float64)
         assert a is not b
         assert b.shape == (8, 8)
+        assert ws.get("k", (8, 8), np.float64) is b
 
     def test_reallocates_on_dtype_change(self):
+        """Buffers are keyed by ``(key, dtype)``: an f32 caller is never
+        handed memory aliasing an f64 caller's live buffer."""
         ws = Workspace(enabled=True)
         a = ws.get("k", (4,), np.float64)
         b = ws.get("k", (4,), np.float32)
         assert a is not b
         assert b.dtype == np.float32
+        assert not np.shares_memory(a, b)
+        a.fill(2.0)
+        b.fill(1.0)
+        assert float(a[0]) == 2.0 and float(b[0]) == 1.0
+
+    def test_cross_dtype_does_not_thrash(self):
+        ws = Workspace(enabled=True)
+        a32 = ws.get("scratch", (4, 4), np.float32)
+        a64 = ws.get("scratch", (4, 4), np.float64)
+        # Alternating dtypes must hit both slots, not reallocate.
+        assert ws.get("scratch", (4, 4), np.float32) is a32
+        assert ws.get("scratch", (4, 4), np.float64) is a64
+        assert ws.get("scratch", (4, 4), np.float32) is a32
+        assert ws.hits == 3 and ws.misses == 2
+
+    def test_complex_dtypes_keyed_separately(self):
+        ws = Workspace(enabled=True)
+        c64 = ws.get("spec", (4, 4), np.complex64)
+        c128 = ws.get("spec", (4, 4), np.complex128)
+        assert c64.dtype == np.complex64 and c128.dtype == np.complex128
+        assert not np.shares_memory(c64, c128)
+
+    def test_dtype_spec_normalized(self):
+        ws = Workspace(enabled=True)
+        a = ws.get("buf", (2, 2), np.float64)
+        # "float64", np.float64 and np.dtype(np.float64) are one slot.
+        assert ws.get("buf", (2, 2), "float64") is a
+        assert ws.get("buf", (2, 2), np.dtype(np.float64)) is a
 
     def test_disabled_always_allocates(self):
         ws = Workspace(enabled=False)

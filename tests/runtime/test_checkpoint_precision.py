@@ -1,4 +1,4 @@
-"""Cross-precision checkpoint round-trips (backend/f32 PR, satellite 1).
+"""Cross-precision checkpoint round-trips.
 
 A checkpoint written by an f32 run must resume as an f32 run — even
 when loaded into a freshly built module, which is born f64.

@@ -132,6 +132,22 @@ class TestTrain:
         assert main(args) == 0
         assert "gan: 2 iterations" in capsys.readouterr().out
 
+    def test_f32_training_saves_float32_generator(self, tmp_path, capsys):
+        """Both phases train end to end in f32, and no saved generator
+        array is promoted back to double."""
+        out = str(tmp_path / "generator-f32.npz")
+        assert main(["train", "--phase", "both", "--grid", "32",
+                     "--iterations", "2", "--dataset-size", "4",
+                     "--batch-size", "2", "--precision", "f32",
+                     "--no-run-record", "--out", out]) == 0
+        printed = capsys.readouterr().out
+        assert "pretrain: 2 iterations" in printed
+        assert "gan: 2 iterations" in printed
+        with np.load(out) as archive:
+            assert archive.files
+            for name in archive.files:
+                assert archive[name].dtype == np.float32, name
+
     def test_bad_corners_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(self._args(tmp_path, "--corners", "bogus"))
