@@ -122,20 +122,28 @@ class TestWorkspace:
         b = ws.get("k", (8, 8), np.float64)
         assert a is not b
         assert b.shape == (8, 8)
-        assert ws.get("k", (8, 8), np.float64) is b
 
     def test_reallocates_on_dtype_change(self):
-        """Buffers are keyed by ``(key, dtype)``: an f32 caller is never
-        handed memory aliasing an f64 caller's live buffer."""
         ws = Workspace(enabled=True)
         a = ws.get("k", (4,), np.float64)
         b = ws.get("k", (4,), np.float32)
         assert a is not b
         assert b.dtype == np.float32
-        assert not np.shares_memory(a, b)
-        a.fill(2.0)
-        b.fill(1.0)
-        assert float(a[0]) == 2.0 and float(b[0]) == 1.0
+
+    def test_cross_dtype_never_aliases(self):
+        """Buffers are keyed by ``(key, dtype)``: an f32 caller is never
+        handed memory aliasing an f64 caller's live buffer."""
+        ws = Workspace(enabled=True)
+        a32 = ws.get("scratch", (8, 8), np.float32)
+        a64 = ws.get("scratch", (8, 8), np.float64)
+        assert a32.dtype == np.float32
+        assert a64.dtype == np.float64
+        assert not np.shares_memory(a32, a64)
+        # Writing through one slot must not corrupt the other.
+        a32.fill(1.0)
+        a64.fill(2.0)
+        assert float(a32[0, 0]) == 1.0
+        assert float(a64[0, 0]) == 2.0
 
     def test_cross_dtype_does_not_thrash(self):
         ws = Workspace(enabled=True)
@@ -153,6 +161,13 @@ class TestWorkspace:
         c128 = ws.get("spec", (4, 4), np.complex128)
         assert c64.dtype == np.complex64 and c128.dtype == np.complex128
         assert not np.shares_memory(c64, c128)
+
+    def test_shape_change_reallocates_within_dtype(self):
+        ws = Workspace(enabled=True)
+        small = ws.get("buf", (2, 2), np.float64)
+        big = ws.get("buf", (4, 4), np.float64)
+        assert small is not big
+        assert ws.get("buf", (4, 4), np.float64) is big
 
     def test_dtype_spec_normalized(self):
         ws = Workspace(enabled=True)
