@@ -374,6 +374,23 @@ def _emit_clip_results(logger, result: "Table2Result") -> None:
                 epe_hotspots=evaluation.epe_hotspots)
 
 
+def table2_engines(engine: LithoEngine,
+                   condition_engine: Optional[LithoEngine],
+                   ilt: ILTOptimizer) -> List[LithoEngine]:
+    """The distinct engines a Table 2 run calls: the nominal one, the
+    corner stack that scores masks, and the corner stack the optimizers
+    descend (``ilt.conditions``; the flows' refiners resolve the same
+    conditions to the same memoized engine)."""
+    engines = [engine]
+    descent = (LithoEngine.for_conditions(engine.kernels, ilt.conditions,
+                                          engine.precision)
+               if ilt.conditions is not None else None)
+    for other in (condition_engine, descent):
+        if other is not None and all(other is not e for e in engines):
+            engines.append(other)
+    return engines
+
+
 def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                clips: Optional[List[BenchmarkClip]] = None,
                workers: int = 1,
@@ -437,7 +454,8 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     stage_seconds: Dict[str, List[Dict[str, float]]] = {
         "ILT": [], "GAN-OPC": [], "PGAN-OPC": []}
 
-    stats_before = pipeline.engine.stats.snapshot()
+    engines = table2_engines(pipeline.engine, condition_engine, ilt)
+    stats_before = [engine.stats.snapshot() for engine in engines]
     for clip in clips:
         target = (rasterize(clip.layout, cfg.grid) >= 0.5).astype(float)
 
@@ -473,10 +491,13 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                 {"generation": flow_result.generation_seconds,
                  "refinement": flow_result.refinement_seconds})
 
+    engine_stats: Dict[str, float] = {}
+    for engine, before in zip(engines, stats_before):
+        for key, value in engine.stats.delta(before).items():
+            engine_stats[key] = engine_stats.get(key, 0) + value
     result = Table2Result(columns=columns, masks=masks, clips=clips,
                           stage_seconds=stage_seconds,
-                          engine_stats=pipeline.engine.stats.delta(
-                              stats_before))
+                          engine_stats=engine_stats)
     result.table = comparison_table(columns, baseline="ILT")
     _emit_clip_results(logger, result)
     return result

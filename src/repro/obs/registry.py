@@ -23,24 +23,22 @@ from typing import Dict, List, Optional
 
 
 class Counter:
-    __slots__ = ("name", "_value", "_lock")
+    # ``value`` is a plain slot, like the Histogram fields: the worker
+    # pool reads engine counters twice per task.
+    __slots__ = ("name", "value", "_lock")
 
     def __init__(self, name: str):
         self.name = name
-        self._value = 0.0
+        self.value = 0.0
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
+            self.value += amount
 
     def reset(self) -> None:
         with self._lock:
-            self._value = 0.0
+            self.value = 0.0
 
 
 class Gauge:

@@ -133,8 +133,18 @@ def worker_engine(litho_config: Optional[LithoConfig] = None) -> LithoEngine:
     config = litho_config or _WORKER_STATE["litho_config"]
     if config is None:
         raise RuntimeError("pool has no litho config and none was given")
-    engine = LithoEngine.for_kernels(build_kernels(config),
-                                     precision=_WORKER_STATE["precision"])
+    return register_engine(LithoEngine.for_kernels(
+        build_kernels(config), precision=_WORKER_STATE["precision"]))
+
+
+def register_engine(engine: LithoEngine) -> LithoEngine:
+    """Count ``engine``'s litho calls in this worker's task deltas.
+
+    Tasks that reach a second engine (a process-window corner stack
+    from :meth:`LithoEngine.for_conditions`) register it here, so the
+    parent's fleet totals include its work.  Registering an engine
+    twice is a no-op.
+    """
     engines = _WORKER_STATE["engines"]
     if all(existing is not engine for existing, _ in engines):
         # Under ``fork`` the memoized engine is inherited with the
@@ -162,10 +172,15 @@ def _engine_totals() -> Dict[str, float]:
     """Summed litho-counter snapshot over this worker's warm engines.
 
     Each engine's registration-time baseline is subtracted, so totals
-    reflect only calls made in this worker process.
+    reflect only calls made in this worker process.  Most workers hold
+    one engine, whose growth is the total as it stands.
     """
+    engines = _WORKER_STATE["engines"]
+    if len(engines) == 1:
+        engine, baseline = engines[0]
+        return engine.stats.since(baseline)
     totals: Dict[str, float] = {}
-    for engine, baseline in _WORKER_STATE["engines"]:
+    for engine, baseline in engines:
         grown = engine.stats.since(baseline)
         totals = ({name: totals[name] + value
                    for name, value in grown.items()} if totals else grown)

@@ -138,6 +138,40 @@ class TestWindowTable2:
                 np.testing.assert_array_equal(window_mask, masks[i])
 
 
+class TestWeightedEngineStats:
+    """A weighted process-window descent runs on the corner-stack
+    engine, not the nominal one; its gradients still count in the
+    reported engine stats, serial and pooled alike."""
+
+    @pytest.fixture(scope="class")
+    def weighted_runs(self, pipeline, generators):
+        from repro.litho import ConditionSet
+        from repro.obs import trace
+        clips = iccad13_suite(pipeline.litho)[:2]
+        conditions = ConditionSet.dose_corners(pipeline.litho.dose_variation)
+        with trace.tracing() as tracer:
+            serial = run_table2(pipeline, generators, clips=clips,
+                                conditions=conditions,
+                                pw_objective="weighted")
+        iterations = int(tracer.summary()["ilt.step"]["count"])
+        parallel = run_table2(pipeline, generators, clips=clips, workers=2,
+                              conditions=conditions,
+                              pw_objective="weighted")
+        return serial, parallel, iterations
+
+    def test_gradient_masks_count_every_iteration(self, weighted_runs):
+        serial, _, iterations = weighted_runs
+        assert iterations > 0
+        assert int(serial.engine_stats["gradient_masks"]) == iterations
+
+    def test_serial_and_pooled_counts_agree(self, weighted_runs):
+        serial, parallel, _ = weighted_runs
+        for counter in ("forward_calls", "forward_masks",
+                        "gradient_calls", "gradient_masks"):
+            assert int(parallel.engine_stats[counter]) == \
+                int(serial.engine_stats[counter]), counter
+
+
 class TestFigures:
     def test_figure8_gallery_rows(self, pipeline, table2):
         rows = run_figure8(pipeline, table2)

@@ -95,14 +95,16 @@ class TestEnginePrecision:
     def test_compact_spectrum_matches_full_rfft_path(self, kernels32,
                                                      masks):
         """The matmul-DFT forward is exact, not approximate: the
-        discarded frequency bins are identically zero in the kernels."""
+        discarded frequency bins are identically zero in the kernels,
+        and the other half of the passband is the conjugate mirror of
+        the half the engine keeps."""
         engine = LithoEngine.for_kernels(kernels32, precision="f64")
         spectrum = real_spectrum(masks)
         aerial_direct = engine.aerial(masks)
-        batch, _ = engine._as_batch(masks)
         stack = engine._nominal
-        group_intensity, _ = engine._forward_impl(
-            stack, engine._compact_spectrum(stack, batch, spectrum))
+        half_passband = np.ascontiguousarray(
+            spectrum[:, stack.rows[:, None], stack.half[None, :]])
+        group_intensity, _ = engine._forward_impl(stack, half_passband)
         aerial_from_spec = group_intensity[0]
         np.testing.assert_allclose(aerial_from_spec, aerial_direct,
                                    rtol=1e-10, atol=1e-12)
