@@ -75,21 +75,6 @@ class KernelSet:
             spatial = np.fft.fftshift(spatial, axes=(-2, -1))
         return spatial
 
-    def flipped(self) -> np.ndarray:
-        """Frequency kernels evaluated at ``-f`` (adjoint of the forward
-        convolution; used by the ILT gradient, Eq. 14).
-
-        Memoized on the instance: the roll + copy is ``O(K * H * W)``
-        and the adjoint kernels never change, so gradient callers pay
-        for the tensor once instead of on every step.
-        """
-        cached = self.__dict__.get("_flipped")
-        if cached is None:
-            flipped = self.freq_kernels[:, ::-1, ::-1]
-            cached = np.roll(flipped, 1, axis=(-2, -1))
-            object.__setattr__(self, "_flipped", cached)
-        return cached
-
 
 _CACHE: Dict[Tuple, KernelSet] = {}
 

@@ -80,36 +80,12 @@ class TestBuildKernels:
         kernels = build_kernels(config, cache=False)
         assert kernels.num_kernels <= 9
 
-    def test_flipped_indexing(self, kernels32):
-        flipped = kernels32.flipped()
-        k = kernels32.freq_kernels
-        n = k.shape[-1]
-        # flipped[f] == k[-f] elementwise on the FFT grid.
-        for idx in [(0, 0), (1, 5), (7, 31)]:
-            i, j = idx
-            np.testing.assert_allclose(flipped[:, i, j],
-                                       k[:, (-i) % n, (-j) % n])
-
     def test_spatial_kernels_centered(self, kernels32):
         spatial = kernels32.spatial_kernels(shifted=True)
         dominant = np.abs(spatial[0])
         peak = np.unravel_index(dominant.argmax(), dominant.shape)
         center = (16, 16)
         assert abs(peak[0] - center[0]) <= 1 and abs(peak[1] - center[1]) <= 1
-
-
-class TestFlippedMemoization:
-    def test_flipped_is_cached_on_instance(self, litho32):
-        kernels = build_kernels(litho32, cache=False)
-        first = kernels.flipped()
-        assert kernels.flipped() is first  # no roll+copy per call
-
-    def test_cached_flipped_values_correct(self, litho32):
-        kernels = build_kernels(litho32, cache=False)
-        flipped = kernels.flipped()
-        k = kernels.freq_kernels
-        n = k.shape[-1]
-        np.testing.assert_allclose(flipped[:, 3, 9], k[:, (-3) % n, (-9) % n])
 
 
 class TestDiskCache:
