@@ -13,21 +13,19 @@ import numpy as np
 
 from repro.core import (GanOpcConfig, ILTGuidedPretrainer, MaskGenerator,
                         UNetMaskGenerator)
-from repro.ilt.gradient import litho_error_and_gradient_wrt_mask
 from repro.layoutgen import SyntheticDataset
-from repro.litho import LithoConfig, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 
 GRID = 32
 ITERATIONS = 120
 
 
-def _held_out_error(generator, dataset, indices, kernels, litho):
+def _held_out_error(generator, dataset, indices, kernels):
+    engine = LithoEngine.for_kernels(kernels)
     errors = []
     for i in indices:
         mask = generator.generate(dataset.target(i))
-        error, _ = litho_error_and_gradient_wrt_mask(
-            mask, dataset.target(i), kernels, litho.threshold,
-            litho.resist_steepness)
+        error, _ = engine.error_and_gradient_wrt_mask(mask, dataset.target(i))
         errors.append(error)
     return float(np.mean(errors))
 
@@ -50,7 +48,7 @@ def test_autoencoder_vs_unet(benchmark):
                                 kernels=kernels).train(
                 dataset, ITERATIONS, rng=np.random.default_rng(2))
             results[name] = (_held_out_error(generator, dataset, held_out,
-                                             kernels, litho),
+                                             kernels),
                              generator.num_parameters())
         return results
 

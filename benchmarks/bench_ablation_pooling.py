@@ -14,7 +14,7 @@ import numpy as np
 from repro.geometry import (average_pool, bilinear_upsample, binarize,
                             rasterize)
 from repro.layoutgen import LayoutSynthesizer, TopologyConfig
-from repro.litho import LithoConfig, LithoSimulator, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 from repro.metrics import squared_l2
 
 FINE_GRID = 128
@@ -23,7 +23,7 @@ FACTORS = (1, 2, 4, 8)
 
 def test_pooling_bridge_fidelity(benchmark):
     litho = LithoConfig.small(FINE_GRID)
-    simulator = LithoSimulator(litho, build_kernels(litho))
+    engine = LithoEngine.for_kernels(build_kernels(litho))
     synthesizer = LayoutSynthesizer(TopologyConfig(extent=litho.extent_nm,
                                                    margin=120.0))
     clips = [synthesizer.generate(np.random.default_rng(s)) for s in range(4)]
@@ -38,8 +38,8 @@ def test_pooling_bridge_fidelity(benchmark):
                 bridged = binarize(
                     bilinear_upsample(average_pool(raster, factor), factor))
                 pixel_err += float(np.abs(bridged - raster).sum())
-                wafer_err += squared_l2(simulator.wafer_image(bridged),
-                                        simulator.wafer_image(raster))
+                wafer_err += squared_l2(engine.wafer(bridged),
+                                        engine.wafer(raster))
             rows.append((factor, pixel_err / len(rasters),
                          wafer_err / len(rasters)))
         return rows

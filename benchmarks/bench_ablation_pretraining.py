@@ -17,21 +17,19 @@ import numpy as np
 from repro.core import (GanOpcConfig, GroundTruthPretrainer,
                         ILTGuidedPretrainer, MaskGenerator)
 from repro.ilt import ILTConfig
-from repro.ilt.gradient import litho_error_and_gradient_wrt_mask
 from repro.layoutgen import SyntheticDataset
-from repro.litho import LithoConfig, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 
 GRID = 32
 ITERATIONS = 120
 
 
-def _held_out_litho_error(generator, dataset, indices, kernels, litho):
+def _held_out_litho_error(generator, dataset, indices, kernels):
+    engine = LithoEngine.for_kernels(kernels)
     errors = []
     for i in indices:
         mask = generator.generate(dataset.target(i))
-        error, _ = litho_error_and_gradient_wrt_mask(
-            mask, dataset.target(i), kernels, litho.threshold,
-            litho.resist_steepness)
+        error, _ = engine.error_and_gradient_wrt_mask(mask, dataset.target(i))
         errors.append(error)
     return float(np.mean(errors))
 
@@ -59,10 +57,8 @@ def test_ilt_guidance_vs_ground_truth(benchmark):
         GroundTruthPretrainer(gen_gt, config).train(
             dataset, ITERATIONS, rng=rng_b)
 
-        return (_held_out_litho_error(gen_ilt, dataset, held_out, kernels,
-                                      litho),
-                _held_out_litho_error(gen_gt, dataset, held_out, kernels,
-                                      litho))
+        return (_held_out_litho_error(gen_ilt, dataset, held_out, kernels),
+                _held_out_litho_error(gen_gt, dataset, held_out, kernels))
 
     ilt_error, gt_error = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -19,7 +19,7 @@ import numpy as np
 from repro.bench import iccad13_suite
 from repro.geometry import binarize, rasterize
 from repro.ilt import ILTConfig, ILTOptimizer
-from repro.litho import LithoConfig, LithoSimulator, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 from repro.metrics import squared_l2
 from repro.opc import MbOpcConfig, ModelBasedOPC
 
@@ -29,7 +29,7 @@ GRID = 64
 def test_conventional_flow_baselines(benchmark):
     litho = LithoConfig.small(GRID)
     kernels = build_kernels(litho)
-    simulator = LithoSimulator(litho, kernels)
+    engine = LithoEngine.for_kernels(kernels)
     clips = iccad13_suite(litho)[:5]
 
     mbopc = ModelBasedOPC(litho, MbOpcConfig(iterations=8), kernels=kernels)
@@ -39,7 +39,7 @@ def test_conventional_flow_baselines(benchmark):
         rows = []
         for clip in clips:
             target = binarize(rasterize(clip.layout, GRID))
-            no_opc = squared_l2(simulator.wafer_image(target), target)
+            no_opc = squared_l2(engine.wafer(target), target)
 
             start = time.perf_counter()
             mb_result = mbopc.optimize(clip.layout)

@@ -37,9 +37,8 @@ from repro.bench.record import BenchRecorder
 from repro.core import (GanOpcConfig, GanOpcTrainer, MaskGenerator,
                         PairDiscriminator)
 from repro.core.flow import GanOpcFlow
-from repro.ilt import litho_error_and_gradient
 from repro.ilt.optimizer import ILTConfig
-from repro.litho import LithoConfig, LithoEngine, build_kernels, aerial_image
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 from repro.litho.resist import _stable_sigmoid
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,20 +54,17 @@ def _wire_mask(grid):
 
 @pytest.mark.parametrize("grid", [64, 128, 256])
 def test_aerial_image_throughput(grid, benchmark):
-    kernels = build_kernels(LithoConfig.small(grid))
+    engine = LithoEngine.for_kernels(build_kernels(LithoConfig.small(grid)))
     mask = _wire_mask(grid)
-    benchmark(aerial_image, mask, kernels)
+    benchmark(engine.aerial, mask)
 
 
 @pytest.mark.parametrize("grid", [64, 128])
 def test_ilt_gradient_step(grid, benchmark):
-    config = LithoConfig.small(grid)
-    kernels = build_kernels(config)
+    engine = LithoEngine.for_kernels(build_kernels(LithoConfig.small(grid)))
     target = _wire_mask(grid)
     params = 2.0 * target - 1.0
-    benchmark(litho_error_and_gradient, params, target, kernels,
-              config.threshold, config.resist_steepness,
-              config.mask_steepness)
+    benchmark(engine.error_and_gradient, params, target)
 
 
 def _noop_task():

@@ -20,7 +20,7 @@ from repro.core import (GanOpcConfig, GanOpcFlow, ILTGuidedPretrainer,
 from repro.geometry import binarize, rasterize
 from repro.ilt import ILTConfig, ILTOptimizer
 from repro.layoutgen import SyntheticDataset
-from repro.litho import LithoConfig, LithoSimulator, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 from repro.metrics import comparison_table, evaluate_mask
 
 OUT = os.path.join(os.path.dirname(__file__), "output", "iccad")
@@ -36,7 +36,7 @@ def main():
 
     litho = LithoConfig.small(args.grid)
     kernels = build_kernels(litho)
-    simulator = LithoSimulator(litho, kernels)
+    engine = LithoEngine.for_kernels(kernels)
     config = GanOpcConfig.small(args.grid)
 
     generator = MaskGenerator(config.generator_channels,
@@ -65,18 +65,18 @@ def main():
 
         ilt_result = ilt.optimize(target)
         columns["ILT"].append(evaluate_mask(
-            simulator, ilt_result.mask, target, layout=clip.layout,
+            engine, ilt_result.mask, target, layout=clip.layout,
             name=clip.name, runtime_seconds=ilt_result.runtime_seconds))
 
         flow_result = flow.optimize(target)
         columns["GAN-OPC flow"].append(evaluate_mask(
-            simulator, flow_result.mask, target, layout=clip.layout,
+            engine, flow_result.mask, target, layout=clip.layout,
             name=clip.name, runtime_seconds=flow_result.runtime_seconds))
 
         gallery_rows[0].append(ilt_result.mask)
         gallery_rows[1].append(flow_result.mask)
-        gallery_rows[2].append(simulator.wafer_image(ilt_result.mask))
-        gallery_rows[3].append(simulator.wafer_image(flow_result.mask))
+        gallery_rows[2].append(engine.wafer(ilt_result.mask))
+        gallery_rows[3].append(engine.wafer(flow_result.mask))
         gallery_rows[4].append(target)
 
     print("\n" + comparison_table(columns, baseline="ILT"))

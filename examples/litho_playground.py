@@ -14,8 +14,8 @@ import os
 import numpy as np
 
 from repro.bench import write_pgm
-from repro.litho import LithoConfig, LithoSimulator, build_kernels
-from repro.metrics import mask_pv_band
+from repro.litho import ConditionSet, LithoConfig, LithoEngine, build_kernels
+from repro.metrics import mask_window_pv_band
 
 GRID = 128
 OUT = os.path.join(os.path.dirname(__file__), "output", "litho")
@@ -24,7 +24,9 @@ OUT = os.path.join(os.path.dirname(__file__), "output", "litho")
 def main():
     litho = LithoConfig.small(GRID)
     kernels = build_kernels(litho)
-    simulator = LithoSimulator(litho, kernels)
+    engine = LithoEngine.for_kernels(kernels)
+    dose_band = LithoEngine.for_conditions(
+        kernels, ConditionSet.dose_corners(litho.dose_variation))
     os.makedirs(OUT, exist_ok=True)
 
     # --- kernel gallery ------------------------------------------------
@@ -39,7 +41,7 @@ def main():
     # --- an isolated wire: intensity profile ---------------------------
     mask = np.zeros((GRID, GRID))
     mask[59:69, 24:104] = 1.0  # 80nm wire
-    intensity = simulator.aerial(mask)
+    intensity = engine.aerial(mask)
     profile = intensity[:, GRID // 2]
     peak = profile.max()
     print(f"\nisolated 80nm wire: peak intensity {peak:.3f} "
@@ -50,9 +52,10 @@ def main():
 
     # --- dose sensitivity = the PV band mechanism ----------------------
     for dose in (0.95, 1.0, 1.05):
-        area = simulator.wafer_image(mask, dose=dose).sum()
+        area = engine.wafer(mask, dose=dose).sum()
         print(f"dose {dose:.2f}: printed area {area:.0f} px")
-    print(f"PV band (+-2% dose): {mask_pv_band(simulator, mask):.0f} nm^2")
+    print(f"PV band (+-2% dose): "
+          f"{mask_window_pv_band(dose_band, mask):.0f} nm^2")
 
     # --- SRAF demonstration --------------------------------------------
     # Sub-resolution assist features: bars too small to print that
@@ -61,10 +64,10 @@ def main():
     sraf = mask.copy()
     sraf[45:49, 24:104] = 1.0   # 32nm bars, below resolution
     sraf[79:83, 24:104] = 1.0
-    plain_pvb = mask_pv_band(simulator, mask)
-    sraf_pvb = mask_pv_band(simulator, sraf)
-    sraf_intensity = simulator.aerial(sraf)
-    sraf_wafer = simulator.wafer_image(sraf)
+    plain_pvb = mask_window_pv_band(dose_band, mask)
+    sraf_pvb = mask_window_pv_band(dose_band, sraf)
+    sraf_intensity = engine.aerial(sraf)
+    sraf_wafer = engine.wafer(sraf)
     bars_printed = sraf_wafer[45:49, :].sum() + sraf_wafer[79:83, :].sum()
     print(f"\nwith SRAFs: peak intensity {sraf_intensity.max():.3f} "
           f"(plain {intensity.max():.3f}), "
@@ -72,7 +75,7 @@ def main():
           f"assist bars printed {bars_printed:.0f} px (want 0)")
 
     write_pgm(intensity / intensity.max(), os.path.join(OUT, "aerial.pgm"))
-    write_pgm(simulator.wafer_image(mask), os.path.join(OUT, "wafer.pgm"))
+    write_pgm(engine.wafer(mask), os.path.join(OUT, "wafer.pgm"))
     write_pgm(sraf, os.path.join(OUT, "sraf_mask.pgm"))
     write_pgm(sraf_wafer, os.path.join(OUT, "sraf_wafer.pgm"))
     print(f"\nimages written to {OUT}/")

@@ -23,7 +23,7 @@ from repro.core import (GanOpcConfig, GanOpcFlow, ILTGuidedPretrainer,
 from repro.geometry import binarize, rasterize
 from repro.ilt import ILTConfig, ILTOptimizer
 from repro.layoutgen import LayoutSynthesizer, SyntheticDataset, TopologyConfig
-from repro.litho import LithoConfig, LithoSimulator, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 from repro.metrics import evaluate_mask
 from repro.opc import MbOpcConfig, ModelBasedOPC
 
@@ -36,7 +36,7 @@ def main(grid: int = GRID, mb_iterations: int = 8, ilt_iterations: int = 150,
          dataset_size: int = 12, out_dir: str = OUT) -> dict:
     litho = LithoConfig.small(grid)
     kernels = build_kernels(litho)
-    simulator = LithoSimulator(litho, kernels)
+    engine = LithoEngine.for_kernels(kernels)
 
     # 1. A clip to optimize.
     synthesizer = LayoutSynthesizer(
@@ -49,7 +49,7 @@ def main(grid: int = GRID, mb_iterations: int = 8, ilt_iterations: int = 150,
     results = {}
 
     # 2. No correction: print the target as drawn.
-    results["no-OPC"] = evaluate_mask(simulator, target, target,
+    results["no-OPC"] = evaluate_mask(engine, target, target,
                                       layout=clip, name="no-OPC")
 
     # 3. Model-based OPC.
@@ -57,7 +57,7 @@ def main(grid: int = GRID, mb_iterations: int = 8, ilt_iterations: int = 150,
                        kernels=kernels)
     mb_result = mb.optimize(clip)
     results["MB-OPC"] = evaluate_mask(
-        simulator, mb_result.mask, target, layout=clip, name="MB-OPC",
+        engine, mb_result.mask, target, layout=clip, name="MB-OPC",
         runtime_seconds=mb_result.runtime_seconds)
 
     # 4. ILT from scratch.
@@ -65,7 +65,7 @@ def main(grid: int = GRID, mb_iterations: int = 8, ilt_iterations: int = 150,
                        kernels=kernels)
     ilt_result = ilt.optimize(target)
     results["ILT"] = evaluate_mask(
-        simulator, ilt_result.mask, target, layout=clip, name="ILT",
+        engine, ilt_result.mask, target, layout=clip, name="ILT",
         runtime_seconds=ilt_result.runtime_seconds)
 
     # 5. GAN-OPC: lithography-guided pre-training on a small synthetic
@@ -85,7 +85,7 @@ def main(grid: int = GRID, mb_iterations: int = 8, ilt_iterations: int = 150,
                       kernels=kernels)
     flow_result = flow.optimize(target)
     results["GAN-OPC"] = evaluate_mask(
-        simulator, flow_result.mask, target, layout=clip, name="GAN-OPC",
+        engine, flow_result.mask, target, layout=clip, name="GAN-OPC",
         runtime_seconds=flow_result.runtime_seconds)
 
     # 6. Report.
@@ -100,7 +100,7 @@ def main(grid: int = GRID, mb_iterations: int = 8, ilt_iterations: int = 150,
     write_pgm(target, os.path.join(out_dir, "target.pgm"))
     write_pgm(ilt_result.mask, os.path.join(out_dir, "ilt_mask.pgm"))
     write_pgm(flow_result.mask, os.path.join(out_dir, "ganopc_mask.pgm"))
-    write_pgm(simulator.wafer_image(flow_result.mask),
+    write_pgm(engine.wafer(flow_result.mask),
               os.path.join(out_dir, "ganopc_wafer.pgm"))
     print(f"\nimages written to {out_dir}/")
     return results

@@ -37,7 +37,6 @@ from ..litho.conditions import ConditionSet
 from ..litho.config import LithoConfig
 from ..litho.engine import LithoEngine
 from ..litho.kernels import KernelSet, build_kernels
-from ..litho.simulator import LithoSimulator
 from ..metrics.defects import detect_bridges, detect_necks
 from ..metrics.report import MaskEvaluation, comparison_table, evaluate_mask
 from .iccad13 import BenchmarkClip, iccad13_suite
@@ -95,7 +94,7 @@ class Pipeline:
     """Shared experiment state: litho model, dataset, one shared engine.
 
     The :class:`LithoEngine` is constructed once and every consumer —
-    simulator, ILT baseline, flow refiners, pre-trainer — runs on it,
+    metrics, ILT baseline, flow refiners, pre-trainer — runs on it,
     so kernels are decomposed once and the cached adjoint spectra are
     shared across all clips of every experiment.
     """
@@ -105,7 +104,6 @@ class Pipeline:
     kernels: KernelSet
     engine: LithoEngine
     dataset: SyntheticDataset
-    simulator: LithoSimulator
 
     @staticmethod
     def build(config: Optional[ExperimentConfig] = None,
@@ -119,8 +117,7 @@ class Pipeline:
         dataset = SyntheticDataset(litho, size=config.dataset_size,
                                    seed=config.seed, kernels=kernels)
         return Pipeline(config=config, litho=litho, kernels=kernels,
-                        engine=engine, dataset=dataset,
-                        simulator=LithoSimulator(litho, engine=engine))
+                        engine=engine, dataset=dataset)
 
     def gan_config(self) -> GanOpcConfig:
         return GanOpcConfig.small(self.config.grid)
@@ -374,21 +371,33 @@ def _emit_clip_results(logger, result: "Table2Result") -> None:
                 epe_hotspots=evaluation.epe_hotspots)
 
 
-def table2_engines(engine: LithoEngine,
-                   condition_engine: Optional[LithoEngine],
-                   ilt: ILTOptimizer) -> List[LithoEngine]:
-    """The distinct engines a Table 2 run calls: the nominal one, the
-    corner stack that scores masks, and the corner stack the optimizers
-    descend (``ilt.conditions``; the flows' refiners resolve the same
-    conditions to the same memoized engine)."""
+def run_engines(engine: LithoEngine,
+                condition_engine: Optional[LithoEngine],
+                optimizer: ILTOptimizer) -> List[LithoEngine]:
+    """The distinct engines a Table 2 or flow run calls: the nominal
+    one, the corner stack that scores masks, and the corner stack the
+    optimizers descend (``optimizer.conditions``; every optimizer of a
+    run resolves the same conditions to the same memoized engine)."""
     engines = [engine]
-    descent = (LithoEngine.for_conditions(engine.kernels, ilt.conditions,
+    descent = (LithoEngine.for_conditions(engine.kernels,
+                                          optimizer.conditions,
                                           engine.precision)
-               if ilt.conditions is not None else None)
+               if optimizer.conditions is not None else None)
     for other in (condition_engine, descent):
         if other is not None and all(other is not e for e in engines):
             engines.append(other)
     return engines
+
+
+def summed_delta(engines: List[LithoEngine],
+                 before: List[Dict[str, float]]) -> Dict[str, float]:
+    """Engine counters summed over ``engines`` since their ``before``
+    snapshots."""
+    totals: Dict[str, float] = {}
+    for engine, snapshot in zip(engines, before):
+        for key, value in engine.stats.delta(snapshot).items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
@@ -429,22 +438,17 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                                                    conditions,
                                                    pipeline.engine.precision)
                         if conditions is not None else None)
-    # With a nominal objective the corner stack is reporting-only: the
-    # optimizers keep descending the paper's nominal error.
-    descend_conditions = conditions if pw_objective != "nominal" else None
     ilt = ILTOptimizer(pipeline.litho,
                        ILTConfig(max_iterations=cfg.ilt_iterations,
                                  pw_objective=pw_objective),
-                       engine=pipeline.engine, conditions=descend_conditions)
+                       engine=pipeline.engine, conditions=conditions)
     refine_cfg = ILTConfig(max_iterations=cfg.refine_iterations, patience=4,
                            pw_objective=pw_objective)
     flows = {
         "GAN-OPC": GanOpcFlow(generators.gan, pipeline.litho, refine_cfg,
-                              engine=pipeline.engine,
-                              conditions=descend_conditions),
+                              engine=pipeline.engine, conditions=conditions),
         "PGAN-OPC": GanOpcFlow(generators.pgan, pipeline.litho, refine_cfg,
-                               engine=pipeline.engine,
-                               conditions=descend_conditions),
+                               engine=pipeline.engine, conditions=conditions),
     }
 
     columns: Dict[str, List[MaskEvaluation]] = {
@@ -454,7 +458,7 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     stage_seconds: Dict[str, List[Dict[str, float]]] = {
         "ILT": [], "GAN-OPC": [], "PGAN-OPC": []}
 
-    engines = table2_engines(pipeline.engine, condition_engine, ilt)
+    engines = run_engines(pipeline.engine, condition_engine, ilt)
     stats_before = [engine.stats.snapshot() for engine in engines]
     for clip in clips:
         target = (rasterize(clip.layout, cfg.grid) >= 0.5).astype(float)
@@ -467,7 +471,7 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
         ilt_result = ilt.optimize(target)
         ilt_runtime = time.perf_counter() - start
         columns["ILT"].append(evaluate_mask(
-            pipeline.simulator, ilt_result.mask, target, layout=clip.layout,
+            pipeline.engine, ilt_result.mask, target, layout=clip.layout,
             name=clip.name, runtime_seconds=ilt_runtime,
             condition_engine=condition_engine))
         masks["ILT"].append(ilt_result.mask)
@@ -482,7 +486,7 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                     "stage": "refinement"}
             flow_result = flow.optimize(target)
             columns[method].append(evaluate_mask(
-                pipeline.simulator, flow_result.mask, target,
+                pipeline.engine, flow_result.mask, target,
                 layout=clip.layout, name=clip.name,
                 runtime_seconds=flow_result.runtime_seconds,
                 condition_engine=condition_engine))
@@ -491,13 +495,9 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                 {"generation": flow_result.generation_seconds,
                  "refinement": flow_result.refinement_seconds})
 
-    engine_stats: Dict[str, float] = {}
-    for engine, before in zip(engines, stats_before):
-        for key, value in engine.stats.delta(before).items():
-            engine_stats[key] = engine_stats.get(key, 0) + value
     result = Table2Result(columns=columns, masks=masks, clips=clips,
                           stage_seconds=stage_seconds,
-                          engine_stats=engine_stats)
+                          engine_stats=summed_delta(engines, stats_before))
     result.table = comparison_table(columns, baseline="ILT")
     _emit_clip_results(logger, result)
     return result
@@ -570,14 +570,14 @@ def run_figure8(pipeline: Pipeline, table2: Table2Result
                 ) -> List[List[np.ndarray]]:
     """Gallery rows (Figure 8): ILT masks, PGAN masks, their wafer
     images, and targets — one column per clip."""
-    sim = pipeline.simulator
+    engine = pipeline.engine
     targets = [(rasterize(c.layout, pipeline.config.grid) >= 0.5).astype(float)
                for c in table2.clips]
     rows = [
         table2.masks["ILT"],
         table2.masks["PGAN-OPC"],
-        [sim.wafer_image(m) for m in table2.masks["ILT"]],
-        [sim.wafer_image(m) for m in table2.masks["PGAN-OPC"]],
+        [engine.wafer(m) for m in table2.masks["ILT"]],
+        [engine.wafer(m) for m in table2.masks["PGAN-OPC"]],
         targets,
     ]
     return rows
@@ -600,13 +600,13 @@ def run_figure9(pipeline: Pipeline, table2: Table2Result
                 ) -> List[DefectComparison]:
     """Count bridge and neck (line-end pull-back class) defects on the
     final wafers of both methods for every clip."""
-    sim = pipeline.simulator
+    engine = pipeline.engine
     cd_px = max(int(round(80.0 / pipeline.litho.pixel_nm * 0.5)), 1)
     comparisons = []
     for i, clip in enumerate(table2.clips):
         target = (rasterize(clip.layout, pipeline.config.grid) >= 0.5).astype(float)
-        ilt_wafer = sim.wafer_image(table2.masks["ILT"][i])
-        pgan_wafer = sim.wafer_image(table2.masks["PGAN-OPC"][i])
+        ilt_wafer = engine.wafer(table2.masks["ILT"][i])
+        pgan_wafer = engine.wafer(table2.masks["PGAN-OPC"][i])
         comparisons.append(DefectComparison(
             clip=clip.name,
             ilt_bridges=len(detect_bridges(ilt_wafer, target)),

@@ -284,7 +284,6 @@ def _record_tiled(run, result, method: str) -> None:
 
 def cmd_simulate(args) -> int:
     from .bench import write_pgm
-    from .litho import LithoSimulator
     from .metrics import evaluate_mask
 
     litho = _litho(args)
@@ -298,14 +297,13 @@ def cmd_simulate(args) -> int:
             return 2
     else:
         mask = target
-    simulator = LithoSimulator(
-        litho, engine=_engine(litho, args.precision))
-    evaluation = evaluate_mask(simulator, mask, target, layout=layout,
+    engine = _engine(litho, args.precision)
+    evaluation = evaluate_mask(engine, mask, target, layout=layout,
                                name=layout.name or "clip")
     for key, value in evaluation.as_dict().items():
         print(f"{key}: {value}")
     if args.out:
-        write_pgm(simulator.wafer_image(mask), args.out)
+        write_pgm(engine.wafer(mask), args.out)
         print(f"wafer image written to {args.out}")
     return 0
 
@@ -313,7 +311,6 @@ def cmd_simulate(args) -> int:
 def cmd_ilt(args) -> int:
     from .bench import write_pgm
     from .ilt import ILTConfig, ILTOptimizer
-    from .litho import LithoSimulator
     from .metrics import evaluate_mask
 
     if args.tiled:
@@ -351,8 +348,7 @@ def cmd_ilt(args) -> int:
                                          "method": "ILT",
                                          "stage": "refinement"}
         result = optimizer.optimize(target)
-        evaluation = evaluate_mask(LithoSimulator(litho, engine=engine),
-                                   result.mask, target,
+        evaluation = evaluate_mask(engine, result.mask, target,
                                    layout=layout, name=clip_name,
                                    runtime_seconds=result.runtime_seconds)
         write_pgm(result.mask, args.out)
@@ -508,9 +504,9 @@ def cmd_train(args) -> int:
 def cmd_flow(args) -> int:
     from . import nn
     from .bench import write_pgm
+    from .bench.harness import run_engines, summed_delta
     from .core import GanOpcConfig, GanOpcFlow, MaskGenerator
     from .ilt import ILTConfig
-    from .litho import LithoSimulator
     from .metrics import evaluate_mask
     from .runtime import RunLogger
 
@@ -595,21 +591,21 @@ def cmd_flow(args) -> int:
             flow.refiner.quality_context = {"clip": clip_name,
                                             "method": "GAN-OPC",
                                             "stage": "refinement"}
-        stats_before = engine.stats.snapshot()
-        with _trace_to(args.trace_dir, "flow") as tracer:
-            result = flow.optimize(target)
-            if tracer is not None and logger is not None:
-                logger.span_summary(tracer.summary(),
-                                    wall_seconds=tracer.wall_seconds(),
-                                    coverage=tracer.coverage())
         condition_engine = None
         if conditions is not None:
             from .litho import LithoEngine
             condition_engine = LithoEngine.for_conditions(engine.kernels,
                                                           conditions,
                                                           engine.precision)
-        evaluation = evaluate_mask(LithoSimulator(litho, engine=engine),
-                                   result.mask, target,
+        engines = run_engines(engine, condition_engine, flow.refiner)
+        stats_before = [counted.stats.snapshot() for counted in engines]
+        with _trace_to(args.trace_dir, "flow") as tracer:
+            result = flow.optimize(target)
+            if tracer is not None and logger is not None:
+                logger.span_summary(tracer.summary(),
+                                    wall_seconds=tracer.wall_seconds(),
+                                    coverage=tracer.coverage())
+        evaluation = evaluate_mask(engine, result.mask, target,
                                    layout=layout, name=clip_name,
                                    runtime_seconds=result.runtime_seconds,
                                    condition_engine=condition_engine)
@@ -623,7 +619,8 @@ def cmd_flow(args) -> int:
                     "generation": result.generation_seconds,
                     "refinement": result.refinement_seconds},
                 epe_hotspots=evaluation.epe_hotspots)
-            run.manifest.summary["litho"] = engine.stats.delta(stats_before)
+            run.manifest.summary["litho"] = summed_delta(engines,
+                                                         stats_before)
             run.add_artifact("mask", args.out)
             run.import_file("clip", args.clip)
     print(f"generation: {result.generation_seconds:.3f}s, "

@@ -76,10 +76,9 @@ class GanOpcFlow:
         telemetry record with the stage wall-clocks and the
         litho-engine call counts it consumed.
     conditions:
-        Optional process-window corner stack handed to the refiner —
-        refinement then descends the ``refine_config.pw_objective``
-        corner aggregation (default ``"weighted"`` when a stack is
-        given) instead of the nominal-only objective.
+        Optional process-window corner stack handed to the refiner; a
+        non-nominal ``refine_config.pw_objective`` descends its corner
+        aggregation instead of the nominal-only objective.
     """
 
     def __init__(self, generator: MaskGenerator,

@@ -3,21 +3,10 @@
 Implements the pixel-based mask optimization the paper uses both as the
 state-of-the-art baseline ([7], MOSAIC) and as the refinement stage of
 the GAN-OPC flow: steepest descent on the relaxed lithography error
-(Eqs. 11-13) with the analytic multi-kernel gradient (Eq. 14).
+(Eqs. 11-13) with the analytic multi-kernel gradient (Eq. 14), which
+:class:`~repro.litho.engine.LithoEngine` computes.
 """
 
-from .batched import BatchedILTOptimizer, BatchedILTResult
-from .gradient import (condition_error_and_gradient,
-                       condition_error_and_gradient_wrt_mask, discrete_l2,
-                       litho_error_and_gradient,
-                       litho_error_and_gradient_wrt_mask)
 from .optimizer import ILTConfig, ILTOptimizer, ILTResult
 
-__all__ = [
-    "discrete_l2", "litho_error_and_gradient",
-    "litho_error_and_gradient_wrt_mask",
-    "condition_error_and_gradient",
-    "condition_error_and_gradient_wrt_mask",
-    "ILTConfig", "ILTOptimizer", "ILTResult",
-    "BatchedILTOptimizer", "BatchedILTResult",
-]
+__all__ = ["ILTConfig", "ILTOptimizer", "ILTResult"]

@@ -14,18 +14,13 @@ Table 2 reports.  Two modes matter to the reproduction:
   this warm start both converges in far fewer iterations (~0.5x runtime)
   and reaches lower L2.
 
-Two process-window modes are available on top of the nominal
-objective:
-
-* ``pvb_weight > 0`` adds the legacy dose-corner error terms to the
-  nominal objective (mirroring MOSAIC's process-window-aware
-  correction);
-* ``pw_objective`` in ``{"weighted", "worst"}`` replaces the nominal
-  objective with a corner-stack objective over a
-  :class:`~repro.litho.conditions.ConditionSet` — the weighted corner
-  average or the per-sample worst corner — evaluated through the
-  engine's batched condition stack.  The best-discrete-mask tracking
-  stays nominal so Table 2 columns remain comparable.
+``ILTConfig.pw_objective`` alone selects the objective.  ``"nominal"``
+(the paper's flow) descends the nominal error; ``"weighted"`` and
+``"worst"`` descend a corner-stack objective over a
+:class:`~repro.litho.conditions.ConditionSet` — the weighted corner
+average or the worst corner — evaluated through the engine's batched
+condition stack.  The best-discrete-mask tracking stays nominal so
+Table 2 columns remain comparable.
 """
 
 from __future__ import annotations
@@ -70,9 +65,6 @@ class ILTConfig:
     patience:
         Early stop when the best discrete L2 has not improved for this
         many evaluations (None disables).
-    pvb_weight:
-        Weight of the dose-corner error terms; 0 reproduces nominal-only
-        optimization (what the paper's flow uses).
     pw_objective:
         ``"nominal"`` (default) optimizes the nominal condition only;
         ``"weighted"`` / ``"worst"`` optimize the corner stack of the
@@ -86,7 +78,6 @@ class ILTConfig:
     eval_interval: int = 5
     stop_l2: Optional[float] = None
     patience: Optional[int] = 10
-    pvb_weight: float = 0.0
     pw_objective: str = "nominal"
 
     def __post_init__(self):
@@ -98,8 +89,6 @@ class ILTConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be >= 1")
-        if self.pvb_weight < 0:
-            raise ValueError("pvb_weight must be nonnegative")
         if self.pw_objective not in PW_OBJECTIVES:
             raise ValueError(
                 f"pw_objective must be one of {PW_OBJECTIVES}, "
@@ -160,11 +149,10 @@ class ILTOptimizer:
         ``kernels`` and lets flows/harnesses reuse one engine (and its
         cached adjoint spectra) across every optimizer they build.
     conditions:
-        Optional process-window corner stack.  When given with a
-        nominal ``config.pw_objective``, the objective is upgraded to
-        ``"weighted"``; when ``pw_objective`` is non-nominal and no
-        stack is given, the paper's dose corners
-        (:meth:`ConditionSet.dose_corners`) are used.
+        Optional process-window corner stack that a non-nominal
+        ``config.pw_objective`` descends; without one, the paper's dose
+        corners (:meth:`ConditionSet.dose_corners`) are used.  A
+        nominal objective ignores it.
     """
 
     def __init__(self, litho_config: Optional[LithoConfig] = None,
@@ -180,18 +168,14 @@ class ILTOptimizer:
         self.engine = engine
         self.kernels = engine.kernels
 
-        objective = self.config.pw_objective
-        if conditions is not None and objective == "nominal":
-            objective = "weighted"
-        if objective != "nominal" and conditions is None:
-            conditions = ConditionSet.dose_corners(
+        #: the corner stack the objective descends (None: nominal)
+        self.conditions: Optional[ConditionSet] = None
+        self._condition_engine: Optional[LithoEngine] = None
+        if self.config.pw_objective != "nominal":
+            self.conditions = conditions or ConditionSet.dose_corners(
                 self.litho_config.dose_variation)
-        self.conditions = conditions
-        self.pw_objective = objective
-        self._condition_engine = (
-            LithoEngine.for_conditions(self.kernels, conditions,
-                                       self.engine.precision)
-            if objective != "nominal" else None)
+            self._condition_engine = LithoEngine.for_conditions(
+                self.kernels, self.conditions, self.engine.precision)
         #: optional :class:`~repro.runtime.telemetry.RunLogger`; when
         #: set, each evaluation point emits a ``quality_sample`` record
         #: tagged with :attr:`quality_context` (clip/method/stage).
@@ -219,23 +203,14 @@ class ILTOptimizer:
         cfg = self.litho_config
         if self._condition_engine is not None:
             return self._condition_engine.condition_error_and_gradient(
-                params, target, objective=self.pw_objective,
+                params, target, objective=self.config.pw_objective,
                 threshold=cfg.threshold,
                 resist_steepness=cfg.resist_steepness,
                 mask_steepness=cfg.mask_steepness)
-        error, grad = self.engine.error_and_gradient(
+        return self.engine.error_and_gradient(
             params, target, threshold=cfg.threshold,
             resist_steepness=cfg.resist_steepness,
             mask_steepness=cfg.mask_steepness)
-        if self.config.pvb_weight > 0.0:
-            for dose in (1.0 - cfg.dose_variation, 1.0 + cfg.dose_variation):
-                corner_error, corner_grad = self.engine.error_and_gradient(
-                    params, target, threshold=cfg.threshold,
-                    resist_steepness=cfg.resist_steepness,
-                    mask_steepness=cfg.mask_steepness, dose=dose)
-                error += self.config.pvb_weight * corner_error
-                grad = grad + self.config.pvb_weight * corner_grad
-        return error, grad
 
     def _discrete_score(self, params: np.ndarray, target: np.ndarray):
         return self.engine.binarized_score(
@@ -322,9 +297,3 @@ class ILTOptimizer:
             runtime_seconds=runtime,
             converged=converged,
         )
-
-    def refine(self, target: np.ndarray, initial_mask: np.ndarray,
-               max_iterations: int = 20) -> ILTResult:
-        """Few-step ILT refinement from a quasi-optimal mask (Fig. 6)."""
-        return self.optimize(target, initial_mask=initial_mask,
-                             max_iterations=max_iterations)

@@ -3,12 +3,11 @@
 Reproduces the imaging substrate of the paper (Eqs. 1-3, 12): an SVD
 coherent-kernel decomposition of the Hopkins model (24 kernels, like the
 ICCAD-2013 ``lithosim_v4`` engine the paper uses), FFT aerial imaging,
-and constant-threshold / sigmoid resist models, plus dose corners for
-process-variation-band evaluation.
+and constant-threshold / sigmoid resist models, plus (defocus, dose)
+corner stacks for process-variation-band evaluation.
+:class:`LithoEngine` is the one entry point to the imaging model.
 """
 
-from .aerial import (aerial_image, aerial_image_and_fields, mask_fields,
-                     mask_spectrum)
 from .conditions import PW_OBJECTIVES, Condition, ConditionSet
 from .config import LithoConfig, OpticsConfig
 from .engine import EngineStats, LithoEngine, real_spectrum
@@ -17,7 +16,6 @@ from .kernels import (KernelSet, build_kernels, clear_cache, config_hash,
 from .pupil import frequency_grid, pupil_function
 from .resist import (binarize_mask, hard_resist, sigmoid_mask,
                      sigmoid_resist)
-from .simulator import LithoSimulator, ProcessCorners
 from .source import source_map, source_points
 from .window import (ProcessWindow, depth_of_focus, exposure_latitude,
                      process_window_matrix)
@@ -29,9 +27,7 @@ __all__ = [
     "KernelSet", "build_kernels", "clear_cache", "config_hash",
     "save_kernels", "load_kernels",
     "frequency_grid", "pupil_function", "source_points", "source_map",
-    "mask_spectrum", "mask_fields", "aerial_image", "aerial_image_and_fields",
     "hard_resist", "sigmoid_resist", "sigmoid_mask", "binarize_mask",
-    "LithoSimulator", "ProcessCorners",
     "ProcessWindow", "process_window_matrix", "exposure_latitude",
     "depth_of_focus",
 ]

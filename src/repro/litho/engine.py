@@ -73,9 +73,9 @@ Two single-process fast paths are built in:
   returned to callers are always freshly allocated.
 
 :meth:`LithoEngine.for_kernels` memoizes one engine per
-(:class:`~repro.litho.kernels.KernelSet`, precision) — the
-facades in :mod:`repro.litho.aerial`, :mod:`repro.litho.simulator`
-and :mod:`repro.ilt` all share it automatically.
+(:class:`~repro.litho.kernels.KernelSet`, precision), so the ILT
+optimizer, the training loops and the metrics built on one kernel set
+share it automatically.
 """
 
 from __future__ import annotations
@@ -926,8 +926,8 @@ class LithoEngine:
                         ) -> Tuple[np.ndarray, ArrayOrScalar]:
         """Binarize relaxed parameters and score the hard-resist wafer.
 
-        Returns ``(masks, discrete_l2)`` — the evaluate step both ILT
-        optimizers run every few iterations to track the best discrete
+        Returns ``(masks, discrete_l2)`` — the evaluate step the ILT
+        optimizer runs every few iterations to track the best discrete
         mask (Definition 1).
         """
         beta = (self.config.mask_steepness if mask_steepness is None

@@ -3,8 +3,8 @@
 The paper evaluates process variation through the +/-2% dose band only
 (Table 2's PVB column); production flows — and the process-window-aware
 OPC of [3-5] the paper cites — characterize masks over a grid of
-(dose, defocus) corners.  This module is a thin facade over the
-condition-stack interface of :class:`~repro.litho.engine.LithoEngine`:
+(dose, defocus) corners.  This module builds those figures of merit on
+the condition-stack interface of :class:`~repro.litho.engine.LithoEngine`:
 a dose x focus grid becomes a :class:`~repro.litho.conditions.ConditionSet`
 and every corner is evaluated in one batched matmul-DFT pass over the
 shared mask spectrum (one kernel stack per focus plane, served from the

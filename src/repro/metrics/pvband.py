@@ -2,15 +2,15 @@
 
 Table 2's "PVB" column is the contour-area variation of the wafer image
 under +/-2% exposure-dose error: the area between the outermost contour
-(over-dose) and the innermost contour (under-dose).  On binary corner
-images that is the XOR area of the two corners.
+(over-dose) and the innermost contour (under-dose).
 
-The *window* variants generalize the band to an arbitrary corner stack
-(a :class:`~repro.litho.conditions.ConditionSet` of (defocus, dose)
-corners evaluated by the engine): the band is the set of pixels that
-print at *some* corner but not at *every* corner — the union of the
-corner wafers XOR their intersection, which reduces to the two-corner
-XOR for the dose band.
+The band is measured over a corner wafer stack (a
+:class:`~repro.litho.conditions.ConditionSet` of (defocus, dose)
+corners evaluated by the engine): the set of pixels that print at
+*some* corner but not at *every* corner — the union of the corner
+wafers XOR their intersection.  On the paper's dose corners that is
+the XOR of the over- and under-dose wafers; on a full process window
+it is the window band.
 """
 
 from __future__ import annotations
@@ -18,28 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..litho.engine import LithoEngine
-from ..litho.simulator import LithoSimulator, ProcessCorners
-
-
-def pv_band(corners: ProcessCorners) -> float:
-    """PV band in pixel units from precomputed dose corners."""
-    outer = np.asarray(corners.outer, dtype=bool)
-    inner = np.asarray(corners.inner, dtype=bool)
-    if outer.shape != inner.shape:
-        raise ValueError("corner image shapes differ")
-    return float(np.logical_xor(outer, inner).sum())
-
-
-def pv_band_nm2(corners: ProcessCorners, pixel_nm: float) -> float:
-    """PV band in nm^2 (Table 2 units)."""
-    return pv_band(corners) * pixel_nm * pixel_nm
-
-
-def mask_pv_band(simulator: LithoSimulator, mask: np.ndarray) -> float:
-    """Convenience: simulate dose corners of ``mask`` and measure PVB
-    in nm^2."""
-    corners = simulator.process_corners(mask)
-    return pv_band_nm2(corners, simulator.config.pixel_nm)
 
 
 def window_band(wafers: np.ndarray) -> np.ndarray:

@@ -14,12 +14,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..geometry.layout import Layout
+from ..litho.conditions import ConditionSet
 from ..litho.engine import LithoEngine
-from ..litho.simulator import LithoSimulator
+from ..litho.resist import hard_resist
 from .defects import detect_bridges, detect_necks
 from .epe import measure_epe
 from .l2 import squared_l2, squared_l2_nm2
-from .pvband import pv_band_nm2, window_pv_band_nm2
+from .pvband import window_pv_band_nm2
 
 
 @dataclass
@@ -97,7 +98,7 @@ class MaskEvaluation:
         )
 
 
-def evaluate_mask(simulator: LithoSimulator, mask: np.ndarray,
+def evaluate_mask(engine: LithoEngine, mask: np.ndarray,
                   target: np.ndarray, layout: Optional[Layout] = None,
                   name: str = "mask",
                   runtime_seconds: Optional[float] = None,
@@ -107,6 +108,10 @@ def evaluate_mask(simulator: LithoSimulator, mask: np.ndarray,
                   ) -> MaskEvaluation:
     """Evaluate a mask with every metric the repo reports.
 
+    The mask is imaged once on the nominal ``engine``; dose is a pure
+    intensity scale, so that image thresholded at the
+    :meth:`ConditionSet.dose_corners` doses gives the corner wafers of
+    the PVB column, and the dose-1 corner is the nominal wafer.
     ``layout`` enables the vector-based EPE measurement; without it only
     raster metrics (L2, PVB, neck, bridge) are produced.
     ``neck_fraction`` sets the neck threshold as a fraction of the
@@ -116,9 +121,16 @@ def evaluate_mask(simulator: LithoSimulator, mask: np.ndarray,
     the window-PVB and worst-corner fields from one stacked forward
     over all corners.
     """
-    corners = simulator.process_corners(mask)
-    wafer = corners.nominal
-    pixel_nm = simulator.config.pixel_nm
+    config = engine.config
+    intensity = engine.aerial(mask)
+    # Doses (1 - dv, 1, 1 + dv), in the image's dtype so an f32 engine
+    # scales in f32.
+    doses = ConditionSet.dose_corners(config.dose_variation).doses
+    dose_wafers = hard_resist(
+        intensity * doses.astype(intensity.dtype)[:, None, None],
+        config.threshold)
+    wafer = dose_wafers[1]
+    pixel_nm = config.pixel_nm
     cd_px = max(int(round(80.0 / pixel_nm * neck_fraction)), 1)
 
     epe_violations = None
@@ -144,7 +156,7 @@ def evaluate_mask(simulator: LithoSimulator, mask: np.ndarray,
         name=name,
         l2_px=squared_l2(wafer, target),
         l2_nm2=squared_l2_nm2(wafer, target, pixel_nm),
-        pvband_nm2=pv_band_nm2(corners, pixel_nm),
+        pvband_nm2=window_pv_band_nm2(dose_wafers, pixel_nm),
         epe_violations=epe_violations,
         neck_defects=len(detect_necks(wafer, target, cd_px)),
         bridge_defects=len(detect_bridges(wafer, target)),

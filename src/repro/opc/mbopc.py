@@ -22,11 +22,11 @@ import numpy as np
 
 from ..geometry.layout import Layout
 from ..geometry.raster import rasterize
-from ..ilt.gradient import discrete_l2
 from ..litho.config import LithoConfig
+from ..litho.engine import LithoEngine
 from ..litho.kernels import KernelSet, build_kernels
-from ..litho.simulator import LithoSimulator
 from ..metrics.epe import _contour_offset
+from ..metrics.l2 import squared_l2
 from .fragments import EdgeSegment, fragment_layout
 
 
@@ -77,15 +77,15 @@ class MbOpcResult:
 
 
 class ModelBasedOPC:
-    """Segment-movement OPC engine over the litho simulator."""
+    """Segment-movement OPC over the litho engine."""
 
     def __init__(self, litho_config: Optional[LithoConfig] = None,
                  config: Optional[MbOpcConfig] = None,
                  kernels: Optional[KernelSet] = None):
         self.litho_config = litho_config or LithoConfig.paper()
         self.config = config or MbOpcConfig()
-        self.simulator = LithoSimulator(self.litho_config,
-                                        kernels or build_kernels(self.litho_config))
+        self.engine = LithoEngine.for_kernels(
+            kernels or build_kernels(self.litho_config))
 
     # ------------------------------------------------------------------
     def mask_from_segments(self, layout: Layout,
@@ -137,13 +137,13 @@ class ModelBasedOPC:
         target = (rasterize(layout, self.litho_config.grid) >= 0.5).astype(float)
 
         best_mask = target
-        best_l2 = discrete_l2(self.simulator.wafer_image(target), target)
+        best_l2 = squared_l2(self.engine.wafer(target), target)
         history = [best_l2]
 
         for _ in range(cfg.iterations):
             mask = self.mask_from_segments(layout, segments)
-            wafer = self.simulator.wafer_image(mask)
-            l2 = discrete_l2(wafer, target)
+            wafer = self.engine.wafer(mask)
+            l2 = squared_l2(wafer, target)
             history.append(l2)
             if l2 < best_l2:
                 best_l2, best_mask = l2, mask

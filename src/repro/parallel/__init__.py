@@ -21,8 +21,7 @@ counterparts; float32 precision mode is covered by the documented
 tolerance in DESIGN.md §10.
 """
 
-from .ilt import (ParallelILTResult, parallel_batched_ilt, parallel_ilt,
-                  shard_bounds)
+from .ilt import ParallelILTResult, parallel_ilt
 from .flow import generator_payload, parallel_flow
 from .pool import (PoolStats, WorkerCrashError, WorkerPool, WorkerTaskError,
                    attach_array, default_context, worker_engine, worker_state)
@@ -31,7 +30,7 @@ from .shm import SharedArray, ShmSpec
 __all__ = [
     "WorkerPool", "PoolStats", "WorkerTaskError", "WorkerCrashError",
     "SharedArray", "ShmSpec",
-    "parallel_ilt", "parallel_batched_ilt", "ParallelILTResult",
-    "parallel_flow", "generator_payload", "shard_bounds",
+    "parallel_ilt", "ParallelILTResult",
+    "parallel_flow", "generator_payload",
     "attach_array", "worker_engine", "worker_state", "default_context",
 ]

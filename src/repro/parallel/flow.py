@@ -80,22 +80,16 @@ def _table2_clip_task(slot: int, masks_spec: ShmSpec, grid: int,
                       conditions: Optional[ConditionSet] = None,
                       pw_objective: str = "nominal"):
     """Evaluate ILT / GAN-OPC / PGAN-OPC on one benchmark clip."""
-    from ..bench.harness import table2_engines
+    from ..bench.harness import run_engines
     from ..geometry.raster import rasterize
-    from ..litho.simulator import LithoSimulator
     from ..metrics.report import evaluate_mask
 
     state = worker_state()
     clip = state["clips"][slot]
     engine = worker_engine(litho_config)
-    simulator = LithoSimulator(litho_config, engine=engine)
     condition_engine = (LithoEngine.for_conditions(engine.kernels, conditions,
                                                    engine.precision)
                         if conditions is not None else None)
-    # With a nominal objective the corner stack is reporting-only (the
-    # optimizers keep the paper's nominal descent), matching the serial
-    # run_table2 path bit for bit.
-    descend_conditions = conditions if pw_objective != "nominal" else None
     target = (rasterize(clip.layout, grid) >= 0.5).astype(float)
     masks_out = attach_array(masks_spec)
 
@@ -105,14 +99,14 @@ def _table2_clip_task(slot: int, masks_spec: ShmSpec, grid: int,
     ilt = ILTOptimizer(litho_config,
                        ILTConfig(max_iterations=ilt_iterations,
                                  pw_objective=pw_objective),
-                       engine=engine, conditions=descend_conditions)
-    for counted in table2_engines(engine, condition_engine, ilt)[1:]:
+                       engine=engine, conditions=conditions)
+    for counted in run_engines(engine, condition_engine, ilt)[1:]:
         register_engine(counted)
     started = time.perf_counter()
     ilt_result = ilt.optimize(target)
     ilt_runtime = time.perf_counter() - started
     evaluations["ILT"] = evaluate_mask(
-        simulator, ilt_result.mask, target, layout=clip.layout,
+        engine, ilt_result.mask, target, layout=clip.layout,
         name=clip.name, runtime_seconds=ilt_runtime,
         condition_engine=condition_engine)
     stages["ILT"] = {"generation": 0.0, "refinement": ilt_runtime}
@@ -123,10 +117,10 @@ def _table2_clip_task(slot: int, masks_spec: ShmSpec, grid: int,
     for method_index, method in enumerate(("GAN-OPC", "PGAN-OPC"), start=1):
         generator = _rebuild_generator(state[method])
         flow = GanOpcFlow(generator, litho_config, refine_cfg, engine=engine,
-                          conditions=descend_conditions)
+                          conditions=conditions)
         flow_result = flow.optimize(target)
         evaluations[method] = evaluate_mask(
-            simulator, flow_result.mask, target, layout=clip.layout,
+            engine, flow_result.mask, target, layout=clip.layout,
             name=clip.name, runtime_seconds=flow_result.runtime_seconds,
             condition_engine=condition_engine)
         stages[method] = {"generation": flow_result.generation_seconds,

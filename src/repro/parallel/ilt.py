@@ -16,13 +16,6 @@ identical float64 inputs, so parallel results are **bit-exact** equal
 to a serial per-clip loop (asserted in ``tests/parallel``).  In f32
 precision mode the documented tolerance is a litho-error delta of at
 most 1e-3 versus f64 (see DESIGN.md §10).
-
-:func:`parallel_batched_ilt` is the sharded variant of
-:class:`~repro.ilt.batched.BatchedILTOptimizer`: each worker runs the
-lockstep batched descent on a contiguous shard.  Per-sample math is
-independent, so masks and per-clip L2 are bit-exact versus the
-single-process batched run; only the (reporting-only) mean relaxed
-history is recombined as a shard-size-weighted mean.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..ilt.batched import BatchedILTOptimizer, BatchedILTResult
 from ..ilt.optimizer import ILTConfig, ILTOptimizer, ILTResult
 from ..litho.conditions import ConditionSet
 from ..litho.config import LithoConfig
@@ -84,25 +76,8 @@ def _ilt_clip_task(index: int, targets_spec: ShmSpec,
             result.iterations, result.runtime_seconds, result.converged)
 
 
-def _ilt_shard_task(start: int, stop: int, targets_spec: ShmSpec,
-                    out_spec: ShmSpec, litho_config: LithoConfig,
-                    ilt_config: ILTConfig, max_iterations: Optional[int],
-                    conditions: Optional[ConditionSet] = None):
-    """Run the lockstep batched descent on ``targets[start:stop]``."""
-    targets = attach_array(targets_spec)
-    optimizer = BatchedILTOptimizer(litho_config, ilt_config,
-                                    engine=worker_engine(litho_config),
-                                    conditions=conditions)
-    result = optimizer.optimize(targets[start:stop],
-                                max_iterations=max_iterations)
-    out = attach_array(out_spec)
-    out[0, start:stop] = result.masks
-    return (start, stop, result.l2.tolist(), result.relaxed_history,
-            result.iterations, result.runtime_seconds)
-
-
 # ----------------------------------------------------------------------
-# Parent-side drivers
+# Parent-side driver
 # ----------------------------------------------------------------------
 def parallel_ilt(targets: np.ndarray,
                  litho_config: Optional[LithoConfig] = None,
@@ -202,89 +177,3 @@ def parallel_ilt(targets: np.ndarray,
     return ParallelILTResult(results=results,
                              runtime_seconds=time.perf_counter() - started,
                              workers=pool.workers, pool_stats=pool.stats)
-
-
-def shard_bounds(n: int, shards: int) -> List[tuple]:
-    """Contiguous near-equal ``(start, stop)`` shards covering ``range(n)``."""
-    shards = max(1, min(shards, n))
-    base, extra = divmod(n, shards)
-    bounds = []
-    start = 0
-    for s in range(shards):
-        stop = start + base + (1 if s < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def parallel_batched_ilt(targets: np.ndarray,
-                         litho_config: Optional[LithoConfig] = None,
-                         ilt_config: Optional[ILTConfig] = None,
-                         workers: int = 1,
-                         precision: Optional[str] = None,
-                         max_iterations: Optional[int] = None,
-                         pool: Optional[WorkerPool] = None,
-                         conditions: Optional[ConditionSet] = None
-                         ) -> BatchedILTResult:
-    """Sharded :class:`BatchedILTOptimizer` run (same result contract).
-
-    Masks and per-clip L2 are bit-exact versus the single-process
-    batched optimizer; the mean relaxed history is recombined as a
-    shard-size-weighted average.
-    """
-    litho_config = litho_config or LithoConfig.paper()
-    ilt_config = ilt_config or ILTConfig()
-    targets = np.asarray(targets, dtype=float)
-    n = targets.shape[0]
-
-    if workers <= 1 and pool is None:
-        from ..litho.engine import LithoEngine
-        from ..litho.kernels import build_kernels
-        engine = LithoEngine.for_kernels(build_kernels(litho_config),
-                                         precision=precision)
-        return BatchedILTOptimizer(
-            litho_config, ilt_config, engine=engine,
-            conditions=conditions).optimize(targets,
-                                            max_iterations=max_iterations)
-
-    started = time.perf_counter()
-    grid = targets.shape[-1]
-    own_pool = pool is None
-    if own_pool:
-        pool = WorkerPool(workers, litho_config=litho_config,
-                          precision=precision)
-    shared_targets = SharedArray.from_array(targets)
-    shared_out = SharedArray.create((1, n, grid, grid), np.float64)
-    try:
-        reports = pool.map(
-            _ilt_shard_task,
-            [(start, stop, shared_targets.spec, shared_out.spec,
-              litho_config, ilt_config, max_iterations, conditions)
-             for start, stop in shard_bounds(n, pool.workers)],
-            label="parallel.batched_ilt")
-        masks = np.array(shared_out.array[0], copy=True)
-    finally:
-        shared_targets.close()
-        shared_targets.unlink()
-        shared_out.close()
-        shared_out.unlink()
-        if own_pool:
-            pool.shutdown()
-
-    l2 = np.empty(n)
-    iterations = 0
-    history_parts = []
-    for start, stop, shard_l2, shard_history, shard_iters, _ in reports:
-        l2[start:stop] = shard_l2
-        iterations = max(iterations, shard_iters)
-        history_parts.append((stop - start, shard_history))
-    # Weighted recombination of the per-shard mean histories.
-    steps = max(len(h) for _, h in history_parts)
-    history = []
-    for step in range(steps):
-        num = sum(w * h[step] for w, h in history_parts if step < len(h))
-        den = sum(w for w, h in history_parts if step < len(h))
-        history.append(num / den)
-    return BatchedILTResult(masks=masks, l2=l2, relaxed_history=history,
-                            iterations=iterations,
-                            runtime_seconds=time.perf_counter() - started)

@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
 Kernel construction is the most expensive setup step, so kernel sets
-and simulators for the standard small grids are session-scoped.
+and engines for the standard small grids are session-scoped.
 """
 
 from __future__ import annotations
@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.litho import (KernelSet, LithoConfig, LithoSimulator,
-                         build_kernels)
+from repro.litho import KernelSet, LithoConfig, LithoEngine, build_kernels
 
 
 @pytest.fixture(autouse=True)
@@ -42,13 +41,13 @@ def kernels64(litho64) -> KernelSet:
 
 
 @pytest.fixture(scope="session")
-def sim32(litho32, kernels32) -> LithoSimulator:
-    return LithoSimulator(litho32, kernels32)
+def engine32(kernels32) -> LithoEngine:
+    return LithoEngine.for_kernels(kernels32)
 
 
 @pytest.fixture(scope="session")
-def sim64(litho64, kernels64) -> LithoSimulator:
-    return LithoSimulator(litho64, kernels64)
+def engine64(kernels64) -> LithoEngine:
+    return LithoEngine.for_kernels(kernels64)
 
 
 @pytest.fixture()

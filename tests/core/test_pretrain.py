@@ -7,8 +7,8 @@ from repro import nn
 from repro.core import (GanOpcConfig, GroundTruthPretrainer,
                         ILTGuidedPretrainer, MaskGenerator)
 from repro.ilt import ILTConfig
-from repro.ilt.gradient import litho_error_and_gradient_wrt_mask
 from repro.layoutgen import SyntheticDataset
+from repro.litho import LithoEngine
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,10 @@ class TestBatchLithoGradient:
         targets = dataset.targets_batch([0])
         masks = np.clip(targets * 0.8 + 0.1, 0, 1)
         errors, grads = pre.batch_litho_gradient(masks, targets)
-        expected_e, expected_g = litho_error_and_gradient_wrt_mask(
-            masks[0, 0], targets[0, 0], kernels32, litho32.threshold,
-            litho32.resist_steepness)
+        expected_e, expected_g = LithoEngine.for_kernels(
+            kernels32).error_and_gradient_wrt_mask(
+            masks[0, 0], targets[0, 0], threshold=litho32.threshold,
+            resist_steepness=litho32.resist_steepness)
         np.testing.assert_allclose(errors[0], expected_e)
         np.testing.assert_allclose(grads[0, 0], expected_g)
 

@@ -26,7 +26,7 @@ class TestILTConfig:
         {"step_size": 0.0},
         {"momentum": 1.0},
         {"eval_interval": 0},
-        {"pvb_weight": -0.1},
+        {"pw_objective": "best"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -109,18 +109,7 @@ class TestWarmStart:
         refiner = ILTOptimizer(litho32,
                                ILTConfig(max_iterations=80, patience=3),
                                kernels=kernels32)
-        refined = refiner.refine(target, first.mask, max_iterations=40)
+        refined = refiner.optimize(target, initial_mask=first.mask,
+                                   max_iterations=40)
         assert refined.l2 <= first.l2 + 4
         assert refined.iterations <= 40
-
-
-class TestProcessWindowTerm:
-    def test_pvb_weight_changes_result(self, litho32, kernels32):
-        target = _two_wires()
-        nominal = ILTOptimizer(litho32, ILTConfig(max_iterations=30),
-                               kernels=kernels32).optimize(target)
-        aware = ILTOptimizer(litho32,
-                             ILTConfig(max_iterations=30, pvb_weight=0.5),
-                             kernels=kernels32).optimize(target)
-        # Different objective -> different relaxed trajectory.
-        assert not np.allclose(nominal.relaxed_history, aware.relaxed_history)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ilt import BatchedILTOptimizer, ILTConfig, ILTOptimizer
+from repro.ilt import ILTConfig, ILTOptimizer
 from repro.litho import ConditionSet, LithoEngine
 
 
@@ -19,12 +19,19 @@ class TestObjectiveResolution:
         with pytest.raises(ValueError):
             ILTConfig(pw_objective="best")
 
-    def test_conditions_upgrade_nominal_to_weighted(self, litho32,
-                                                    kernels32):
-        opt = ILTOptimizer(litho32, ILTConfig(max_iterations=2),
-                           kernels=kernels32,
-                           conditions=ConditionSet.dose_corners())
-        assert opt.pw_objective == "weighted"
+    def test_nominal_ignores_conditions(self, litho32, kernels32,
+                                        target32):
+        """Only ``pw_objective`` selects the objective: a corner stack
+        given with a nominal objective changes nothing."""
+        cfg = ILTConfig(max_iterations=6, patience=None)
+        plain = ILTOptimizer(litho32, cfg, kernels=kernels32)
+        with_corners = ILTOptimizer(litho32, cfg, kernels=kernels32,
+                                    conditions=ConditionSet.dose_corners())
+        assert with_corners.conditions is None
+        expected = plain.optimize(target32)
+        result = with_corners.optimize(target32)
+        np.testing.assert_array_equal(result.mask, expected.mask)
+        np.testing.assert_array_equal(result.params, expected.params)
 
     def test_objective_without_conditions_gets_dose_band(self, litho32,
                                                          kernels32):
@@ -41,7 +48,6 @@ class TestObjectiveResolution:
         opt = ILTOptimizer(litho32, ILTConfig(max_iterations=2),
                            kernels=kernels32)
         assert opt.conditions is None
-        assert opt.pw_objective == "nominal"
 
 
 class TestConditionDescent:
@@ -65,19 +71,3 @@ class TestConditionDescent:
         before = engine.condition_litho_errors(target32, target32).max()
         after = engine.condition_litho_errors(result.mask, target32).max()
         assert after <= before
-
-    def test_batched_matches_looped(self, litho32, kernels32, target32,
-                                    rng):
-        other = (rng.random((32, 32)) > 0.7).astype(float)
-        targets = np.stack([target32, other])
-        conditions = ConditionSet.dose_corners()
-        cfg = ILTConfig(max_iterations=4, patience=None,
-                        pw_objective="weighted")
-        batched = BatchedILTOptimizer(litho32, cfg, kernels=kernels32,
-                                      conditions=conditions)
-        looped = ILTOptimizer(litho32, cfg, kernels=kernels32,
-                              conditions=conditions)
-        batch_result = batched.optimize(targets)
-        for i, target in enumerate(targets):
-            single = looped.optimize(target)
-            np.testing.assert_allclose(batch_result.masks[i], single.mask)

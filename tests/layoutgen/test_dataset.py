@@ -42,11 +42,11 @@ class TestDataset:
     def test_instances_differ(self, dataset):
         assert not np.array_equal(dataset.target(0), dataset.target(2))
 
-    def test_reference_mask_prints_near_target(self, dataset, sim32):
+    def test_reference_mask_prints_near_target(self, dataset, engine32):
         """The ILT ground truth must actually be a good mask."""
         target = dataset.target(0)
         mask = dataset.reference_mask(0)
-        wafer = sim32.wafer_image(mask)
+        wafer = engine32.wafer(mask)
         mismatch = np.abs(wafer - target).sum()
         assert mismatch < 0.25 * target.sum() + 16
 

@@ -342,11 +342,10 @@ class TestSubstrateIntegration:
         from repro.parallel import parallel_ilt
         conditions = ConditionSet.dose_corners(0.04)
         targets = np.stack([bars32, bars32])
-        result = parallel_ilt(targets, litho32,
-                              ILTConfig(max_iterations=3),
+        config = ILTConfig(max_iterations=3, pw_objective="weighted")
+        result = parallel_ilt(targets, litho32, config,
                               workers=2, conditions=conditions)
-        serial = parallel_ilt(targets, litho32,
-                              ILTConfig(max_iterations=3),
+        serial = parallel_ilt(targets, litho32, config,
                               workers=1, conditions=conditions)
         for a, b in zip(result.results, serial.results):
             np.testing.assert_array_equal(a.mask, b.mask)

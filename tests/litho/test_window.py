@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.litho import (LithoSimulator, depth_of_focus, exposure_latitude,
+from repro.litho import (depth_of_focus, exposure_latitude,
                          process_window_matrix)
 
 
@@ -28,12 +28,11 @@ class TestProcessWindowMatrix:
             process_window_matrix(wire_target, wire_target, litho64,
                                   doses=(), defocuses=(0.0,))
 
-    def test_nominal_error_matches_simulator(self, litho64, kernels64,
+    def test_nominal_error_matches_simulator(self, litho64, engine64,
                                              wire_target):
         window = process_window_matrix(wire_target, wire_target, litho64,
                                        doses=(1.0,), defocuses=(0.0,))
-        simulator = LithoSimulator(litho64, kernels64)
-        direct = simulator.litho_error(wire_target, wire_target)
+        direct = engine64.litho_error(wire_target, wire_target)
         np.testing.assert_allclose(window.nominal_error(), direct)
 
     def test_defocus_degrades_image(self, litho64, wire_target):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.litho import ProcessCorners
-from repro.metrics import (mask_pv_band, pv_band, pv_band_nm2, squared_l2,
-                           squared_l2_nm2)
+from repro.metrics import (evaluate_mask, squared_l2, squared_l2_nm2,
+                           window_pv_band, window_pv_band_nm2)
 
 
 class TestSquaredL2:
@@ -35,33 +34,22 @@ class TestSquaredL2:
 
 
 class TestPVBand:
-    def _corners(self, inner, outer):
-        return ProcessCorners(nominal=outer, inner=inner, outer=outer)
-
-    def test_zero_when_corners_agree(self):
-        image = np.ones((4, 4))
-        corners = ProcessCorners(nominal=image, inner=image, outer=image)
-        assert pv_band(corners) == 0.0
+    """Table 2's PVB: the band of the nested dose-corner wafers
+    (under-dose, nominal, over-dose), i.e. over-dose XOR under-dose."""
 
     def test_counts_band_pixels(self):
         inner = np.zeros((4, 4))
         outer = np.zeros((4, 4))
         outer[1:3, 1:3] = 1.0
-        corners = ProcessCorners(nominal=outer, inner=inner, outer=outer)
-        assert pv_band(corners) == 4.0
-        assert pv_band_nm2(corners, 8.0) == 256.0
+        wafers = np.stack([inner, outer, outer])
+        assert window_pv_band(wafers) == 4.0
+        assert window_pv_band_nm2(wafers, 8.0) == 256.0
 
-    def test_shape_mismatch_raises(self):
-        corners = ProcessCorners(nominal=np.zeros((4, 4)),
-                                 inner=np.zeros((4, 4)),
-                                 outer=np.zeros((5, 5)))
-        with pytest.raises(ValueError):
-            pv_band(corners)
-
-    def test_mask_pv_band_positive_for_printing_mask(self, sim64):
+    def test_mask_pv_band_positive_for_printing_mask(self, engine64):
         mask = np.zeros((64, 64))
         mask[27:37, 8:56] = 1.0
-        assert mask_pv_band(sim64, mask) > 0.0
+        assert evaluate_mask(engine64, mask, mask).pvband_nm2 > 0.0
 
-    def test_empty_mask_zero_band(self, sim64):
-        assert mask_pv_band(sim64, np.zeros((64, 64))) == 0.0
+    def test_empty_mask_zero_band(self, engine64):
+        empty = np.zeros((64, 64))
+        assert evaluate_mask(engine64, empty, empty).pvband_nm2 == 0.0

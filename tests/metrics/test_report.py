@@ -13,9 +13,9 @@ def clip64():
 
 
 class TestEvaluateMask:
-    def test_full_evaluation(self, sim64, clip64):
+    def test_full_evaluation(self, engine64, clip64):
         target = (rasterize(clip64, 64) >= 0.5).astype(float)
-        evaluation = evaluate_mask(sim64, target, target, layout=clip64,
+        evaluation = evaluate_mask(engine64, target, target, layout=clip64,
                                    name="raw-target", runtime_seconds=1.5)
         assert evaluation.name == "raw-target"
         assert evaluation.l2_px >= 0
@@ -24,15 +24,15 @@ class TestEvaluateMask:
         assert evaluation.epe_violations is not None
         assert evaluation.runtime_seconds == 1.5
 
-    def test_without_layout_skips_epe(self, sim64, clip64):
+    def test_without_layout_skips_epe(self, engine64, clip64):
         target = (rasterize(clip64, 64) >= 0.5).astype(float)
-        evaluation = evaluate_mask(sim64, target, target)
+        evaluation = evaluate_mask(engine64, target, target)
         assert evaluation.epe_violations is None
         assert evaluation.neck_defects is not None
 
-    def test_as_dict(self, sim64, clip64):
+    def test_as_dict(self, engine64, clip64):
         target = (rasterize(clip64, 64) >= 0.5).astype(float)
-        data = evaluate_mask(sim64, target, target).as_dict()
+        data = evaluate_mask(engine64, target, target).as_dict()
         assert set(data) >= {"name", "l2_nm2", "pvband_nm2"}
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.litho import ConditionSet, LithoEngine
-from repro.metrics import (evaluate_mask, mask_pv_band, mask_window_pv_band,
-                           window_band, window_pv_band, window_pv_band_nm2)
+from repro.metrics import (evaluate_mask, mask_window_pv_band, window_band,
+                           window_pv_band, window_pv_band_nm2)
 
 
 class TestWindowBand:
@@ -40,16 +40,23 @@ class TestWindowBand:
 
 class TestMaskWindowPVBand:
     def test_dose_band_brackets_nominal_pvband(self, litho32, kernels32,
-                                               sim32):
+                                               engine32):
         """The +-dose window band equals the classic inner/outer PV band
-        when the corner stack is exactly the dose bracket."""
+        (and the PVB column) when the corner stack is exactly the dose
+        bracket."""
         mask = np.zeros((32, 32))
         mask[10:22, 8:24] = 1.0
         dv = litho32.dose_variation
         engine = LithoEngine.for_conditions(
             kernels32, ConditionSet.grid(defocuses=(0.0,),
                                          doses=(1.0 - dv, 1.0, 1.0 + dv)))
-        assert mask_window_pv_band(engine, mask) == mask_pv_band(sim32, mask)
+        outer = engine32.wafer(mask, dose=1.0 + dv) > 0.5
+        inner = engine32.wafer(mask, dose=1.0 - dv) > 0.5
+        classic = (float(np.logical_xor(outer, inner).sum())
+                   * litho32.pixel_nm ** 2)
+        assert classic > 0.0
+        assert mask_window_pv_band(engine, mask) == classic
+        assert evaluate_mask(engine32, mask, mask).pvband_nm2 == classic
 
     def test_defocus_widens_band(self, kernels32):
         mask = np.zeros((32, 32))
@@ -72,21 +79,21 @@ class TestEvaluationWindowColumns:
         mask[11:21, 5:27] = 1.0
         return mask, target
 
-    def test_fields_default_to_none(self, sim32, mask_and_target):
+    def test_fields_default_to_none(self, engine32, mask_and_target):
         mask, target = mask_and_target
-        evaluation = evaluate_mask(sim32, mask, target, name="plain")
+        evaluation = evaluate_mask(engine32, mask, target, name="plain")
         assert evaluation.window_pvband_nm2 is None
         assert evaluation.worst_corner_l2_nm2 is None
         assert evaluation.worst_corner_epe is None
         assert evaluation.as_dict()["window_pvband_nm2"] is None
 
-    def test_condition_engine_fills_window_columns(self, sim32, kernels32,
+    def test_condition_engine_fills_window_columns(self, engine32, kernels32,
                                                    mask_and_target):
         mask, target = mask_and_target
         engine = LithoEngine.for_conditions(
             kernels32, ConditionSet.grid(defocuses=(0.0, 40.0),
                                          doses=(0.98, 1.02)))
-        evaluation = evaluate_mask(sim32, mask, target, name="window",
+        evaluation = evaluate_mask(engine32, mask, target, name="window",
                                    condition_engine=engine)
         assert evaluation.window_pvband_nm2 is not None
         assert evaluation.window_pvband_nm2 >= 0.0
@@ -97,7 +104,7 @@ class TestEvaluationWindowColumns:
         assert payload["worst_corner_l2_nm2"] == \
             evaluation.worst_corner_l2_nm2
 
-    def test_worst_corner_epe_needs_layout(self, sim32, kernels32, litho32,
+    def test_worst_corner_epe_needs_layout(self, engine32, kernels32, litho32,
                                            mask_and_target):
         from repro.geometry import Layout, Rect
         mask, target = mask_and_target
@@ -108,10 +115,10 @@ class TestEvaluationWindowColumns:
                         name="bar")
         engine = LithoEngine.for_conditions(kernels32,
                                             ConditionSet.dose_corners())
-        without = evaluate_mask(sim32, mask, target, name="no-layout",
+        without = evaluate_mask(engine32, mask, target, name="no-layout",
                                 condition_engine=engine)
         assert without.worst_corner_epe is None
-        with_layout = evaluate_mask(sim32, mask, target, layout=layout,
+        with_layout = evaluate_mask(engine32, mask, target, layout=layout,
                                     name="layout", condition_engine=engine)
         assert with_layout.worst_corner_epe is not None
         assert with_layout.worst_corner_epe >= with_layout.epe_violations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Layout, Rect
-from repro.ilt.gradient import discrete_l2
+from repro.metrics import squared_l2
 from repro.opc import MbOpcConfig, ModelBasedOPC
 
 
@@ -63,13 +63,13 @@ class TestMaskAssembly:
 
 
 class TestOptimize:
-    def test_improves_printability(self, engine, sim64):
+    def test_improves_printability(self, engine, engine64):
         """MB-OPC must beat printing the raw target (the Figure 1
         'conventional flow works' check)."""
         from repro.geometry import rasterize
         layout = _clip()
         target = (rasterize(layout, 64) >= 0.5).astype(float)
-        baseline = discrete_l2(sim64.wafer_image(target), target)
+        baseline = squared_l2(engine64.wafer(target), target)
         result = engine.optimize(layout)
         assert result.l2 < baseline
 

@@ -105,20 +105,20 @@ class TestCleanupMask:
         twice = cleanup_mask(once, PIXEL)
         np.testing.assert_array_equal(once, twice)
 
-    def test_cleanup_barely_affects_printing(self, sim32, litho32):
+    def test_cleanup_barely_affects_printing(self, engine32, litho32):
         """Dropping sub-resolution islands must not change the wafer
         image materially (they do not expose)."""
         from repro.ilt import ILTConfig, ILTOptimizer
         from repro.metrics import squared_l2
         target = _base_mask()
         result = ILTOptimizer(litho32, ILTConfig(max_iterations=60),
-                              kernels=sim32.kernels).optimize(target)
+                              kernels=engine32.kernels).optimize(target)
         # Only remove truly sub-resolution debris (< 5 px); larger ILT
         # islands act as assist features and must be kept.
         config = MrcConfig(min_area=320.0)
         cleaned = cleanup_mask(result.mask, litho32.pixel_nm, config)
-        before = squared_l2(sim32.wafer_image(result.mask), target)
-        after = squared_l2(sim32.wafer_image(cleaned), target)
+        before = squared_l2(engine32.wafer(result.mask), target)
+        after = squared_l2(engine32.wafer(cleaned), target)
         assert after <= before + 8
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Layout, Rect, binarize, rasterize
-from repro.metrics import mask_pv_band, squared_l2
+from repro.metrics import evaluate_mask, squared_l2
 from repro.opc import (SrafConfig, assisted_mask_layout, candidate_bars,
                        insert_srafs)
 
@@ -73,30 +73,32 @@ class TestInsertSrafs:
             for rect in layout.rects:
                 assert bar.gap(rect) >= 80.0 - 1e-9 or bar.gap(rect) == 0.0
 
-    def test_bars_do_not_print(self, sim64):
+    def test_bars_do_not_print(self, engine64):
         """The defining SRAF property: assist bars must stay below the
         resist threshold."""
         clip = _wire_clip()
         bars = insert_srafs(clip)
         assert bars, "expected bars around an isolated wire"
         assisted = binarize(rasterize(assisted_mask_layout(clip), 64))
-        wafer = sim64.wafer_image(assisted)
+        wafer = engine64.wafer(assisted)
         bar_region = binarize(rasterize(Layout(extent=512.0, rects=bars), 64))
         assert (wafer * bar_region).sum() == 0.0
 
-    def test_bars_reduce_pv_band(self, sim64):
+    def test_bars_reduce_pv_band(self, engine64):
         """SRAFs flatten dose sensitivity of isolated features."""
         clip = _wire_clip()
         target = binarize(rasterize(clip, 64))
         assisted = binarize(rasterize(assisted_mask_layout(clip), 64))
-        assert mask_pv_band(sim64, assisted) <= mask_pv_band(sim64, target)
+        assisted_pvb = evaluate_mask(engine64, assisted, target).pvband_nm2
+        plain_pvb = evaluate_mask(engine64, target, target).pvband_nm2
+        assert assisted_pvb <= plain_pvb
 
-    def test_bars_do_not_hurt_nominal_l2(self, sim64):
+    def test_bars_do_not_hurt_nominal_l2(self, engine64):
         clip = _wire_clip()
         target = binarize(rasterize(clip, 64))
         assisted = binarize(rasterize(assisted_mask_layout(clip), 64))
-        plain_l2 = squared_l2(sim64.wafer_image(target), target)
-        sraf_l2 = squared_l2(sim64.wafer_image(assisted), target)
+        plain_l2 = squared_l2(engine64.wafer(target), target)
+        sraf_l2 = squared_l2(engine64.wafer(assisted), target)
         assert sraf_l2 <= plain_l2 + 8
 
     def test_assisted_layout_name(self):

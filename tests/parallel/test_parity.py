@@ -11,10 +11,9 @@ import pytest
 
 from repro.core import GanOpcConfig, GanOpcFlow, MaskGenerator
 from repro.ilt import ILTConfig
-from repro.ilt.batched import BatchedILTOptimizer
 from repro.layoutgen import SyntheticDataset
 from repro.litho import LithoConfig, LithoEngine, build_kernels
-from repro.parallel import parallel_batched_ilt, parallel_ilt, shard_bounds
+from repro.parallel import parallel_ilt
 
 GRID = 32
 ITERS = 10
@@ -88,33 +87,6 @@ class TestParallelILTParity:
         assert result.pool_stats is not None
         assert result.pool_stats.tasks == len(targets)
         assert result.runtime_seconds > 0.0
-
-
-class TestParallelBatchedILTParity:
-    def test_shard_bounds_cover_range(self):
-        for n in (1, 4, 7, 10):
-            for shards in (1, 2, 3, 5, 12):
-                bounds = shard_bounds(n, shards)
-                covered = [i for start, stop in bounds
-                           for i in range(start, stop)]
-                assert covered == list(range(n))
-
-    def test_f64_masks_and_l2_bit_exact(self, litho, targets, ilt_config):
-        serial = BatchedILTOptimizer(litho, ilt_config).optimize(targets)
-        parallel = parallel_batched_ilt(targets, litho, ilt_config,
-                                        workers=2)
-        np.testing.assert_array_equal(parallel.masks, serial.masks)
-        np.testing.assert_array_equal(parallel.l2, serial.l2)
-        assert parallel.iterations == serial.iterations
-        np.testing.assert_allclose(parallel.relaxed_history,
-                                   serial.relaxed_history, rtol=1e-12)
-
-    def test_batched_optimizer_workers_kwarg(self, litho, targets,
-                                             ilt_config):
-        optimizer = BatchedILTOptimizer(litho, ilt_config)
-        serial = optimizer.optimize(targets)
-        parallel = optimizer.optimize(targets, workers=2)
-        np.testing.assert_array_equal(parallel.masks, serial.masks)
 
 
 class TestDatasetParity:

@@ -170,20 +170,34 @@ class TestFlow:
         assert os.path.exists(out)
 
     def test_corners_add_window_metrics(self, clip_file, tmp_path, capsys):
+        import re
+
+        from repro.runs import RunStore
+
         config = GanOpcConfig.small(64)
         generator = MaskGenerator(config.generator_channels,
                                   rng=np.random.default_rng(0))
         ckpt = str(tmp_path / "gen.npz")
         nn.save_state(generator, ckpt)
         out = str(tmp_path / "mask.pgm")
+        store = str(tmp_path / "store")
         assert main(["flow", clip_file, ckpt, "--grid", "64",
                      "--iterations", "5", "--out", out,
                      "--corners", "dose",
-                     "--pw-objective", "weighted"]) == 0
+                     "--pw-objective", "weighted",
+                     "--runs-dir", store]) == 0
         stdout = capsys.readouterr().out
         assert "window_pvband_nm2: " in stdout
         assert "worst_corner_l2_nm2: " in stdout
         assert "window_pvband_nm2: None" not in stdout
+        # The refinement descends the corner engine: the manifest counts
+        # its gradients too, one mask per refinement step.
+        steps = int(re.search(r"\((\d+) steps\)", stdout).group(1))
+        run_store = RunStore(store)
+        (run_id,) = run_store.run_ids()
+        litho = run_store.load(run_id).manifest.summary["litho"]
+        assert steps > 0
+        assert litho["gradient_masks"] == steps
 
 
 class TestProfile:

@@ -1,19 +1,40 @@
-"""Smoke tests: the shipped examples run end to end on tiny grids."""
+"""Smoke tests: every example and benchmark script imports, and the
+shipped examples run end to end on tiny grids."""
 
+import glob
 import importlib.util
 import os
 import sys
 
-EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+EXAMPLES = os.path.join(ROOT, "examples")
+SCRIPTS = sorted(
+    glob.glob(os.path.join(EXAMPLES, "*.py"))
+    + glob.glob(os.path.join(ROOT, "benchmarks", "bench_*.py"))
+    + glob.glob(os.path.join(ROOT, "benchmarks", "check_*.py")))
 
 
-def _load(name):
-    path = os.path.join(EXAMPLES, f"{name}.py")
-    spec = importlib.util.spec_from_file_location(f"examples_{name}", path)
+def _load_path(path, prefix):
+    name = os.path.splitext(os.path.basename(path))[0]
+    spec = importlib.util.spec_from_file_location(f"{prefix}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _load(name):
+    return _load_path(os.path.join(EXAMPLES, f"{name}.py"), "examples")
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=os.path.basename)
+def test_script_loads(path):
+    """Top-level code only (each ``main()`` is guarded): a script that
+    imports a name the package no longer has fails here."""
+    prefix = os.path.basename(os.path.dirname(path))
+    _load_path(path, f"load_{prefix}")
 
 
 def test_process_window_study_smoke(capsys):

@@ -12,12 +12,12 @@ from repro.core import (GanOpcConfig, GanOpcFlow, ILTGuidedPretrainer,
 from repro.geometry import binarize, rasterize
 from repro.ilt import ILTConfig, ILTOptimizer
 from repro.layoutgen import SyntheticDataset
-from repro.litho import LithoSimulator
 from repro.metrics import evaluate_mask, squared_l2
 
 
 class TestEndToEndFlow:
-    def test_pretrain_then_flow_beats_no_opc(self, litho32, kernels32):
+    def test_pretrain_then_flow_beats_no_opc(self, litho32, kernels32,
+                                             engine32):
         """Synthesize -> pretrain -> generate -> refine -> evaluate:
         the complete GAN-OPC pipeline must beat printing the raw
         target."""
@@ -34,9 +34,8 @@ class TestEndToEndFlow:
         flow = GanOpcFlow(generator, litho32,
                           ILTConfig(max_iterations=40, patience=4),
                           kernels=kernels32)
-        simulator = LithoSimulator(litho32, kernels32)
         target = dataset.target(0)
-        no_opc = squared_l2(simulator.wafer_image(target), target)
+        no_opc = squared_l2(engine32.wafer(target), target)
         result = flow.optimize(target)
         assert result.l2 < no_opc
 
@@ -74,7 +73,7 @@ class TestEndToEndFlow:
 
 
 class TestMetricsOverRealMasks:
-    def test_evaluate_ilt_mask_full_report(self, litho64, kernels64, sim64):
+    def test_evaluate_ilt_mask_full_report(self, litho64, kernels64, engine64):
         """ILT output evaluated with every metric, against the vector
         layout (EPE needs geometry, not just rasters)."""
         suite = iccad13_suite(litho64)
@@ -82,10 +81,10 @@ class TestMetricsOverRealMasks:
         target = binarize(rasterize(clip.layout, 64))
         result = ILTOptimizer(litho64, ILTConfig(max_iterations=80),
                               kernels=kernels64).optimize(target)
-        evaluation = evaluate_mask(sim64, result.mask, target,
+        evaluation = evaluate_mask(engine64, result.mask, target,
                                    layout=clip.layout, name=clip.name,
                                    runtime_seconds=result.runtime_seconds)
-        no_opc = evaluate_mask(sim64, target, target, layout=clip.layout)
+        no_opc = evaluate_mask(engine64, target, target, layout=clip.layout)
         assert evaluation.l2_nm2 < no_opc.l2_nm2
         assert evaluation.epe_violations <= no_opc.epe_violations
         assert evaluation.bridge_defects == 0
