@@ -235,7 +235,8 @@ class Table2Result:
         default_factory=dict)
     #: litho-engine counter totals over the whole experiment —
     #: ``forward_calls/masks/seconds`` + ``gradient_*``.  Serial runs
-    #: delta the pipeline engine's stats around the clip loop; parallel
+    #: delta the process-wide ``LithoEngine.stats`` around the clip
+    #: loop (nominal engine and corner stacks alike); parallel
     #: runs sum the per-task deltas every worker ships back, so the
     #: counts reconcile 1:1 with a serial run of the same experiment
     #: (the parity test in ``tests/bench``).
@@ -371,35 +372,6 @@ def _emit_clip_results(logger, result: "Table2Result") -> None:
                 epe_hotspots=evaluation.epe_hotspots)
 
 
-def run_engines(engine: LithoEngine,
-                condition_engine: Optional[LithoEngine],
-                optimizer: ILTOptimizer) -> List[LithoEngine]:
-    """The distinct engines a Table 2 or flow run calls: the nominal
-    one, the corner stack that scores masks, and the corner stack the
-    optimizers descend (``optimizer.conditions``; every optimizer of a
-    run resolves the same conditions to the same memoized engine)."""
-    engines = [engine]
-    descent = (LithoEngine.for_conditions(engine.kernels,
-                                          optimizer.conditions,
-                                          engine.precision)
-               if optimizer.conditions is not None else None)
-    for other in (condition_engine, descent):
-        if other is not None and all(other is not e for e in engines):
-            engines.append(other)
-    return engines
-
-
-def summed_delta(engines: List[LithoEngine],
-                 before: List[Dict[str, float]]) -> Dict[str, float]:
-    """Engine counters summed over ``engines`` since their ``before``
-    snapshots."""
-    totals: Dict[str, float] = {}
-    for engine, snapshot in zip(engines, before):
-        for key, value in engine.stats.delta(snapshot).items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
-
-
 def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                clips: Optional[List[BenchmarkClip]] = None,
                workers: int = 1,
@@ -458,8 +430,7 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     stage_seconds: Dict[str, List[Dict[str, float]]] = {
         "ILT": [], "GAN-OPC": [], "PGAN-OPC": []}
 
-    engines = run_engines(pipeline.engine, condition_engine, ilt)
-    stats_before = [engine.stats.snapshot() for engine in engines]
+    stats_before = LithoEngine.stats.snapshot()
     for clip in clips:
         target = (rasterize(clip.layout, cfg.grid) >= 0.5).astype(float)
 
@@ -497,7 +468,7 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
 
     result = Table2Result(columns=columns, masks=masks, clips=clips,
                           stage_seconds=stage_seconds,
-                          engine_stats=summed_delta(engines, stats_before))
+                          engine_stats=LithoEngine.stats.delta(stats_before))
     result.table = comparison_table(columns, baseline="ILT")
     _emit_clip_results(logger, result)
     return result

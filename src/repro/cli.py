@@ -19,8 +19,8 @@ without writing Python:
   layer and emit a Perfetto-loadable Chrome trace plus per-op tables;
 * ``monitor``    — run a tiled job under live fleet monitoring:
   per-tile progress with ETA, pool utilization, stall/straggler
-  flags, and OpenMetrics exposition (``--metrics-port`` HTTP or
-  ``--metrics-out`` file);
+  flags, and an OpenMetrics file of the finished run
+  (``--metrics-out``);
 * ``runs``       — inspect the run ledger (``list``/``show``/``diff``);
 * ``report``     — render a recorded run to self-contained HTML.
 
@@ -70,13 +70,13 @@ def _trace_to(trace_dir: Optional[str], prefix: str):
               f"(load in https://ui.perfetto.dev)")
 
 
-def _emit_fleet_telemetry(logger, pool_stats, registry=None) -> None:
+def _emit_fleet_telemetry(logger, pool_stats, readings) -> None:
     """Write per-worker telemetry records after a parallel/tiled run.
 
     One ``worker_span_summary`` per worker pid (span + engine-counter
-    merges shipped back through the pool) and, when the pool's metrics
-    ``registry`` holds /proc resource gauges, one ``resource_sample``
-    per pid with its last observed RSS/CPU reading.
+    merges shipped back through the pool) and one ``resource_sample``
+    per pid in ``readings`` (the pool sampler's latest /proc reading
+    per worker, ``WorkerPool.sampler.latest``).
     """
     fleet = pool_stats.fleet
     for pid in sorted(set(pool_stats.task_counts)
@@ -87,22 +87,11 @@ def _emit_fleet_telemetry(logger, pool_stats, registry=None) -> None:
             busy_seconds=pool_stats.busy_seconds.get(pid),
             dropped_spans=fleet.dropped_spans or None,
             litho=fleet.pid_engine.get(pid) or None)
-    if registry is None:
-        return
-    from .obs.export import split_labels
-    per_pid: dict = {}
-    for raw_name, value in registry.snapshot()["gauges"].items():
-        name, labels = split_labels(raw_name)
-        if "pid" in labels and name.startswith("pool.worker."):
-            per_pid.setdefault(int(labels["pid"]), {})[
-                name.rsplit(".", 1)[-1]] = value
-    for pid, values in sorted(per_pid.items()):
-        if "rss_bytes" in values and "cpu_seconds" in values:
-            logger.resource_sample(
-                pid, values["rss_bytes"], values["cpu_seconds"],
-                num_threads=(int(values["threads"])
-                             if "threads" in values else None),
-                cpu_utilization=values.get("cpu_utilization"))
+    for pid, reading in sorted(readings.items()):
+        logger.resource_sample(
+            pid, reading["rss_bytes"], reading["cpu_seconds"],
+            num_threads=int(reading["threads"]),
+            cpu_utilization=reading.get("cpu_utilization"))
 
 
 @contextlib.contextmanager
@@ -273,7 +262,7 @@ def _record_tiled(run, result, method: str) -> None:
         for pid, seconds in stats.stragglers():
             run.logger.anomaly("straggler", pid=pid, seconds=seconds,
                                median_seconds=stats.median_task_seconds())
-        _emit_fleet_telemetry(run.logger, stats)
+        _emit_fleet_telemetry(run.logger, stats, {})
         run.manifest.summary["litho"] = dict(stats.fleet.engine_totals)
     run.manifest.summary.update(
         {"l2_px": float(result.l2),
@@ -409,10 +398,14 @@ def cmd_train(args) -> int:
         nn.load_state(generator, args.init)
     if engine.precision == "f32":
         nn.to_dtype(generator, np.float32)
-    if args.workers > 1 and args.phase in ("gan", "both"):
-        # Reference masks are the serial bottleneck of GAN training;
-        # build them up front across worker processes.
-        print(f"building reference masks with {args.workers} workers ...")
+    if args.phase in ("gan", "both"):
+        # Reference masks are the offline dataset stage and the serial
+        # bottleneck of GAN training: build them up front (across worker
+        # processes when given), so no GAN iteration's wall-clock or
+        # litho counts include reference-mask ILT runs.
+        if args.workers > 1:
+            print(f"building reference masks with {args.workers} "
+                  f"workers ...")
         dataset.precompute(workers=args.workers)
 
     with _run_record(args, "train", litho=litho, conditions=conditions,
@@ -504,9 +497,9 @@ def cmd_train(args) -> int:
 def cmd_flow(args) -> int:
     from . import nn
     from .bench import write_pgm
-    from .bench.harness import run_engines, summed_delta
     from .core import GanOpcConfig, GanOpcFlow, MaskGenerator
     from .ilt import ILTConfig
+    from .litho import LithoEngine
     from .metrics import evaluate_mask
     from .runtime import RunLogger
 
@@ -522,8 +515,8 @@ def cmd_flow(args) -> int:
         nn.load_state(generator, args.checkpoint)
         pool = None
         if args.workers > 1:
-            # Own the pool so its metrics registry (resource samples)
-            # survives the run for telemetry emission below.
+            # Own the pool so its sampler's resource readings survive
+            # the run for telemetry emission below.
             from .parallel import WorkerPool
             from .parallel.flow import generator_payload
             pool = WorkerPool(args.workers, litho_config=litho,
@@ -552,7 +545,7 @@ def cmd_flow(args) -> int:
                             "flow", append=True) as logger:
                         _emit_fleet_telemetry(
                             logger, result.pool_stats,
-                            pool.registry if pool is not None else None)
+                            pool.sampler.latest if pool is not None else {})
         finally:
             if pool is not None:
                 pool.shutdown()
@@ -593,12 +586,10 @@ def cmd_flow(args) -> int:
                                             "stage": "refinement"}
         condition_engine = None
         if conditions is not None:
-            from .litho import LithoEngine
             condition_engine = LithoEngine.for_conditions(engine.kernels,
                                                           conditions,
                                                           engine.precision)
-        engines = run_engines(engine, condition_engine, flow.refiner)
-        stats_before = [counted.stats.snapshot() for counted in engines]
+        stats_before = LithoEngine.stats.snapshot()
         with _trace_to(args.trace_dir, "flow") as tracer:
             result = flow.optimize(target)
             if tracer is not None and logger is not None:
@@ -619,8 +610,8 @@ def cmd_flow(args) -> int:
                     "generation": result.generation_seconds,
                     "refinement": result.refinement_seconds},
                 epe_hotspots=evaluation.epe_hotspots)
-            run.manifest.summary["litho"] = summed_delta(engines,
-                                                         stats_before)
+            run.manifest.summary["litho"] = LithoEngine.stats.delta(
+                stats_before)
             run.add_artifact("mask", args.out)
             run.import_file("clip", args.clip)
     print(f"generation: {result.generation_seconds:.3f}s, "
@@ -638,7 +629,9 @@ def cmd_profile(args) -> int:
     Enables the span tracer and the per-op autograd profiler, runs
     generator inference + ILT refinement on one clip, then prints the
     span/op/module tables and writes the Chrome trace (Perfetto) plus
-    the JSONL span stream under ``--trace-dir``.
+    the JSONL span stream under ``--trace-dir``.  With ``--workers > 1``
+    it also checks that the litho counters of the parent and every
+    worker equal the merged litho span counts, and returns 1 if not.
     """
     import os
     import time
@@ -714,6 +707,7 @@ def cmd_profile(args) -> int:
           f"({result.ilt_result.iterations} steps), l2 {result.l2:.1f}")
     print(f"wall {wall:.3f}s; top-level spans cover "
           f"{100.0 * coverage:.1f}% of wall")
+    mismatched = False
     if pool_stats is not None:
         print()
         print(pool_stats.format_table())
@@ -730,18 +724,13 @@ def cmd_profile(args) -> int:
         print("engine/span reconciliation:")
         for counter, entry in reconcile(combined, merged).items():
             status = "ok" if entry["match"] else "MISMATCH"
+            mismatched = mismatched or not entry["match"]
             print(f"  {counter:>15}: stats {entry['stats']:>6d}  "
                   f"spans {entry['spans']:>6d}  [{status}]")
-    if args.metrics_out:
-        from .obs import default_registry
-        from .obs.export import write_openmetrics
-        write_openmetrics([engine.metrics, default_registry()],
-                          args.metrics_out)
-        print(f"openmetrics exposition written to {args.metrics_out}")
     print(f"chrome trace written to {chrome_path} "
           f"(load in https://ui.perfetto.dev)")
     print(f"span stream written to {spans_path}")
-    return 0
+    return 1 if mismatched else 0
 
 
 def cmd_monitor(args) -> int:
@@ -750,12 +739,11 @@ def cmd_monitor(args) -> int:
     Drives ``tiled_ilt`` (or ``tiled_flow`` with ``--checkpoint``)
     through an explicitly owned :class:`WorkerPool` and renders a live
     status line from the per-tile progress callback: tiles done/total,
-    elapsed, ETA, pool utilization, and watchdog stall count.  The
-    pool's metrics registry (task gauges + /proc resource samples) can
-    be served over HTTP (``--metrics-port``) or written as OpenMetrics
-    text (``--metrics-out``); ``--trace-dir`` captures the merged
-    pid-laned Chrome trace and ``--telemetry-dir`` records
-    ``worker_span_summary``/``resource_sample`` JSONL events.
+    elapsed, ETA, pool utilization, and watchdog stall count.
+    ``--metrics-out`` writes the finished run's pool counts, task times
+    and per-worker /proc readings as OpenMetrics text; ``--trace-dir``
+    captures the merged pid-laned Chrome trace and ``--telemetry-dir``
+    records ``worker_span_summary``/``resource_sample`` JSONL events.
     """
     import os
     import time
@@ -783,12 +771,6 @@ def cmd_monitor(args) -> int:
     pool = WorkerPool(max(args.workers, 1), litho_config=litho,
                       precision=args.precision, state=state,
                       stall_after=args.stall_after)
-    server = None
-    if args.metrics_port is not None:
-        from .obs.export import MetricsServer
-        server = MetricsServer([pool.registry],
-                               port=args.metrics_port).start()
-        print(f"serving metrics at {server.url}")
 
     started = time.perf_counter()
     is_tty = sys.stdout.isatty()
@@ -841,19 +823,19 @@ def cmd_monitor(args) -> int:
                   f"for {event.gap_seconds:.1f}s")
         if args.metrics_out:
             from .obs.export import write_openmetrics
-            write_openmetrics([pool.registry], args.metrics_out)
+            write_openmetrics(pool.stats, pool.sampler.latest,
+                              args.metrics_out)
             print(f"openmetrics exposition written to {args.metrics_out}")
         if args.telemetry_dir:
             from .runtime import RunLogger
             with RunLogger(
                     os.path.join(args.telemetry_dir, "monitor.jsonl"),
                     "monitor") as logger:
-                _emit_fleet_telemetry(logger, pool.stats, pool.registry)
+                _emit_fleet_telemetry(logger, pool.stats,
+                                      pool.sampler.latest)
             print(f"telemetry written to "
                   f"{os.path.join(args.telemetry_dir, 'monitor.jsonl')}")
     finally:
-        if server is not None:
-            server.stop()
         pool.shutdown()
     return 0
 
@@ -1187,9 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-dir", default="profile-trace",
                    help="output directory for trace.json and spans.jsonl")
-    p.add_argument("--metrics-out",
-                   help="write an OpenMetrics text exposition of the "
-                        "engine/default metric registries to this file")
     _add_precision(p)
     _add_workers(p)
     p.set_defaults(func=cmd_profile)
@@ -1211,12 +1190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-every", type=float, default=0.5,
                    help="progress print period in seconds when stdout "
                         "is not a tty (default: 0.5)")
-    p.add_argument("--metrics-port", type=int, default=None,
-                   help="serve OpenMetrics over HTTP on this port while "
-                        "the run is live (0 picks a free port)")
     p.add_argument("--metrics-out",
-                   help="write the final OpenMetrics text exposition of "
-                        "the pool registry to this file")
+                   help="write the finished run's pool task counts, task "
+                        "times and per-worker /proc readings to this "
+                        "file as OpenMetrics text")
     p.add_argument("--telemetry-dir",
                    help="write worker_span_summary/resource_sample JSONL "
                         "telemetry under this directory")

@@ -105,8 +105,7 @@ class GanOpcFlow:
                  refine_iterations: Optional[int] = None) -> FlowResult:
         """Run the full flow on a binary target image."""
         target = np.asarray(target, dtype=float)
-        litho_before = (self.engine.stats.snapshot()
-                        if self.logger is not None else None)
+        litho_before = LithoEngine.stats.snapshot()
 
         start = time.perf_counter()
         with trace.span("flow.generate"):
@@ -117,11 +116,6 @@ class GanOpcFlow:
             ilt_result = self.refiner.optimize(
                 target, initial_mask=generated,
                 max_iterations=refine_iterations)
-        metrics = self.engine.metrics
-        metrics.histogram("flow.generation_seconds").observe(
-            generation_seconds)
-        metrics.histogram("flow.refinement_seconds").observe(
-            ilt_result.runtime_seconds)
 
         if self.logger is not None:
             self.logger.event(
@@ -130,7 +124,7 @@ class GanOpcFlow:
                 refinement_seconds=ilt_result.runtime_seconds,
                 refine_iterations=int(ilt_result.iterations),
                 l2=float(ilt_result.l2),
-                litho=self.engine.stats.delta(litho_before))
+                litho=LithoEngine.stats.delta(litho_before))
 
         return FlowResult(
             mask=ilt_result.mask,

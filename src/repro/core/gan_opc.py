@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.obs import trace
-from repro.obs.registry import default_registry
 
 from .. import nn
 from ..layoutgen.dataset import SyntheticDataset
@@ -105,9 +104,6 @@ class GanOpcTrainer:
                                    lr=self.config.learning_rate_g)
         self.optimizer_d = nn.Adam(discriminator.parameters(),
                                    lr=self.config.learning_rate_d)
-        # Per-phase step timing lands in the process-wide registry (the
-        # trainer owns no nominal litho engine of its own).
-        self.metrics = default_registry()
 
     # ------------------------------------------------------------------
     def generator_step(self, targets: np.ndarray,
@@ -122,7 +118,6 @@ class GanOpcTrainer:
         guarded: a non-finite loss or gradient norm triggers the
         configured divergence policy before any weight is touched.
         """
-        step_started = time.perf_counter()
         with trace.span("gan.generator_step", batch=len(targets)):
             # Feed both networks in the generator's compute dtype; f64
             # targets/labels would otherwise promote every GEMM and the
@@ -172,8 +167,6 @@ class GanOpcTrainer:
                 harness.apply_update({"generator_loss": loss_value},
                                      backward, self.optimizer_g,
                                      tag="generator")
-        self.metrics.histogram("gan.generator_step_seconds").observe(
-            time.perf_counter() - step_started)
 
         diff = fake.data - reference_masks
         l2_sum = float(np.sum(diff * diff) / len(targets))
@@ -185,7 +178,6 @@ class GanOpcTrainer:
                            harness: Optional[TrainingHarness] = None
                            ) -> float:
         """Update D on Eq. 8 (paper objective) or standard BCE."""
-        step_started = time.perf_counter()
         with trace.span("gan.discriminator_step", batch=len(targets)):
             dtype = nn.compute_dtype(self.discriminator)
             target_t = nn.Tensor(np.asarray(targets, dtype=dtype))
@@ -219,8 +211,6 @@ class GanOpcTrainer:
                 harness.apply_update({"discriminator_loss": loss_value},
                                      loss.backward, self.optimizer_d,
                                      tag="discriminator")
-        self.metrics.histogram("gan.discriminator_step_seconds").observe(
-            time.perf_counter() - step_started)
         return loss_value
 
     def train_iteration(self, targets: np.ndarray,

@@ -130,7 +130,6 @@ class ILTGuidedPretrainer:
         litho error or gradient norm triggers the configured divergence
         policy instead of poisoning the generator.
         """
-        step_started = time.perf_counter()
         with trace.span("pretrain.step", batch=len(targets)):
             self.optimizer.zero_grad()
             # Feed the network in its own dtype: an f32 generator must
@@ -160,8 +159,6 @@ class ILTGuidedPretrainer:
                 else:
                     harness.apply_update({"litho_error": error}, backward,
                                          self.optimizer, tag="generator")
-        self.engine.metrics.histogram("pretrain.step_seconds").observe(
-            time.perf_counter() - step_started)
         return error
 
     def train(self, dataset: SyntheticDataset, iterations: int,
@@ -188,7 +185,7 @@ class ILTGuidedPretrainer:
             harness = TrainingHarness(
                 "pretrain", modules={"generator": self.generator},
                 optimizers={"generator": self.optimizer},
-                config=runtime, engine=self.engine)
+                config=runtime)
             start_iteration = harness.begin(rng, series, iterations)
         start = time.perf_counter()
         self.generator.train()

@@ -250,19 +250,12 @@ class ILTOptimizer:
         converged = False
         step = 0
 
-        metrics = self.engine.metrics
-        step_hist = metrics.histogram("ilt.step_seconds")
-        error_hist = metrics.histogram("ilt.relaxed_error", keep_values=True)
-
         for step in range(1, iterations + 1):
-            step_started = time.perf_counter()
             with trace.span("ilt.step", iteration=step):
                 error, grad = self._objective_gradient(params, target)
                 relaxed_history.append(error)
                 velocity = cfg.momentum * velocity - cfg.step_size * grad
                 params = params + velocity
-            step_hist.observe(time.perf_counter() - step_started)
-            error_hist.observe(error)
 
             if step % cfg.eval_interval == 0 or step == iterations:
                 with trace.span("ilt.evaluate", iteration=step):

@@ -88,7 +88,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from repro.obs import trace
-from repro.obs.registry import MetricsRegistry
 from repro.workspace import Workspace
 
 from .conditions import ConditionSet
@@ -124,12 +123,15 @@ def resolve_precision(precision: Optional[str]) -> str:
 
 
 class EngineStats:
-    """Cumulative call counters and wall-clock for one engine instance.
+    """Litho call counters and wall-clock of every engine in the process.
 
-    A facade over the engine's :class:`~repro.obs.MetricsRegistry` —
-    the counters live in the registry (under ``litho.*`` names) and
-    this class preserves the historic attribute / ``snapshot()`` /
-    ``delta()`` API on top of them.
+    One instance is shared by all engines as :attr:`LithoEngine.stats`,
+    so the nominal engine and every ``for_conditions`` corner stack
+    count into the same six plain fields and no caller has to find
+    them.  The engine is driven from one thread per process (see
+    :mod:`repro.workspace`), so updates take no lock.  A forked worker
+    inherits the parent's counts; a :meth:`snapshot` before a task and
+    a :meth:`delta` after it count only the task's own work.
 
     ``forward_*`` counts executions of the *public* aerial-intensity
     pipeline only; the forward pass nested inside each adjoint
@@ -138,68 +140,52 @@ class EngineStats:
     compute time with no double-counting, and the call counters
     reconcile 1:1 with the ``litho.forward`` / ``litho.adjoint`` span
     counts of an active tracer.  ``*_masks`` accumulate batch sizes,
-    so throughput is ``masks / seconds``.  The run telemetry records
-    per-iteration deltas of :meth:`snapshot`.
+    so throughput is ``masks / seconds``.  Calls and masks are ints,
+    seconds floats.
     """
 
-    _INT_FIELDS = ("forward_calls", "forward_masks",
-                   "gradient_calls", "gradient_masks")
-    _FLOAT_FIELDS = ("forward_seconds", "gradient_seconds")
-    _FIELDS = _INT_FIELDS + _FLOAT_FIELDS
+    __slots__ = ("forward_calls", "forward_masks", "forward_seconds",
+                 "gradient_calls", "gradient_masks", "gradient_seconds")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {name: self.registry.counter(f"litho.{name}")
-                          for name in self._FIELDS}
-        self._pairs = tuple(self._counters.items())
-        self._zeros = dict.fromkeys(self._counters, 0.0)
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            value = counters[name].value
-            return int(value) if name in self._INT_FIELDS else value
-        raise AttributeError(name)
+    def __init__(self):
+        self.forward_calls = 0
+        self.forward_masks = 0
+        self.forward_seconds = 0.0
+        self.gradient_calls = 0
+        self.gradient_masks = 0
+        self.gradient_seconds = 0.0
 
     def record_forward(self, masks: int, seconds: float) -> None:
-        self._counters["forward_calls"].inc()
-        self._counters["forward_masks"].inc(masks)
-        self._counters["forward_seconds"].inc(seconds)
+        self.forward_calls += 1
+        self.forward_masks += masks
+        self.forward_seconds += seconds
 
     def record_gradient(self, masks: int, seconds: float) -> None:
-        self._counters["gradient_calls"].inc()
-        self._counters["gradient_masks"].inc(masks)
-        self._counters["gradient_seconds"].inc(seconds)
+        self.gradient_calls += 1
+        self.gradient_masks += masks
+        self.gradient_seconds += seconds
 
     def snapshot(self) -> Dict[str, float]:
-        """Plain-dict copy (for telemetry deltas and assertions); call
-        and mask counts come back as ints.  Reads the registry counters
-        directly rather than through ``__getattr__``."""
-        snap = {name: counter.value
-                for name, counter in self._counters.items()}
-        for name in self._INT_FIELDS:
-            snap[name] = int(snap[name])
-        return snap
+        """Plain-dict copy of the six counters."""
+        return {"forward_calls": self.forward_calls,
+                "forward_masks": self.forward_masks,
+                "forward_seconds": self.forward_seconds,
+                "gradient_calls": self.gradient_calls,
+                "gradient_masks": self.gradient_masks,
+                "gradient_seconds": self.gradient_seconds}
 
-    def since(self, baseline: Dict[str, float]) -> Dict[str, float]:
-        """Raw float growth of every counter since ``baseline`` (an
-        earlier :meth:`snapshot`) in one pass over a prebuilt
-        ``(name, counter)`` tuple — cheap enough for the worker pool to
-        take twice per task.  Filling a copy of a prebuilt dict of the
-        names skips the resizes of growing a new one."""
-        grown = self._zeros.copy()
-        for name, counter in self._pairs:
-            grown[name] = counter.value - baseline[name]
-        return grown
-
-    def delta(self, previous: Dict[str, float]) -> Dict[str, float]:
-        """Per-field difference against an earlier :meth:`snapshot`."""
-        now = self.snapshot()
-        return {key: now[key] - previous.get(key, 0) for key in now}
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
+    def delta(self, before: Dict[str, float]) -> Dict[str, float]:
+        """Growth of every counter since ``before`` (a :meth:`snapshot`)."""
+        return {"forward_calls": self.forward_calls - before["forward_calls"],
+                "forward_masks": self.forward_masks - before["forward_masks"],
+                "forward_seconds":
+                    self.forward_seconds - before["forward_seconds"],
+                "gradient_calls":
+                    self.gradient_calls - before["gradient_calls"],
+                "gradient_masks":
+                    self.gradient_masks - before["gradient_masks"],
+                "gradient_seconds":
+                    self.gradient_seconds - before["gradient_seconds"]}
 
 
 def real_spectrum(masks: np.ndarray) -> np.ndarray:
@@ -463,7 +449,13 @@ class LithoEngine:
     array for batches.  The ``condition_*`` methods add a corner axis
     ``C`` directly after the batch axis (or in front, for single
     masks).
+
+    Every engine counts its public forward and adjoint calls into the
+    one process-wide :attr:`stats`.
     """
+
+    #: litho work of every engine in this process
+    stats = EngineStats()
 
     def __init__(self, config: Optional[LithoConfig] = None,
                  kernels: Optional[KernelSet] = None,
@@ -490,8 +482,6 @@ class LithoEngine:
         self._condition_plan: Optional[Tuple[_KernelStack, _Corners]] = None
 
         self.workspace = Workspace()
-        self.metrics = MetricsRegistry()
-        self.stats = EngineStats(self.metrics)
 
     def _stack(self, tag: str, kernel_sets: List[KernelSet]) -> _KernelStack:
         return _KernelStack(tag, kernel_sets, self._rdtype, self._cdtype)

@@ -80,9 +80,10 @@ class TaskTelemetry:
 
     ``spans`` is bounded (see :func:`span_cap`); ``span_summary`` is
     always the complete per-name aggregate.  ``engine_delta`` is the
-    task's change in the worker's warm-engine litho counters and ships
-    with *every* task (six floats), tracing enabled or not — it is
-    what lets ``repro table2 --workers N`` reconcile with serial runs.
+    task's change in the worker's process-wide litho counters
+    (``LithoEngine.stats``) and ships with *every* task (six numbers),
+    tracing enabled or not — it is what lets ``repro table2 --workers
+    N`` reconcile with serial runs.
     """
 
     pid: int = 0
@@ -180,7 +181,6 @@ class FleetTelemetry:
     engine_totals: Dict[str, float] = field(
         default_factory=lambda: {name: 0.0 for name in ENGINE_FIELDS})
     span_summary: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    span_counts: Dict[int, int] = field(default_factory=dict)
     op_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     module_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: per-worker breakdowns (keyed by pid) of the two merges above —
@@ -203,10 +203,6 @@ class FleetTelemetry:
                 pid_totals[name] = pid_totals.get(name, 0.0) + value
         _merge_numeric(self.span_summary, telemetry.span_summary)
         if telemetry.span_summary:
-            counted = sum(int(entry.get("count", 0))
-                          for entry in telemetry.span_summary.values())
-            self.span_counts[telemetry.pid] = (
-                self.span_counts.get(telemetry.pid, 0) + counted)
             _merge_numeric(
                 self.pid_span_summary.setdefault(telemetry.pid, {}),
                 telemetry.span_summary)

@@ -1,68 +1,40 @@
-"""OpenMetrics / Prometheus text exposition for metrics registries.
+"""OpenMetrics text file of a finished worker-pool run.
 
-:func:`render_openmetrics` turns any
-:class:`~repro.obs.registry.MetricsRegistry` snapshot into the
-OpenMetrics text format (the superset Prometheus scrapes):
+:func:`render_openmetrics` turns a pool's
+:class:`~repro.parallel.pool.PoolStats` and the latest per-worker
+/proc readings of its :class:`~repro.obs.health.ResourceSampler` into
+the OpenMetrics text format (the superset Prometheus scrapes):
 
-* metric names are sanitised to ``[a-zA-Z0-9_:]`` and prefixed
-  (``repro_`` by default) — ``litho.forward_seconds`` becomes
-  ``repro_litho_forward_seconds``;
-* a ``|key=value,key=value`` suffix on a registry metric name becomes
-  the label set (the convention the resource sampler uses for per-pid
-  gauges: ``pool.worker.rss_bytes|pid=123`` renders as
-  ``repro_pool_worker_rss_bytes{pid="123"}``);
-* counters get the mandated ``_total`` sample suffix; histograms
-  render as summaries (``_count``/``_sum``) plus ``_min``/``_max``
-  gauges (the registry keeps streaming extrema, not buckets);
-* the exposition ends with ``# EOF`` as OpenMetrics requires.
+* gauges ``repro_pool_tasks_total``, ``repro_pool_tasks_done`` and
+  ``repro_pool_utilization``;
+* the ``repro_pool_task_seconds`` summary (``_count``/``_sum``) with
+  ``repro_pool_task_seconds_min``/``_max`` gauges;
+* per-worker gauges ``repro_pool_worker_<field>{pid="N"}`` for
+  ``rss_bytes``, ``cpu_seconds``, ``threads`` and ``cpu_utilization``.
 
-Serve it two ways: :func:`write_openmetrics` for a scrape file, or
-:class:`MetricsServer` for a real ``GET /metrics`` endpoint on a
-background thread (the CLI's ``--metrics-port``).
+Families come sorted by name, each sample carries its family's name
+plus a suffix its type allows, and the text ends with ``# EOF`` as
+OpenMetrics requires.  :func:`write_openmetrics` writes the file that
+``repro monitor --metrics-out`` leaves (e.g. for node-exporter's
+textfile collector).
 """
 
 from __future__ import annotations
 
+import os
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from .registry import MetricsRegistry
+from typing import Dict, List, Tuple
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
-CONTENT_TYPE = ("application/openmetrics-text; version=1.0.0; "
-                "charset=utf-8")
+#: per-worker reading fields, as :class:`ResourceSampler` keys them
+_WORKER_FIELDS = ("rss_bytes", "cpu_seconds", "threads", "cpu_utilization")
 
 
-def split_labels(raw_name: str) -> Tuple[str, Dict[str, str]]:
-    """Split a registry metric name into (base name, label dict)."""
-    if "|" not in raw_name:
-        return raw_name, {}
-    base, _, suffix = raw_name.partition("|")
-    labels: Dict[str, str] = {}
-    for pair in suffix.split(","):
-        key, _, value = pair.partition("=")
-        if key:
-            labels[key.strip()] = value.strip()
-    return base, labels
-
-
-def metric_name(raw: str, prefix: str = "repro") -> str:
-    """Sanitised exposition name: prefix + ``[a-zA-Z0-9_:]`` only."""
-    cleaned = _NAME_RE.sub("_", raw.strip())
-    if prefix:
-        return f"{prefix}_{cleaned}"
-    return cleaned
-
-
-def _labels_text(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{value}"'
-                     for key, value in sorted(labels.items()))
-    return "{" + inner + "}"
+def metric_name(raw: str) -> str:
+    """Exposition name: ``repro_`` plus ``raw`` with every character
+    outside ``[a-zA-Z0-9_:]`` replaced by ``_``."""
+    return "repro_" + _NAME_RE.sub("_", raw.strip())
 
 
 def _format_value(value: float) -> str:
@@ -71,141 +43,45 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-class _Family:
-    """One metric family: type line plus accumulated samples."""
+def render_openmetrics(pool_stats,
+                       workers: Dict[int, Dict[str, float]]) -> str:
+    """OpenMetrics text for a finished pool run.
 
-    def __init__(self, name: str, kind: str):
-        self.name = name
-        self.kind = kind
-        self.samples: List[str] = []
-
-
-def _families_from_snapshot(snapshot: Dict[str, Dict],
-                            prefix: str) -> Dict[str, _Family]:
-    families: Dict[str, _Family] = {}
-
-    def family(name: str, kind: str) -> _Family:
-        entry = families.get(name)
-        if entry is None:
-            entry = families[name] = _Family(name, kind)
-        return entry
-
-    for raw, value in snapshot.get("counters", {}).items():
-        base, labels = split_labels(raw)
-        name = metric_name(base, prefix)
-        family(name, "counter").samples.append(
-            f"{name}_total{_labels_text(labels)} {_format_value(value)}")
-    for raw, value in snapshot.get("gauges", {}).items():
-        base, labels = split_labels(raw)
-        name = metric_name(base, prefix)
-        family(name, "gauge").samples.append(
-            f"{name}{_labels_text(labels)} {_format_value(value)}")
-    for raw, summary in snapshot.get("histograms", {}).items():
-        base, labels = split_labels(raw)
-        name = metric_name(base, prefix)
-        entry = family(name, "summary")
-        text = _labels_text(labels)
-        entry.samples.append(
-            f"{name}_count{text} {_format_value(summary.get('count', 0))}")
-        entry.samples.append(
-            f"{name}_sum{text} {_format_value(summary.get('sum', 0.0))}")
-        for extremum in ("min", "max"):
-            extremum_name = f"{name}_{extremum}"
-            family(extremum_name, "gauge").samples.append(
-                f"{extremum_name}{text} "
-                f"{_format_value(summary.get(extremum, 0.0))}")
-    return families
-
-
-def render_openmetrics(registries: "MetricsRegistry | Iterable",
-                       prefix: str = "repro") -> str:
-    """OpenMetrics text for one registry or an iterable of them."""
-    if isinstance(registries, MetricsRegistry):
-        registries = [registries]
-    merged: Dict[str, _Family] = {}
-    for registry in registries:
-        for name, fam in _families_from_snapshot(
-                registry.snapshot(), prefix).items():
-            entry = merged.get(name)
-            if entry is None:
-                merged[name] = fam
-            else:
-                entry.samples.extend(fam.samples)
+    ``pool_stats`` is the pool's ``PoolStats``; ``workers`` maps each
+    worker pid to its latest reading (``ResourceSampler.latest``).
+    The file is written after the run, so every submitted task is done.
+    """
+    seconds = [elapsed for _, elapsed in pool_stats.task_records]
+    # family -> (type, [(name suffix or label set, value)])
+    families: Dict[str, Tuple[str, List[Tuple[str, float]]]] = {
+        "pool.tasks_total": ("gauge", [("", pool_stats.tasks)]),
+        "pool.tasks_done": ("gauge", [("", pool_stats.tasks)]),
+        "pool.utilization": ("gauge", [("", pool_stats.utilization())]),
+        "pool.task_seconds": ("summary", [("_count", len(seconds)),
+                                          ("_sum", sum(seconds))]),
+        "pool.task_seconds_min": ("gauge", [("", min(seconds, default=0))]),
+        "pool.task_seconds_max": ("gauge", [("", max(seconds, default=0))]),
+    }
+    for field in _WORKER_FIELDS:
+        samples = [(f'{{pid="{pid}"}}', reading[field])
+                   for pid, reading in sorted(workers.items())
+                   if field in reading]
+        if samples:
+            families[f"pool.worker.{field}"] = ("gauge", samples)
     lines: List[str] = []
-    for name in sorted(merged):
-        fam = merged[name]
-        lines.append(f"# TYPE {fam.name} {fam.kind}")
-        lines.extend(fam.samples)
+    for name, (kind, samples) in sorted(
+            (metric_name(raw), family) for raw, family in families.items()):
+        lines.append(f"# TYPE {name} {kind}")
+        lines.extend(f"{name}{suffix} {_format_value(value)}"
+                     for suffix, value in samples)
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 
 
-def write_openmetrics(registries, path: str, prefix: str = "repro") -> str:
-    """Write the exposition to ``path`` (scrape-file mode); returns it."""
-    import os
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+def write_openmetrics(pool_stats, workers: Dict[int, Dict[str, float]],
+                      path: str) -> str:
+    """Write :func:`render_openmetrics` to ``path``; returns the path."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_openmetrics(registries, prefix=prefix))
+        fh.write(render_openmetrics(pool_stats, workers))
     return path
-
-
-class MetricsServer:
-    """Background ``GET /metrics`` endpoint over live registries.
-
-    Registries are re-snapshotted per request, so scrapes always see
-    current values.  ``port=0`` binds an ephemeral port (tests);
-    :attr:`port` reports the bound one.
-    """
-
-    def __init__(self, registries, host: str = "127.0.0.1",
-                 port: int = 0, prefix: str = "repro"):
-        if isinstance(registries, MetricsRegistry):
-            registries = [registries]
-        self.registries = list(registries)
-        self.prefix = prefix
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - BaseHTTPRequestHandler API
-                body = render_openmetrics(
-                    server.registries, prefix=server.prefix).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # silence per-request stderr
-                pass
-
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
-        self.host = host
-        self.port = int(self._httpd.server_address[1])
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="repro-metrics",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

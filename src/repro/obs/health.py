@@ -16,11 +16,9 @@ Three cooperating pieces, all stdlib-only:
   from per-task durations — see ``PoolStats.stragglers``.
 * :class:`ResourceSampler` — reads ``/proc/<pid>/statm`` (RSS) and
   ``/proc/<pid>/stat`` (utime+stime, thread count) for each live
-  worker and records per-pid gauges (``pool.worker.rss_bytes|pid=N``
-  — the ``|key=value`` suffix becomes an OpenMetrics label, see
-  :mod:`repro.obs.export`) plus fleet-wide histograms into a
-  :class:`~repro.obs.registry.MetricsRegistry`.  A no-op on platforms
-  without procfs (:func:`proc_available`).
+  worker and keeps the latest reading per pid in
+  :attr:`ResourceSampler.latest` (what ``repro monitor`` exports and
+  logs).  A no-op on platforms without procfs (:func:`proc_available`).
 
 Worker attachment to the board is excluded from the multiprocessing
 resource tracker (the bpo-38119 rule, same as ``repro.parallel.shm``):
@@ -35,8 +33,6 @@ import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional
-
-from .registry import MetricsRegistry
 
 _SLOT_FIELDS = 4  # pid, beat_ts (wall clock), task_seq, task_active
 _FIELD_BYTES = 8
@@ -308,19 +304,17 @@ def read_proc_sample(pid: int) -> Optional[ResourceSample]:
 
 
 class ResourceSampler:
-    """Records per-worker /proc samples into a metrics registry.
+    """Keeps the latest /proc reading of each worker.
 
-    Per-pid last values land in gauges named with an OpenMetrics label
-    suffix (``pool.worker.rss_bytes|pid=123``); fleet distributions
-    land in histograms (``pool.worker.rss_bytes``).  CPU *utilization*
-    between consecutive samples is derived from the cumulative CPU
-    delta over the wall delta and recorded the same two ways.
+    :attr:`latest` maps pid to ``{"rss_bytes", "cpu_seconds",
+    "threads"}`` plus, from a worker's second reading on,
+    ``"cpu_utilization"``: the CPU-seconds delta over the wall delta
+    between its last two readings.  Each reading replaces the pid's
+    dict whole, so a reader on another thread never sees half of one.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "pool.worker"):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
+    def __init__(self):
+        self.latest: Dict[int, Dict[str, float]] = {}
         self._last: Dict[int, tuple] = {}  # pid -> (wall, cpu_seconds)
 
     def sample(self, pids: List[int]) -> List[ResourceSample]:
@@ -338,16 +332,11 @@ class ResourceSampler:
         return samples
 
     def _record(self, s: ResourceSample, now: float) -> None:
-        reg, pre = self.registry, self.prefix
-        reg.gauge(f"{pre}.rss_bytes|pid={s.pid}").set(s.rss_bytes)
-        reg.gauge(f"{pre}.cpu_seconds|pid={s.pid}").set(s.cpu_seconds)
-        reg.gauge(f"{pre}.threads|pid={s.pid}").set(s.num_threads)
-        reg.histogram(f"{pre}.rss_bytes").observe(s.rss_bytes)
+        reading = {"rss_bytes": s.rss_bytes, "cpu_seconds": s.cpu_seconds,
+                   "threads": float(s.num_threads)}
         previous = self._last.get(s.pid)
         self._last[s.pid] = (now, s.cpu_seconds)
-        if previous is not None:
-            wall = now - previous[0]
-            if wall > 0:
-                util = max(0.0, (s.cpu_seconds - previous[1]) / wall)
-                reg.gauge(f"{pre}.cpu_utilization|pid={s.pid}").set(util)
-                reg.histogram(f"{pre}.cpu_utilization").observe(util)
+        if previous is not None and now > previous[0]:
+            reading["cpu_utilization"] = max(
+                0.0, (s.cpu_seconds - previous[1]) / (now - previous[0]))
+        self.latest[s.pid] = reading

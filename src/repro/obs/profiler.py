@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 # ----------------------------------------------------------------------
@@ -287,19 +287,3 @@ def disable() -> Optional[Profiler]:
 def active() -> Optional[Profiler]:
     return ACTIVE
 
-
-def timed(name: str, flops_and_bytes: Optional[Tuple[int, int]] = None):
-    """Decorator variant used by non-tensor helpers (rarely needed)."""
-    def wrap(fn):
-        def wrapped(*args, **kwargs):
-            prof = ACTIVE
-            if prof is None:
-                return fn(*args, **kwargs)
-            started = time.perf_counter()
-            out = fn(*args, **kwargs)
-            flops, nbytes = flops_and_bytes or (0, 0)
-            prof.record(name, time.perf_counter() - started,
-                        flops=flops, nbytes=nbytes)
-            return out
-        return wrapped
-    return wrap

@@ -27,8 +27,7 @@ from ..ilt.optimizer import ILTConfig, ILTOptimizer, ILTResult
 from ..litho.conditions import ConditionSet
 from ..litho.config import LithoConfig
 from ..litho.engine import LithoEngine
-from .pool import (WorkerPool, attach_array, register_engine,
-                   worker_engine, worker_state)
+from .pool import WorkerPool, attach_array, worker_engine, worker_state
 from .shm import ShmSpec, SharedArray
 
 
@@ -80,7 +79,6 @@ def _table2_clip_task(slot: int, masks_spec: ShmSpec, grid: int,
                       conditions: Optional[ConditionSet] = None,
                       pw_objective: str = "nominal"):
     """Evaluate ILT / GAN-OPC / PGAN-OPC on one benchmark clip."""
-    from ..bench.harness import run_engines
     from ..geometry.raster import rasterize
     from ..metrics.report import evaluate_mask
 
@@ -100,8 +98,6 @@ def _table2_clip_task(slot: int, masks_spec: ShmSpec, grid: int,
                        ILTConfig(max_iterations=ilt_iterations,
                                  pw_objective=pw_objective),
                        engine=engine, conditions=conditions)
-    for counted in run_engines(engine, condition_engine, ilt)[1:]:
-        register_engine(counted)
     started = time.perf_counter()
     ilt_result = ilt.optimize(target)
     ilt_runtime = time.perf_counter() - started

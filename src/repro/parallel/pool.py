@@ -19,9 +19,10 @@ with the conventions every parallel workload in this repo shares:
   ``os._exit``) surfaces promptly as :class:`WorkerCrashError` instead
   of hanging the parent.
 * **observability** — every :meth:`WorkerPool.map` runs under a
-  ``parallel.map`` span.  Each task ships back its engine-counter
-  delta (always) and, when the parent is tracing, its finished spans
-  and profiler tables as a bounded
+  ``parallel.map`` span.  Each task ships back its delta of the
+  worker's process-wide litho counters (``LithoEngine.stats``, always)
+  and, when the parent is tracing, its finished spans and profiler
+  tables as a bounded
   :class:`~repro.obs.aggregate.TaskTelemetry`; the parent merges
   these into :class:`PoolStats` (fleet engine/span/op totals) and
   deposits worker spans into the active tracer so ``--trace-dir``
@@ -30,10 +31,9 @@ with the conventions every parallel workload in this repo shares:
   (per-task beacons + a daemon beat thread); while a ``map`` is in
   flight a parent watchdog flags active tasks silent past
   ``stall_after`` seconds into :attr:`PoolStats.stalls`, and a /proc
-  resource sampler records per-worker RSS/CPU into the pool's
-  :class:`~repro.obs.MetricsRegistry`.  Stragglers (tasks slower
-  than k×median) are available post-hoc via
-  :meth:`PoolStats.stragglers`.
+  resource sampler keeps each worker's latest RSS/CPU reading in
+  :attr:`WorkerPool.sampler`.  Stragglers (tasks slower than
+  k×median) are available post-hoc via :meth:`PoolStats.stragglers`.
 
 Task functions must be module-level (picklable); per-task arguments
 should be small — ship arrays through shared memory, not arguments.
@@ -52,9 +52,8 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
                     Tuple)
 
-from repro.obs import MetricsRegistry, profiler, trace
+from repro.obs import profiler, trace
 from repro.obs import aggregate as obs_aggregate
-from repro.obs import health as obs_health
 from repro.obs.aggregate import FleetTelemetry, TaskTelemetry
 from repro.obs.health import (HeartbeatBoard, ResourceSampler, StallEvent,
                               Watchdog, WorkerHeartbeat)
@@ -63,8 +62,6 @@ from ..litho.config import LithoConfig
 from ..litho.engine import LithoEngine, resolve_precision
 from ..litho.kernels import build_kernels
 from .shm import ShmSpec, SharedArray
-
-HEALTH_ENV = "REPRO_POOL_HEALTH"
 
 #: ``progress`` callback signature for :meth:`WorkerPool.map`:
 #: ``(done, total, pid, seconds)`` after every finished task.
@@ -91,7 +88,6 @@ _WORKER_STATE: Dict[str, Any] = {
     "precision": None,
     "state": None,
     "arrays": {},
-    "engines": [],
     "heartbeat": None,
 }
 
@@ -111,7 +107,6 @@ def _worker_init(litho_config: Optional[LithoConfig], precision: str,
     _WORKER_STATE["precision"] = precision
     _WORKER_STATE["state"] = state
     _WORKER_STATE["arrays"] = {}
-    _WORKER_STATE["engines"] = []
     _WORKER_STATE["heartbeat"] = None
     if heartbeat is not None:
         name, capacity, interval = heartbeat
@@ -123,35 +118,14 @@ def _worker_init(litho_config: Optional[LithoConfig], precision: str,
 
 
 def worker_engine(litho_config: Optional[LithoConfig] = None) -> LithoEngine:
-    """The warm per-process engine for the pool's (or given) config.
-
-    Engines handed out here are registered so :func:`_run_task` can
-    snapshot their litho counters around each task and ship the delta
-    back to the parent (``for_kernels`` memoizes, so the same warm
-    engine — and its cumulative stats — persists across tasks).
-    """
+    """The warm per-process engine for the pool's (or given) config
+    (``for_kernels`` memoizes, so the same engine persists across
+    tasks)."""
     config = litho_config or _WORKER_STATE["litho_config"]
     if config is None:
         raise RuntimeError("pool has no litho config and none was given")
-    return register_engine(LithoEngine.for_kernels(
-        build_kernels(config), precision=_WORKER_STATE["precision"]))
-
-
-def register_engine(engine: LithoEngine) -> LithoEngine:
-    """Count ``engine``'s litho calls in this worker's task deltas.
-
-    Tasks that reach a second engine (a process-window corner stack
-    from :meth:`LithoEngine.for_conditions`) register it here, so the
-    parent's fleet totals include its work.  Registering an engine
-    twice is a no-op.
-    """
-    engines = _WORKER_STATE["engines"]
-    if all(existing is not engine for existing, _ in engines):
-        # Under ``fork`` the memoized engine is inherited with the
-        # parent's accumulated counters; baseline them at registration
-        # so shipped deltas count only work done in *this* process.
-        engines.append((engine, dict(engine.stats.snapshot())))
-    return engine
+    return LithoEngine.for_kernels(build_kernels(config),
+                                   precision=_WORKER_STATE["precision"])
 
 
 def worker_state() -> Any:
@@ -168,39 +142,23 @@ def attach_array(spec: ShmSpec):
     return shared.array
 
 
-def _engine_totals() -> Dict[str, float]:
-    """Summed litho-counter snapshot over this worker's warm engines.
-
-    Each engine's registration-time baseline is subtracted, so totals
-    reflect only calls made in this worker process.  Most workers hold
-    one engine, whose growth is the total as it stands.
-    """
-    engines = _WORKER_STATE["engines"]
-    if len(engines) == 1:
-        engine, baseline = engines[0]
-        return engine.stats.since(baseline)
-    totals: Dict[str, float] = {}
-    for engine, baseline in engines:
-        grown = engine.stats.since(baseline)
-        totals = ({name: totals[name] + value
-                   for name, value in grown.items()} if totals else grown)
-    return totals
-
-
 def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool = False
               ) -> Tuple:
     """Worker-side wrapper: time the task, capture failures + telemetry.
 
     Failures come back as data (not raised) so the parent never trips
     over an exception type that does not survive pickling.  Every
-    report carries a :class:`TaskTelemetry`: the engine-counter delta
-    always ships (six floats); spans and profiler tables ship only
-    when ``ship_telemetry`` (the parent was tracing at submit time).
+    report carries a :class:`TaskTelemetry`: the task's delta of the
+    process-wide litho counters always ships (a forked worker inherits
+    the parent's counts, which the delta cancels); spans and profiler
+    tables ship only when ``ship_telemetry`` (the parent was tracing
+    at submit time).
     """
     heartbeat = _WORKER_STATE["heartbeat"]
     if heartbeat is not None:
         heartbeat.task_started()
-    before = _engine_totals()
+    litho = LithoEngine.stats
+    before = litho.snapshot()
     tracer = prof = None
     if ship_telemetry:
         tracer = trace.enable(trace.Tracer())
@@ -219,9 +177,8 @@ def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool = False
             trace.disable()
             profiler.disable()
     seconds = time.perf_counter() - started
-    after = _engine_totals()
-    delta = {name: after[name] - before.get(name, 0.0) for name in after}
-    telemetry = obs_aggregate.capture_task(tracer, prof, delta, seconds)
+    telemetry = obs_aggregate.capture_task(tracer, prof, litho.delta(before),
+                                           seconds)
     if heartbeat is not None:
         heartbeat.task_finished()
     if failure is not None:
@@ -330,10 +287,6 @@ def default_context() -> str:
     return "spawn"
 
 
-def _health_default() -> bool:
-    return os.environ.get(HEALTH_ENV, "1") not in ("0", "off", "no", "")
-
-
 class WorkerPool:
     """Fixed-size process pool for independent litho/ILT work items.
 
@@ -351,21 +304,18 @@ class WorkerPool:
         weights for the flow/Table-2 workloads).
     context:
         ``multiprocessing`` start-method name; default prefers ``fork``.
-    telemetry:
-        ``True``/``False`` forces span+profiler shipping per task on or
-        off; ``None`` (default) ships whenever the parent has an active
-        tracer at :meth:`map` time.  Engine-counter deltas always ship.
     health:
-        Heartbeat board + watchdog + /proc sampler.  ``None`` follows
-        ``REPRO_POOL_HEALTH`` (default on).
+        Heartbeat board + watchdog + /proc sampler (default on).
     stall_after:
         Watchdog threshold: an *active* task whose heartbeat is older
         than this many seconds is flagged into :attr:`PoolStats.stalls`.
     heartbeat_interval:
         Worker beat (and parent scan) period in seconds.
-    registry:
-        Metrics registry for pool gauges and resource samples; a fresh
-        one per pool by default (export via ``repro.obs.export``).
+
+    Spans and profiler tables ship back per task whenever the parent
+    has an active tracer at :meth:`map` time; litho-counter deltas
+    always ship.  :attr:`sampler` holds each worker's latest /proc
+    reading (export via ``repro.obs.export``).
     """
 
     def __init__(self, workers: int,
@@ -373,11 +323,9 @@ class WorkerPool:
                  precision: Optional[str] = None,
                  state: Any = None,
                  context: Optional[str] = None,
-                 telemetry: Optional[bool] = None,
-                 health: Optional[bool] = None,
+                 health: bool = True,
                  stall_after: float = 5.0,
-                 heartbeat_interval: float = 0.25,
-                 registry: Optional[MetricsRegistry] = None):
+                 heartbeat_interval: float = 0.25):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
@@ -385,11 +333,10 @@ class WorkerPool:
         self.precision = resolve_precision(precision)
         self.state = state
         self.context = context or default_context()
-        self.telemetry = telemetry
-        self.health = _health_default() if health is None else bool(health)
+        self.health = bool(health)
         self.stall_after = float(stall_after)
         self.heartbeat_interval = float(heartbeat_interval)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.sampler = ResourceSampler()
         self.stats = PoolStats(workers=self.workers)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._board: Optional[HeartbeatBoard] = None
@@ -409,13 +356,11 @@ class WorkerPool:
                 if self._board is not None:
                     heartbeat_spec = (self._board.name, self._board.capacity,
                                       self.heartbeat_interval)
-                    sampler = (ResourceSampler(self.registry)
-                               if obs_health.proc_available() else None)
                     self._watchdog = Watchdog(
                         self._board, stall_after=self.stall_after,
                         interval=self.heartbeat_interval,
                         on_stall=self.stats.record_stall,
-                        sampler=sampler)
+                        sampler=self.sampler)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context(self.context),
@@ -453,12 +398,8 @@ class WorkerPool:
         """
         items = list(items)
         executor = self._ensure_executor()
-        ship = (trace.is_enabled() if self.telemetry is None
-                else bool(self.telemetry))
+        ship = trace.is_enabled()
         total = len(items)
-        self.registry.gauge("pool.tasks_total").set(
-            self.registry.gauge("pool.tasks_total").value + total)
-        done_gauge = self.registry.gauge("pool.tasks_done")
         started = time.perf_counter()
         futures: Dict[Any, int] = {}
         results: List[Any] = [None] * total
@@ -482,9 +423,6 @@ class WorkerPool:
                     self._absorb(pid, seconds, telemetry)
                     results[futures[future]] = value
                     done += 1
-                    done_gauge.set(done_gauge.value + 1)
-                    self.registry.histogram(
-                        "pool.task_seconds").observe(seconds)
                     if progress is not None:
                         progress(done, total, pid, seconds)
             except BrokenProcessPool as exc:
@@ -497,8 +435,6 @@ class WorkerPool:
                 if self._watchdog is not None:
                     self._watchdog.stop()
                 self.stats.wall_seconds += time.perf_counter() - started
-                self.registry.gauge("pool.utilization").set(
-                    self.stats.utilization())
         return results
 
     # ------------------------------------------------------------------

@@ -12,7 +12,9 @@ Algorithm 2) with the three substrate services in one place:
   plus optional global gradient-norm clipping;
 * **telemetry** — structured JSONL records via
   :class:`~repro.runtime.telemetry.RunLogger`, including per-iteration
-  wall-clock and :class:`~repro.litho.engine.LithoEngine` call deltas.
+  wall-clock and the iteration's delta of the process-wide litho
+  counters (:attr:`~repro.litho.engine.LithoEngine.stats`), so every
+  engine the phase reaches — nominal or corner stack — is counted.
 
 The trainers call four hooks: ``begin`` (once), ``begin_iteration`` /
 ``end_iteration`` (per loop body) and ``finish`` (once); weight updates
@@ -33,6 +35,7 @@ import numpy as np
 
 from repro.obs import trace
 
+from ..litho.engine import LithoEngine
 from ..nn.modules import Module
 from ..nn.optim import Optimizer, clip_grad_norm_
 from .checkpoint import Checkpointer, capture_state, restore_state
@@ -110,13 +113,11 @@ class TrainingHarness:
 
     def __init__(self, phase: str, modules: Dict[str, Module],
                  optimizers: Dict[str, Optimizer],
-                 config: Optional[RunConfig] = None,
-                 engine=None):
+                 config: Optional[RunConfig] = None):
         self.phase = phase
         self.modules = dict(modules)
         self.optimizers = dict(optimizers)
         self.config = config or RunConfig()
-        self.engine = engine
 
         self.checkpointer = (
             Checkpointer(self.config.checkpoint_dir, self.config.keep_last)
@@ -133,8 +134,7 @@ class TrainingHarness:
         self._snapshot = None
         self._iteration: Optional[int] = None
         self._last_saved_iteration: Optional[int] = None
-        self._litho_prev = (engine.stats.snapshot()
-                            if engine is not None else None)
+        self._litho_prev = LithoEngine.stats.snapshot()
         self._run_started = time.perf_counter()
         self._iter_started = self._run_started
 
@@ -294,10 +294,9 @@ class TrainingHarness:
             self.logger.event("checkpoint", iteration=next_iteration,
                               path=path)
 
-    def _litho_delta(self) -> Optional[Dict[str, float]]:
-        if self.engine is None:
-            return None
-        now = self.engine.stats.snapshot()
-        delta = {key: now[key] - self._litho_prev[key] for key in now}
-        self._litho_prev = now
+    def _litho_delta(self) -> Dict[str, float]:
+        """Litho work since the previous record, so the iteration and
+        ``run_end`` deltas of a run sum to its whole litho work."""
+        delta = LithoEngine.stats.delta(self._litho_prev)
+        self._litho_prev = LithoEngine.stats.snapshot()
         return delta

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.obs.health import (HeartbeatBoard, ResourceSampler, StallEvent,
                               Watchdog, WorkerHeartbeat, proc_available,
                               read_proc_sample)
@@ -140,29 +139,26 @@ class TestResourceSampling:
         assert read_proc_sample(2 ** 22 + 1) is None
 
     def test_sampler_records_gauges_and_histograms(self):
-        registry = MetricsRegistry()
-        sampler = ResourceSampler(registry)
+        """The sampler keeps the latest reading per pid (rendered as
+        per-pid gauges by ``repro.obs.export``)."""
+        sampler = ResourceSampler()
         pid = os.getpid()
         samples = sampler.sample([pid])
         assert len(samples) == 1
-        snapshot = registry.snapshot()
-        assert snapshot["gauges"][f"pool.worker.rss_bytes|pid={pid}"] > 0
-        assert f"pool.worker.threads|pid={pid}" in snapshot["gauges"]
-        assert snapshot["histograms"]["pool.worker.rss_bytes"]["count"] == 1
+        assert sampler.latest[pid]["rss_bytes"] > 0
+        assert sampler.latest[pid]["threads"] >= 1
+        assert "cpu_utilization" not in sampler.latest[pid]
         # Second sample derives utilization from the CPU delta.
         sampler.sample([pid])
-        snapshot = registry.snapshot()
-        assert (f"pool.worker.cpu_utilization|pid={pid}"
-                in snapshot["gauges"])
+        assert sampler.latest[pid]["cpu_utilization"] >= 0.0
+        assert set(sampler.latest) == {pid}
 
     def test_watchdog_drives_sampler(self, board):
         board.claim(pid=os.getpid())
-        registry = MetricsRegistry()
-        watchdog = Watchdog(board, stall_after=60.0,
-                            sampler=ResourceSampler(registry))
+        sampler = ResourceSampler()
+        watchdog = Watchdog(board, stall_after=60.0, sampler=sampler)
         watchdog.scan_once()
-        assert any(name.startswith("pool.worker.rss_bytes")
-                   for name in registry.snapshot()["gauges"])
+        assert sampler.latest[os.getpid()]["rss_bytes"] > 0
 
 
 def test_stall_event_fields():

@@ -87,44 +87,34 @@ def test_null_span_allocates_nothing():
 
 
 def test_pool_task_bookkeeping_under_5pct_of_forward(kernels64):
-    """Worker-pool disabled-telemetry overhead guard (ISSUE 8).
+    """Worker-pool disabled-telemetry overhead guard.
 
-    With tracing off, ``_run_task`` still does per-task bookkeeping:
-    two warm-engine counter snapshots plus condensing the delta into a
+    With tracing off, ``_run_task`` still does per-task bookkeeping: a
+    snapshot of the process-wide litho counters before the task, their
+    delta after it, and condensing that delta into a
     :class:`TaskTelemetry`.  Measured deterministically in-process
     (the same code the worker runs), it must stay under 5% of one
     64 px engine forward — the smallest unit of real work a task does.
     """
-    from repro.litho import LithoEngine
     from repro.obs.aggregate import capture_task
-    from repro.parallel import pool as pool_mod
 
     engine = LithoEngine.for_kernels(kernels64)
     mask = np.zeros((64, 64))
     mask[16:48, 16:48] = 1.0
     engine.aerial(mask)  # warm
 
-    saved = pool_mod._WORKER_STATE["engines"]
-    pool_mod._WORKER_STATE["engines"] = [
-        (engine, dict(engine.stats.snapshot()))]
-    try:
-        def bookkeeping():
-            before = pool_mod._engine_totals()
-            after = pool_mod._engine_totals()
-            delta = {name: after[name] - before.get(name, 0.0)
-                     for name in after}
-            capture_task(None, None, delta, 0.0)
+    def bookkeeping():
+        litho = LithoEngine.stats
+        before = litho.snapshot()
+        capture_task(None, None, litho.delta(before), 0.0)
 
-        iterations = 2000
+    iterations = 2000
 
-        def loop():
-            for _ in range(iterations):
-                bookkeeping()
+    def loop():
+        for _ in range(iterations):
+            bookkeeping()
 
-        per_task = _best_of(loop, repeats=5) / iterations
-    finally:
-        pool_mod._WORKER_STATE["engines"] = saved
-
+    per_task = _best_of(loop, repeats=5) / iterations
     forward = _best_of(lambda: engine.aerial(mask))
     assert per_task < 0.05 * forward, (
         f"pool task bookkeeping costs {per_task * 1e6:.2f} us vs forward "

@@ -78,6 +78,26 @@ class TestEngineDeltaShipping:
         assert fleet.engine_totals["forward_calls"] == 1
         assert fleet.span_summary == {}  # spans did not ship
 
+    def test_corner_stack_descent_counts_in_fleet_totals(self, litho):
+        """``parallel_ilt`` tasks that descend a process-window corner
+        stack ship that engine's gradients in their litho deltas."""
+        from repro.ilt import ILTConfig
+        from repro.litho import ConditionSet
+        from repro.parallel import parallel_ilt
+        targets = np.zeros((2, 32, 32))
+        targets[0, 8:24, 10:22] = 1.0
+        targets[1, 12:20, 4:28] = 1.0
+        result = parallel_ilt(
+            targets, litho,
+            ILTConfig(pw_objective="weighted", max_iterations=5,
+                      patience=None),
+            workers=2,
+            conditions=ConditionSet.dose_corners(litho.dose_variation))
+        assert [r.iterations for r in result.results] == [5, 5]
+        totals = result.pool_stats.fleet.engine_totals
+        assert totals["gradient_calls"] == 10
+        assert totals["gradient_masks"] == 10
+
 
 class TestMergedTrace:
     def test_two_worker_chrome_round_trip(self, litho, tmp_path):
@@ -172,10 +192,9 @@ class TestHealth:
     def test_resource_samples_land_in_pool_registry(self, litho):
         with WorkerPool(1, litho_config=litho, health=True,
                         heartbeat_interval=0.02) as pool:
-            pool.map(_sleep_task, [(0.2,)])
-            gauges = pool.registry.snapshot()["gauges"]
-        assert any(name.startswith("pool.worker.rss_bytes|pid=")
-                   for name in gauges)
+            (pid,) = pool.map(_sleep_task, [(0.2,)])
+            readings = dict(pool.sampler.latest)
+        assert readings[pid]["rss_bytes"] > 0
 
 
 class TestProgress:
@@ -193,7 +212,7 @@ class TestProgress:
     def test_pool_gauges_track_completion(self, litho):
         with WorkerPool(1, litho_config=litho, health=False) as pool:
             pool.map(_forward_task, [(i,) for i in range(3)])
-            snapshot = pool.registry.snapshot()
-        assert snapshot["gauges"]["pool.tasks_total"] == 3
-        assert snapshot["gauges"]["pool.tasks_done"] == 3
-        assert snapshot["histograms"]["pool.task_seconds"]["count"] == 3
+            stats = pool.stats
+        assert stats.tasks == 3
+        assert len(stats.task_records) == 3
+        assert all(seconds >= 0.0 for _, seconds in stats.task_records)

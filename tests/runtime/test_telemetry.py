@@ -296,6 +296,28 @@ class TestFlowTelemetry:
         assert record["refine_iterations"] >= 1
         assert record["litho"]["forward_calls"] >= 1
 
+    def test_flow_record_counts_corner_stack_descent(self, litho32,
+                                                     kernels32, dataset,
+                                                     tmp_path):
+        """A weighted process-window refinement descends a corner-stack
+        engine, not the flow's nominal one; the ``flow`` record still
+        counts one gradient mask per refinement iteration."""
+        from repro.litho import ConditionSet
+        path = str(tmp_path / "flow.jsonl")
+        generator = MaskGenerator((4, 8), rng=np.random.default_rng(1))
+        flow = GanOpcFlow(
+            generator, litho32,
+            ILTConfig(pw_objective="weighted", max_iterations=5,
+                      patience=None),
+            engine=LithoEngine.for_kernels(kernels32),
+            logger=RunLogger(path, "flow"),
+            conditions=ConditionSet.dose_corners(litho32.dose_variation))
+        result = flow.optimize(dataset.target(0))
+        (record,) = _read_records(path)
+        assert result.ilt_result.iterations == 5
+        assert record["litho"]["gradient_calls"] == 5
+        assert record["litho"]["gradient_masks"] == 5
+
 
 class TestWorkerSpanSummary:
     """Schema round-trip for the ISSUE 8 fleet-telemetry record types."""

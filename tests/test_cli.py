@@ -124,6 +124,40 @@ class TestTrain:
         assert main(self._args(tmp_path, "--corners", "dose")) == 0
         assert "pretrain: 2 iterations" in capsys.readouterr().out
 
+    def _iteration_litho(self, tmp_path, phase, *extra):
+        """``litho`` of every ``iteration`` record of a 2-iteration run
+        with two masks per batch."""
+        import json
+        telemetry = str(tmp_path / "telemetry")
+        assert main(["train", "--phase", phase, "--grid", "32",
+                     "--iterations", "2", "--dataset-size", "4",
+                     "--batch-size", "2", "--telemetry-dir", telemetry,
+                     *extra]) == 0
+        records = [json.loads(line) for line in
+                   open(os.path.join(telemetry, f"{phase}.jsonl"))]
+        return [record["litho"] for record in records
+                if record["event"] == "iteration"]
+
+    def test_pretrain_on_corners_counts_every_iteration(self, tmp_path,
+                                                        capsys):
+        """Algorithm 2 on a dose corner stack runs its adjoint on the
+        corner engine; each iteration still reports it."""
+        records = self._iteration_litho(tmp_path, "pretrain",
+                                        "--corners", "dose")
+        assert len(records) == 2
+        for litho in records:
+            assert litho["gradient_calls"] == 1
+            assert litho["gradient_masks"] == 2
+
+    def test_gan_litho_guidance_counts_every_iteration(self, tmp_path,
+                                                       capsys):
+        records = self._iteration_litho(tmp_path, "gan",
+                                        "--litho-weight", "0.1")
+        assert len(records) == 2
+        for litho in records:
+            assert litho["gradient_calls"] == 1
+            assert litho["gradient_masks"] == 2
+
     def test_gan_with_litho_guidance(self, tmp_path, capsys):
         args = self._args(tmp_path, "--corners", "dose",
                           "--litho-weight", "0.1",
@@ -234,6 +268,26 @@ class TestProfile:
         capsys.readouterr()
         assert trace.active() is None
         assert profiler.ACTIVE is None
+
+    def test_workers_reconcile_counters_with_spans(self, tmp_path, capsys):
+        assert main(["profile", "--grid", "32", "--iterations", "10",
+                     "--workers", "2",
+                     "--trace-dir", str(tmp_path / "prof")]) == 0
+        out = capsys.readouterr().out
+        assert "engine/span reconciliation:" in out
+        lines = [line for line in out.splitlines() if "stats" in line
+                 and "spans" in line and "[" in line]
+        assert len(lines) == 2
+        assert all(line.endswith("[ok]") for line in lines), lines
+
+    def test_counter_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        from repro.litho.engine import EngineStats
+        monkeypatch.setattr(EngineStats, "record_forward",
+                            lambda self, masks, seconds: None)
+        assert main(["profile", "--grid", "32", "--iterations", "3",
+                     "--workers", "2",
+                     "--trace-dir", str(tmp_path / "prof")]) == 1
+        assert "[MISMATCH]" in capsys.readouterr().out
 
     def test_profile_with_clip_and_checkpoint(self, clip_file, tmp_path,
                                               capsys):
@@ -459,17 +513,6 @@ class TestMonitor:
             validate_record(record)
         assert len([r for r in records
                     if r["event"] == "worker_span_summary"]) == 2
-
-    def test_monitor_metrics_port_serves_scrapes(self, chip_file,
-                                                 tmp_path, capsys):
-        # Port 0 binds an ephemeral port; the run just has to complete
-        # with the exporter attached and report where it listened.
-        assert main(["monitor", chip_file, "--tile-size", "32",
-                     "--halo", "8", "--iterations", "2", "--workers", "1",
-                     "--update-every", "0", "--metrics-port", "0",
-                     "--out", str(tmp_path / "mask.pgm")]) == 0
-        stdout = capsys.readouterr().out
-        assert "serving metrics at http://" in stdout
 
 
 class TestRunsLedger:
