@@ -108,11 +108,14 @@ def _run_record(args, command: str, litho=None, conditions=None,
     if getattr(args, "no_run_record", False):
         yield None
         return
+    from .litho.engine import resolve_precision
     from .runs import RunStore
     store = RunStore(getattr(args, "runs_dir", None))
+    precision = (resolve_precision(args.precision)
+                 if hasattr(args, "precision") else None)
     run = store.create(command, argv=sys.argv[1:], litho=litho,
                        conditions=conditions, seed=seed,
-                       precision=getattr(args, "precision", None),
+                       precision=precision,
                        workers=getattr(args, "workers", None),
                        params=params)
     run.log_manifest_record()
@@ -994,8 +997,9 @@ def cmd_report(args) -> int:
 # ----------------------------------------------------------------------
 def _add_precision(p) -> None:
     p.add_argument("--precision", choices=("f32", "f64"), default=None,
-                   help="engine compute precision (default: "
-                        "REPRO_PRECISION env or f64)")
+                   help="precision of litho scoring, metrics and "
+                        "training (default: f64); ILT descent always "
+                        "runs in f32")
 
 
 def _add_workers(p) -> None:

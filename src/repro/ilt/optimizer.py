@@ -21,6 +21,14 @@ Table 2 reports.  Two modes matter to the reproduction:
 average or the worst corner — evaluated through the engine's batched
 condition stack.  The best-discrete-mask tracking stays nominal so
 Table 2 columns remain comparable.
+
+**Descent precision.**  The Eq. 14 error and gradient always run on the
+f32 engine of the kernel set (:data:`DESCENT_PRECISION`), whatever the
+precision of the engine the optimizer is given; the parameters, the
+momentum velocity and the update stay float64.  Everything that
+decides or reports a result — the discrete score, the best-mask
+choice, :attr:`ILTResult.l2` — runs on the caller's engine, so an f64
+caller keeps f64 Table 2 numbers (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ from ..litho.config import LithoConfig
 from ..litho.engine import LithoEngine
 from ..litho.kernels import KernelSet, build_kernels
 from ..litho.resist import sigmoid_mask
+
+#: Precision of the Eq. 14 descent engine; a constant, not an option.
+DESCENT_PRECISION = "f32"
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,9 @@ class ILTOptimizer:
     engine:
         Optional shared :class:`LithoEngine`; takes precedence over
         ``kernels`` and lets flows/harnesses reuse one engine (and its
-        cached adjoint spectra) across every optimizer they build.
+        cached adjoint spectra) across every optimizer they build.  It
+        scores the discrete masks; the descent itself runs on the
+        kernel set's memoized :data:`DESCENT_PRECISION` engine.
     conditions:
         Optional process-window corner stack that a non-nominal
         ``config.pw_objective`` descends; without one, the paper's dose
@@ -170,12 +183,14 @@ class ILTOptimizer:
 
         #: the corner stack the objective descends (None: nominal)
         self.conditions: Optional[ConditionSet] = None
-        self._condition_engine: Optional[LithoEngine] = None
-        if self.config.pw_objective != "nominal":
+        if self.config.pw_objective == "nominal":
+            self._descent_engine = LithoEngine.for_kernels(
+                self.kernels, DESCENT_PRECISION)
+        else:
             self.conditions = conditions or ConditionSet.dose_corners(
                 self.litho_config.dose_variation)
-            self._condition_engine = LithoEngine.for_conditions(
-                self.kernels, self.conditions, self.engine.precision)
+            self._descent_engine = LithoEngine.for_conditions(
+                self.kernels, self.conditions, DESCENT_PRECISION)
         #: optional :class:`~repro.runtime.telemetry.RunLogger`; when
         #: set, each evaluation point emits a ``quality_sample`` record
         #: tagged with :attr:`quality_context` (clip/method/stage).
@@ -201,13 +216,13 @@ class ILTOptimizer:
     # ------------------------------------------------------------------
     def _objective_gradient(self, params: np.ndarray, target: np.ndarray):
         cfg = self.litho_config
-        if self._condition_engine is not None:
-            return self._condition_engine.condition_error_and_gradient(
+        if self.conditions is not None:
+            return self._descent_engine.condition_error_and_gradient(
                 params, target, objective=self.config.pw_objective,
                 threshold=cfg.threshold,
                 resist_steepness=cfg.resist_steepness,
                 mask_steepness=cfg.mask_steepness)
-        return self.engine.error_and_gradient(
+        return self._descent_engine.error_and_gradient(
             params, target, threshold=cfg.threshold,
             resist_steepness=cfg.resist_steepness,
             mask_steepness=cfg.mask_steepness)
@@ -244,6 +259,7 @@ class ILTOptimizer:
         velocity = np.zeros_like(params)
 
         best_mask, best_l2 = self._discrete_score(params, target)
+        descent_target = target.astype(np.float32)
         relaxed_history: List[float] = []
         l2_history: List[float] = [best_l2]
         stall = 0
@@ -252,7 +268,8 @@ class ILTOptimizer:
 
         for step in range(1, iterations + 1):
             with trace.span("ilt.step", iteration=step):
-                error, grad = self._objective_gradient(params, target)
+                error, grad = self._objective_gradient(params,
+                                                       descent_target)
                 relaxed_history.append(error)
                 velocity = cfg.momentum * velocity - cfg.step_size * grad
                 params = params + velocity

@@ -63,8 +63,10 @@ Two single-process fast paths are built in:
 
 * **precision mode** — ``precision="f32"`` runs the whole pipeline in
   ``float32``/``complex64`` (kernels, DFT factors, fields, resist);
-  ``"f64"`` (the default, also selectable via ``REPRO_PRECISION``)
-  remains the parity reference.  Documented f32 tolerance: relaxed
+  ``"f64"`` (the default) remains the parity reference.  Every ILT
+  descent evaluates its Eq. 14 error and gradient on the kernel set's
+  f32 engine, while the caller's engine scores the discrete masks
+  (:mod:`repro.ilt.optimizer`).  Documented f32 tolerance: relaxed
   litho error within 1e-3 of the f64 value on normalized masks (see
   DESIGN.md §10).
 * **workspace arena** — per-engine scratch buffers
@@ -80,7 +82,6 @@ share it automatically.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -110,10 +111,9 @@ _PRECISION_ALIASES = {
 
 
 def resolve_precision(precision: Optional[str]) -> str:
-    """Normalize a precision name; ``None`` consults ``REPRO_PRECISION``
-    and falls back to ``"f64"``."""
+    """Normalize a precision name; ``None`` means ``"f64"``."""
     if precision is None:
-        precision = os.environ.get("REPRO_PRECISION") or "f64"
+        return "f64"
     key = str(precision).strip().lower()
     if key not in _PRECISION_ALIASES:
         raise ValueError(
@@ -431,9 +431,10 @@ class LithoEngine:
         Optional prebuilt :class:`KernelSet`; its config becomes the
         engine's config (and must match ``config`` when both are given).
     precision:
-        ``"f64"`` (default) or ``"f32"``; ``None`` consults the
-        ``REPRO_PRECISION`` environment variable.  f32 engines compute
-        spectra, fields and the resist in single precision.
+        ``"f64"`` (default) or ``"f32"``.  f32 engines compute spectra,
+        fields and the resist in single precision.  The ILT optimizer
+        descends on the f32 engine of its kernel set whatever this
+        engine's precision, and scores on this engine.
     conditions:
         Optional :class:`~repro.litho.conditions.ConditionSet` of
         (defocus, dose) process corners served by the ``condition_*``

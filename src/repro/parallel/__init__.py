@@ -16,8 +16,8 @@ package fans them across a process pool (:class:`WorkerPool`), with
 * per-worker utilization accounting (:class:`PoolStats`) surfaced by
   ``repro profile --workers N``.
 
-Float64 parallel results are bit-exact versus their serial
-counterparts; float32 precision mode is covered by the documented
+Parallel results are bit-exact versus their serial counterparts at
+either precision; the f32 ILT descent is covered by the documented
 tolerance in DESIGN.md §10.
 """
 

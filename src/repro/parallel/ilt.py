@@ -13,9 +13,10 @@ size.
 Determinism: ILT is noise-free steepest descent, and each worker runs
 the identical :class:`~repro.ilt.optimizer.ILTOptimizer` code on the
 identical float64 inputs, so parallel results are **bit-exact** equal
-to a serial per-clip loop (asserted in ``tests/parallel``).  In f32
-precision mode the documented tolerance is a litho-error delta of at
-most 1e-3 versus f64 (see DESIGN.md §10).
+to a serial per-clip loop at either precision (asserted in
+``tests/parallel``).  The descent itself runs on the f32 engine; its
+documented tolerance is a relaxed litho-error delta of at most 1e-3
+versus an f64 descent (see DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def parallel_ilt(targets: np.ndarray,
         Worker processes; ``1`` runs serially in-process (the parity
         reference — identical code path, no pool).
     precision:
-        Worker engine precision (``None`` = environment default).
+        Precision of the engine that scores each clip (``None`` =
+        ``"f64"``); the descent runs in f32 either way.
     initial_masks:
         Optional per-clip warm starts ``(N, grid, grid)``.
     pool:

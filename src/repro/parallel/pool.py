@@ -5,7 +5,9 @@ with the conventions every parallel workload in this repo shares:
 
 * **warm engines** — each worker process builds (lazily, on first use)
   one :class:`~repro.litho.engine.LithoEngine` for the pool's litho
-  config and precision, via :func:`worker_engine`.  Under the default
+  config and precision, via :func:`worker_engine`; an ILT task also
+  builds that kernel set's f32 descent engine once, through the same
+  ``for_kernels`` memo.  Under the default
   ``fork`` start method the parent's in-process kernel cache is
   inherited, so workers never re-decompose kernels; under ``spawn``
   they fall back to the ``REPRO_KERNEL_CACHE`` disk cache.
@@ -297,7 +299,9 @@ class WorkerPool:
     litho_config:
         Config whose engine :func:`worker_engine` builds in each worker.
     precision:
-        Engine precision for workers (``None`` = ``REPRO_PRECISION``).
+        Precision of the workers' :func:`worker_engine` (``None`` =
+        ``"f64"``): what scores masks and computes metrics.  ILT
+        descents in the workers run in f32 either way.
     state:
         Arbitrary picklable broadcast state, shipped once per worker at
         startup and readable via :func:`worker_state` (e.g. generator

@@ -28,23 +28,18 @@ single thread per process; the multiprocess execution layer
 (``repro.parallel``) gives every worker its own engine and hence its
 own arena.
 
-Set ``REPRO_WORKSPACE=off`` (or construct with ``enabled=False``) to
-disable reuse globally — every ``get`` then returns a fresh array,
-which is the simplest way to rule the arena out when debugging an
-aliasing suspicion.
+An f64 engine and its f32 twin (the ILT descent engine of the same
+kernel set) are separate engines with separate arenas.  Construct with
+``enabled=False`` to disable reuse — every ``get`` then returns a
+fresh array, which is the simplest way to rule the arena out when
+debugging an aliasing suspicion.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
 import numpy as np
-
-
-def _env_enabled() -> bool:
-    value = os.environ.get("REPRO_WORKSPACE", "").strip().lower()
-    return value not in ("0", "off", "none", "false")
 
 
 class Workspace:
@@ -53,15 +48,13 @@ class Workspace:
     Parameters
     ----------
     enabled:
-        ``False`` makes :meth:`get` always allocate (no reuse).  The
-        default consults ``REPRO_WORKSPACE`` (anything but
-        ``0/off/none/false`` enables).
+        ``False`` makes :meth:`get` always allocate (no reuse).
     """
 
     __slots__ = ("enabled", "_buffers", "hits", "misses")
 
-    def __init__(self, enabled: Optional[bool] = None):
-        self.enabled = _env_enabled() if enabled is None else bool(enabled)
+    def __init__(self, enabled: bool = True):
+        self.enabled = bool(enabled)
         self._buffers: Dict[Hashable, np.ndarray] = {}
         self.hits = 0
         self.misses = 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ilt import ILTConfig, ILTOptimizer
+from repro.litho import LithoEngine
 
 
 def _two_wires(grid=32):
@@ -113,3 +114,24 @@ class TestWarmStart:
                                    max_iterations=40)
         assert refined.l2 <= first.l2 + 4
         assert refined.iterations <= 40
+
+
+class TestDescentPrecision:
+    @pytest.mark.parametrize("objective", ["nominal", "weighted"])
+    def test_descent_independent_of_caller_precision(self, litho32,
+                                                     kernels32, objective):
+        """The descent runs on the f32 engine whatever the caller's
+        precision; each result is scored on the caller's own engine."""
+        target = _two_wires()
+        config = ILTConfig(max_iterations=12, eval_interval=3,
+                           patience=None, pw_objective=objective)
+        results = {}
+        for precision in ("f64", "f32"):
+            engine = LithoEngine.for_kernels(kernels32, precision)
+            result = ILTOptimizer(litho32, config,
+                                  engine=engine).optimize(target)
+            assert result.l2 == engine.discrete_l2(result.mask, target)
+            results[precision] = result
+        f64, f32 = results["f64"], results["f32"]
+        assert f64.relaxed_history == f32.relaxed_history
+        np.testing.assert_array_equal(f64.params, f32.params)

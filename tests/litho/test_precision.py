@@ -24,13 +24,8 @@ def targets():
 
 
 class TestResolvePrecision:
-    def test_default_is_f64(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PRECISION", raising=False)
+    def test_default_is_f64(self):
         assert resolve_precision(None) == "f64"
-
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRECISION", "f32")
-        assert resolve_precision(None) == "f32"
 
     @pytest.mark.parametrize("alias,expected", [
         ("f32", "f32"), ("float32", "f32"), ("single", "f32"),
@@ -183,12 +178,6 @@ class TestWorkspace:
         a = ws.get("k", (4,), np.float64)
         b = ws.get("k", (4,), np.float64)
         assert a is not b
-
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKSPACE", "off")
-        assert not Workspace().enabled
-        monkeypatch.delenv("REPRO_WORKSPACE")
-        assert Workspace().enabled
 
     def test_zeros_is_cleared_on_reuse(self):
         ws = Workspace(enabled=True)

@@ -1,9 +1,11 @@
 """Parallel execution must not change results.
 
-Float64 runs are **bit-exact** against the serial code path (ILT is
-noise-free descent on identical inputs); f32 runs carry the documented
-precision tolerance (DESIGN.md §10): litho error within 1e-3 relative
-of the f64 result.
+Pooled runs are **bit-exact** against the serial code path at either
+caller precision (ILT is noise-free descent on identical inputs).  The
+descent itself always runs on the f32 engine, so it carries the
+documented precision tolerance (DESIGN.md §10) against a plain f64
+momentum loop written here: the litho error of the final relaxed
+masks within 1e-3 relative.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from repro.core import GanOpcConfig, GanOpcFlow, MaskGenerator
 from repro.ilt import ILTConfig
 from repro.layoutgen import SyntheticDataset
-from repro.litho import LithoConfig, LithoEngine, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels, sigmoid_mask
 from repro.parallel import parallel_ilt
 
 GRID = 32
@@ -69,13 +71,24 @@ class TestParallelILTParity:
 
     def test_f32_litho_error_within_tolerance(self, litho, targets,
                                               ilt_config):
-        """The documented f32 tolerance: final relaxed litho error
-        within 1e-3 relative of the f64 run's."""
-        run64 = parallel_ilt(targets, litho, ilt_config, workers=1)
+        """The documented f32 tolerance: litho error of the final
+        relaxed masks within 1e-3 relative of an f64 descent's."""
         run32 = parallel_ilt(targets, litho, ilt_config, workers=2,
                              precision="f32")
-        engine = LithoEngine.for_kernels(build_kernels(litho))
-        relaxed64 = np.stack([r.mask_relaxed for r in run64.results])
+        assert [r.iterations for r in run32.results] == [ITERS] * len(targets)
+        # f64 reference: the same momentum descent, no early stop.
+        engine = LithoEngine.for_kernels(build_kernels(litho), "f64")
+        params = ilt_config.init_scale * (2.0 * targets - 1.0)
+        velocity = np.zeros_like(params)
+        for _ in range(ITERS):
+            _, grad = engine.error_and_gradient(
+                params, targets, threshold=litho.threshold,
+                resist_steepness=litho.resist_steepness,
+                mask_steepness=litho.mask_steepness)
+            velocity = ilt_config.momentum * velocity \
+                - ilt_config.step_size * grad
+            params = params + velocity
+        relaxed64 = sigmoid_mask(params, litho.mask_steepness)
         relaxed32 = np.stack([r.mask_relaxed for r in run32.results])
         err64 = engine.litho_error(relaxed64, targets)
         err32 = engine.litho_error(relaxed32, targets)

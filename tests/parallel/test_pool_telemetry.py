@@ -8,6 +8,7 @@ the progress callback fires per completed task.
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -26,6 +27,20 @@ def _forward_task(seed):
     rng = np.random.default_rng(seed)
     mask = (rng.random((engine.kernels.grid,) * 2) > 0.5).astype(float)
     return float(engine.aerial(mask).sum())
+
+
+#: fork-inherited barrier of :func:`_paired_forward_task` (set per test)
+_start_barrier = None
+
+
+def _paired_forward_task(seed):
+    """:func:`_forward_task` whose first two calls (seeds 0 and 1) wait
+    on :data:`_start_barrier`.  A worker blocked in one cannot take the
+    other, so two distinct workers each run one; if they cannot meet,
+    the wait times out and the task fails."""
+    if seed < 2:
+        _start_barrier.wait(timeout=30.0)
+    return _forward_task(seed)
 
 
 def _sleep_task(seconds):
@@ -100,14 +115,18 @@ class TestEngineDeltaShipping:
 
 
 class TestMergedTrace:
-    def test_two_worker_chrome_round_trip(self, litho, tmp_path):
+    def test_two_worker_chrome_round_trip(self, litho, tmp_path,
+                                          monkeypatch):
         """A tiled-style 2-worker run produces one Perfetto-loadable
         trace with litho spans from every worker pid, nested in time
         under the parent's ``parallel.map`` span."""
+        # Both workers must take a task; the barrier makes that certain.
+        monkeypatch.setitem(globals(), "_start_barrier",
+                            multiprocessing.Barrier(2))
         tracer = trace.enable(trace.Tracer())
         try:
             with WorkerPool(2, litho_config=litho, health=False) as pool:
-                pool.map(_forward_task, [(i,) for i in range(8)])
+                pool.map(_paired_forward_task, [(i,) for i in range(8)])
         finally:
             trace.disable()
         path = tracer.write_chrome_trace(str(tmp_path / "trace.json"))

@@ -583,6 +583,27 @@ class TestRunsLedger:
         assert "params.iterations" in diffed
         assert "aggregate quality" in diffed
 
+    def test_manifest_records_resolved_precision(self, clip_file, tmp_path,
+                                                 capsys):
+        """A default run and an explicit ``--precision f64`` run record
+        the same precision, so their diff has no precision line."""
+        from repro.runs import RunStore
+
+        store = str(tmp_path / "store")
+        for extra in ([], ["--precision", "f64"]):
+            assert main(["ilt", clip_file, "--grid", "64",
+                         "--iterations", "3",
+                         "--out", str(tmp_path / "m.pgm"),
+                         "--runs-dir", store] + extra) == 0
+        run_store = RunStore(store)
+        first, second = run_store.run_ids()
+        assert [run_store.load(run_id).manifest.precision
+                for run_id in (first, second)] == ["f64", "f64"]
+        capsys.readouterr()
+        assert main(["runs", "diff", first, second,
+                     "--runs-dir", store]) == 0
+        assert "precision" not in capsys.readouterr().out
+
     def test_runs_unknown_token_fails(self, tmp_path, capsys):
         assert main(["runs", "show", "latest",
                      "--runs-dir", str(tmp_path / "empty")]) == 2

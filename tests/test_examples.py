@@ -13,7 +13,8 @@ EXAMPLES = os.path.join(ROOT, "examples")
 SCRIPTS = sorted(
     glob.glob(os.path.join(EXAMPLES, "*.py"))
     + glob.glob(os.path.join(ROOT, "benchmarks", "bench_*.py"))
-    + glob.glob(os.path.join(ROOT, "benchmarks", "check_*.py")))
+    + glob.glob(os.path.join(ROOT, "benchmarks", "check_*.py"))
+    + [os.path.join(ROOT, "benchmarks", "e2e_pairs.py")])
 
 
 def _load_path(path, prefix):
