@@ -39,7 +39,7 @@ from repro.core import (GanOpcConfig, GanOpcTrainer, MaskGenerator,
 from repro.core.flow import GanOpcFlow
 from repro.ilt.optimizer import ILTConfig
 from repro.litho import LithoConfig, LithoEngine, build_kernels
-from repro.litho.resist import _stable_sigmoid
+from repro.numerics import stable_sigmoid
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -92,7 +92,7 @@ def _legacy_gradient_wrt_mask(mask, target, kernels, threshold, steepness):
                           axes=(-2, -1))
     intensity = np.einsum("k,kxy->xy", kernels.weights,
                           np.abs(fields) ** 2)
-    wafer = _stable_sigmoid(steepness * (intensity - threshold))
+    wafer = stable_sigmoid(steepness * (intensity - threshold))
     diff = wafer - target
     grad_intensity = 2.0 * steepness * diff * wafer * (1.0 - wafer)
     flipped = np.roll(kernels.freq_kernels[:, ::-1, ::-1], 1, axis=(-2, -1))

@@ -117,8 +117,12 @@ class GanOpcTrainer:
         pass like line 5 of Algorithm 1.  With a harness the update is
         guarded: a non-finite loss or gradient norm triggers the
         configured divergence policy before any weight is touched.
+
+        D is frozen for the step: backward through it computes only the
+        input gradient G needs, no gradients for D's own weights.
         """
-        with trace.span("gan.generator_step", batch=len(targets)):
+        with trace.span("gan.generator_step", batch=len(targets)), \
+                nn.frozen(self.discriminator):
             # Feed both networks in the generator's compute dtype; f64
             # targets/labels would otherwise promote every GEMM and the
             # loss arithmetic back to double under --precision f32.

@@ -22,11 +22,10 @@ from .. import nn
 
 
 def _encoder_block(in_ch: int, out_ch: int, rng: np.random.Generator) -> nn.Sequential:
-    """Stride-2 conv + batch-norm + LeakyReLU: one abstraction level."""
+    """Stride-2 conv + batch-norm + LeakyReLU(0.2): one abstraction level."""
     return nn.Sequential(
         nn.Conv2d(in_ch, out_ch, kernel_size=3, stride=2, padding=1, rng=rng),
-        nn.BatchNorm2d(out_ch),
-        nn.LeakyReLU(0.2),
+        nn.BatchNorm2d(out_ch, negative_slope=0.2),
     )
 
 
@@ -35,8 +34,7 @@ def _decoder_block(in_ch: int, out_ch: int, rng: np.random.Generator) -> nn.Sequ
     return nn.Sequential(
         nn.ConvTranspose2d(in_ch, out_ch, kernel_size=4, stride=2, padding=1,
                            rng=rng),
-        nn.BatchNorm2d(out_ch),
-        nn.ReLU(),
+        nn.BatchNorm2d(out_ch, negative_slope=0.0),
     )
 
 

@@ -21,14 +21,13 @@ from .. import nn
 
 
 class _Down(nn.Module):
-    """Stride-2 conv + BN + LeakyReLU encoder level."""
+    """Stride-2 conv + BN + LeakyReLU(0.2) encoder level."""
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
         super().__init__()
         self.body = nn.Sequential(
             nn.Conv2d(in_ch, out_ch, 3, stride=2, padding=1, rng=rng),
-            nn.BatchNorm2d(out_ch),
-            nn.LeakyReLU(0.2),
+            nn.BatchNorm2d(out_ch, negative_slope=0.2),
         )
 
     def forward(self, x: nn.Tensor) -> nn.Tensor:
@@ -36,7 +35,7 @@ class _Down(nn.Module):
 
 
 class _Up(nn.Module):
-    """Deconv upsample, concat the skip, fuse with a 3x3 conv."""
+    """Deconv upsample, concat the skip, fuse with a 3x3 conv + BN + ReLU."""
 
     def __init__(self, in_ch: int, skip_ch: int, out_ch: int,
                  rng: np.random.Generator):
@@ -45,8 +44,7 @@ class _Up(nn.Module):
                                      rng=rng)
         self.fuse = nn.Sequential(
             nn.Conv2d(out_ch + skip_ch, out_ch, 3, padding=1, rng=rng),
-            nn.BatchNorm2d(out_ch),
-            nn.ReLU(),
+            nn.BatchNorm2d(out_ch, negative_slope=0.0),
         )
 
     def forward(self, x: nn.Tensor, skip: nn.Tensor) -> nn.Tensor:

@@ -244,7 +244,8 @@ class ILTOptimizer:
         initial_mask:
             Optional warm-start mask in [0, 1] (GAN-OPC refinement).
         max_iterations:
-            Override of ``config.max_iterations`` for this call.
+            Override of ``config.max_iterations`` for this call
+            (``None`` keeps the config's; at least 1, like the config).
         """
         target = np.asarray(target, dtype=float)
         if target.shape != (self.litho_config.grid,) * 2:
@@ -252,7 +253,11 @@ class ILTOptimizer:
                 f"target shape {target.shape} does not match simulator grid "
                 f"{self.litho_config.grid}")
         cfg = self.config
-        iterations = max_iterations or cfg.max_iterations
+        if max_iterations is not None and max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be >= 1, got {max_iterations}")
+        iterations = (cfg.max_iterations if max_iterations is None
+                      else max_iterations)
 
         start = time.perf_counter()
         params = self.initial_params(target, initial_mask)

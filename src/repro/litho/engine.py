@@ -88,13 +88,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.numerics import stable_sigmoid
 from repro.obs import trace
 from repro.workspace import Workspace
 
 from .conditions import ConditionSet
 from .config import LithoConfig
 from .kernels import KernelSet, build_kernels
-from .resist import binarize_mask, hard_resist, sigmoid_mask, _stable_sigmoid
+from .resist import binarize_mask, hard_resist, sigmoid_mask
 
 ArrayOrScalar = Union[float, np.ndarray]
 
@@ -742,7 +743,7 @@ class LithoEngine:
                       resist_steepness: Optional[float] = None) -> np.ndarray:
         """Differentiable wafer image under the sigmoid resist (Eq. 12)."""
         steepness = resist_steepness or self.config.resist_steepness
-        return _stable_sigmoid(
+        return stable_sigmoid(
             steepness * (self.aerial(mask, dose=dose) - self.threshold))
 
     def litho_error(self, mask: np.ndarray, target: np.ndarray,
@@ -816,7 +817,7 @@ class LithoEngine:
             intensity = group_intensity[group]
             if dose != 1.0:
                 intensity = intensity * dose
-            wafer = _stable_sigmoid(steepness * (intensity - threshold))
+            wafer = stable_sigmoid(steepness * (intensity - threshold))
             diff = wafer - targets
             errors[:, c] = np.sum(diff * diff, axis=(-2, -1))
             grad_intensity = 2.0 * steepness * diff * wafer * (1.0 - wafer)
@@ -993,7 +994,7 @@ class LithoEngine:
                                  ) -> np.ndarray:
         """Sigmoid-resist wafers at every corner (Eq. 12 per corner)."""
         steepness = resist_steepness or self.config.resist_steepness
-        return _stable_sigmoid(
+        return stable_sigmoid(
             steepness * (self.condition_aerial(mask) - self.threshold))
 
     def condition_litho_errors(self, mask: np.ndarray, target: np.ndarray,

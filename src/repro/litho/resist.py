@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.numerics import stable_sigmoid
+
 
 def hard_resist(intensity: np.ndarray, threshold: float) -> np.ndarray:
     """Binary wafer image: ``Z = 1`` where ``I >= I_th`` (Eq. 3)."""
@@ -25,7 +27,7 @@ def hard_resist(intensity: np.ndarray, threshold: float) -> np.ndarray:
 def sigmoid_resist(intensity: np.ndarray, threshold: float,
                    steepness: float) -> np.ndarray:
     """Relaxed wafer image ``Z = sigma(alpha * (I - I_th))`` (Eq. 12)."""
-    return _stable_sigmoid(steepness * (np.asarray(intensity) - threshold))
+    return stable_sigmoid(steepness * (np.asarray(intensity) - threshold))
 
 
 def sigmoid_mask(mask_params: np.ndarray, steepness: float) -> np.ndarray:
@@ -35,26 +37,9 @@ def sigmoid_mask(mask_params: np.ndarray, steepness: float) -> np.ndarray:
     the relaxation keeps pixel values in (0, 1) while remaining
     differentiable.
     """
-    return _stable_sigmoid(steepness * np.asarray(mask_params))
+    return stable_sigmoid(steepness * np.asarray(mask_params))
 
 
 def binarize_mask(mask: np.ndarray, level: float = 0.5) -> np.ndarray:
     """Snap a relaxed mask to {0, 1} for final manufacturing output."""
     return (np.asarray(mask) >= level).astype(float)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Sigmoid without overflow for large-magnitude inputs.
-
-    With ``e = exp(-|x|)`` (never overflows) this is ``1 / (1 + e)``
-    for ``x >= 0`` and ``e / (1 + e)`` otherwise — branch-free, with
-    no boolean gathers.  Preserves float32 input dtype (the engine's
-    f32 precision mode flows through here); everything else computes
-    in float64.
-    """
-    x = np.asarray(x)
-    dtype = x.dtype if x.dtype == np.float32 else np.float64
-    x = x.astype(dtype, copy=False)
-    e = np.exp(-np.abs(x))
-    denominator = 1.0 + e
-    return np.where(x >= 0, 1.0 / denominator, e / denominator)

@@ -32,7 +32,7 @@ from .functional import (avg_pool2d, bce_loss, bce_with_logits, conv2d,
 from .modules import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d,
                       ConvTranspose2d, Dropout, Flatten, LeakyReLU, Linear,
                       MaxPool2d, Module, Parameter, ReLU, Sequential,
-                      Sigmoid, Tanh, UpsampleNearest2d)
+                      Sigmoid, Tanh, UpsampleNearest2d, frozen)
 from .optim import (SGD, Adam, ExponentialLR, Optimizer, StepLR,
                     clip_grad_norm_, global_grad_norm)
 from .serialization import CheckpointLoadError, load_state, save_state
@@ -51,7 +51,7 @@ __all__ = [
     "Module", "Parameter", "Sequential", "Linear", "Conv2d",
     "ConvTranspose2d", "BatchNorm1d", "BatchNorm2d", "ReLU", "LeakyReLU",
     "Sigmoid", "Tanh", "Flatten", "AvgPool2d", "MaxPool2d",
-    "UpsampleNearest2d", "Dropout",
+    "UpsampleNearest2d", "Dropout", "frozen",
     "Optimizer", "SGD", "Adam", "StepLR", "ExponentialLR",
     "clip_grad_norm_", "global_grad_norm",
     "save_state", "load_state", "CheckpointLoadError",

@@ -524,57 +524,93 @@ def upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
 # ----------------------------------------------------------------------
 # Normalization
 # ----------------------------------------------------------------------
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel ``sum(a * b)`` over every axis but 1 of ``(N, C, ...)``
+    arrays: one batched dot, with no product array."""
+    n, c = a.shape[:2]
+    return np.matmul(a.reshape(n, c, 1, -1),
+                     b.reshape(n, c, -1, 1)).sum(axis=(0, 2, 3))
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
-    """Batch normalization over the channel axis of NCHW (or NC) input.
+               eps: float = 1e-5,
+               negative_slope: Optional[float] = None) -> Tensor:
+    """Batch normalization over the channel axis of NCHW (or NC) input,
+    and the rectifier that follows it, as one autograd node.
 
     ``running_mean`` / ``running_var`` are plain arrays updated in place
-    during training, used directly in eval mode.
+    during training, used directly in eval mode.  ``negative_slope``
+    names the activation applied to the normalized output: ``None`` for
+    none, ``0`` for ReLU, ``s`` in ``(0, 1]`` for LeakyReLU(``s``).
+
+    The forward centres the input once; that array gives the variance
+    (a per-channel dot), becomes the cached ``x̂`` in place, and the
+    output is rectified in place.  The backward recovers the rectifier's
+    mask from the output's sign and takes both batch means of
+    ``k·(g − mean(g) − x̂·mean(g·x̂))``, ``k = γ/√(var+ε)``, from the
+    γ and β gradient sums (DESIGN.md §18).
     """
     if x.ndim == 4:
         axes = (0, 2, 3)
         shape = (1, -1, 1, 1)
-        count = x.shape[0] * x.shape[2] * x.shape[3]
     elif x.ndim == 2:
         axes = (0,)
         shape = (1, -1)
-        count = x.shape[0]
     else:
         raise ValueError(f"batch_norm expects 2D or 4D input, got {x.ndim}D")
+    if negative_slope is not None and not 0.0 <= negative_slope <= 1.0:
+        raise ValueError(
+            f"negative_slope must be in [0, 1], got {negative_slope}")
+    count = x.data.size // x.shape[1]
 
+    prof = _profiler.ACTIVE
+    started = time.perf_counter() if prof is not None else 0.0
+    mean = x.data.mean(axis=axes) if training else running_mean
+    x_hat = x.data - mean.reshape(shape)
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        var = _channel_dot(x_hat, x_hat) / count
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         unbiased = var * count / max(count - 1, 1)
         running_var *= (1.0 - momentum)
         running_var += momentum * unbiased
     else:
-        mean = running_mean
         var = running_var
-
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
+    x_hat *= inv_std.reshape(shape)
+    out = x_hat * gamma.data.reshape(shape)
+    out += beta.data.reshape(shape)
+    if negative_slope is not None:
+        # max(z, s·z) is z for z > 0 and s·z otherwise, for 0 <= s <= 1.
+        np.maximum(out, negative_slope * out, out=out)
 
     def backward(grad):
-        g = gamma.data.reshape(shape)
-        grad_gamma = (grad * x_hat).sum(axis=axes)
+        if negative_slope is not None:
+            # The output is positive exactly where its input was.
+            grad = grad * np.maximum(out > 0,
+                                     out.dtype.type(negative_slope))
         grad_beta = grad.sum(axis=axes)
-        if training:
-            # Full batch-norm backward through the batch statistics.
-            gx_hat = grad * g
-            grad_x = (gx_hat
-                      - gx_hat.mean(axis=axes, keepdims=True)
-                      - x_hat * (gx_hat * x_hat).mean(axis=axes, keepdims=True)
-                      ) * inv_std.reshape(shape)
-        else:
-            grad_x = grad * g * inv_std.reshape(shape)
-        return (grad_x, grad_gamma, grad_beta)
+        grad_gamma = _channel_dot(grad, x_hat)
+        grad_x = None
+        if x.requires_grad:
+            k = (gamma.data * inv_std).reshape(shape)
+            if training:
+                grad_x = x_hat * (grad_gamma / count).reshape(shape)
+                np.subtract(grad, grad_x, out=grad_x)
+                grad_x -= (grad_beta / count).reshape(shape)
+                grad_x *= k
+            else:
+                grad_x = grad * k
+        return (grad_x,
+                grad_gamma if gamma.requires_grad else None,
+                grad_beta if beta.requires_grad else None)
 
+    if prof is not None:
+        prof.record("batch_norm", time.perf_counter() - started,
+                    nbytes=out.nbytes)
+        backward = prof.wrap_backward("batch_norm", backward)
     return Tensor._make(out, (x, gamma, beta), backward)
 
 

@@ -13,6 +13,7 @@ compositions of the layers defined here.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -133,6 +134,21 @@ class Module:
             prof.end_module(name)
 
 
+@contextmanager
+def frozen(module: Module) -> Iterator[Module]:
+    """Within the block, ``module``'s parameters do not require grad:
+    backward through it still reaches its input but computes no weight
+    gradients."""
+    params = [param for param in module.parameters() if param.requires_grad]
+    for param in params:
+        param.requires_grad = False
+    try:
+        yield module
+    finally:
+        for param in params:
+            param.requires_grad = True
+
+
 class Sequential(Module):
     """Chain of modules applied in order."""
 
@@ -239,13 +255,20 @@ class ConvTranspose2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalization over channels of NCHW input."""
+    """Batch normalization over channels of NCHW input.
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    ``negative_slope`` fuses the activation that follows into the same
+    autograd node: ``None`` for none, ``0`` for ReLU, ``s`` for
+    LeakyReLU(``s``) (see :func:`~repro.nn.functional.batch_norm`).
+    """
+
+    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
+                 negative_slope: Optional[float] = None):
         super().__init__()
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
+        self.negative_slope = negative_slope
         self.gamma = Parameter(np.ones(num_features))
         self.beta = Parameter(np.zeros(num_features))
         self.register_buffer("running_mean", np.zeros(num_features))
@@ -254,7 +277,7 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.batch_norm(x, self.gamma, self.beta, self.running_mean,
                             self.running_var, self.training, self.momentum,
-                            self.eps)
+                            self.eps, self.negative_slope)
 
 
 class BatchNorm1d(BatchNorm2d):

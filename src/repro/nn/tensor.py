@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.numerics import stable_sigmoid
 from repro.obs import profiler as _profiler
 from repro.obs.profiler import matmul_flops
 
@@ -494,11 +495,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         a = self
-        # Numerically stable: exp of negative magnitudes only.
-        out_data = np.where(a.data >= 0,
-                            1.0 / (1.0 + np.exp(-np.clip(a.data, 0, None))),
-                            np.exp(np.clip(a.data, None, 0))
-                            / (1.0 + np.exp(np.clip(a.data, None, 0))))
+        out_data = stable_sigmoid(a.data)
 
         def backward(grad):
             return (grad * out_data * (1.0 - out_data),)
@@ -524,12 +521,13 @@ class Tensor:
         return Tensor._make(a.data * mask, (a,), backward)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
+        if not 0.0 <= negative_slope <= 1.0:
+            raise ValueError(
+                f"negative_slope must be in [0, 1], got {negative_slope}")
         a = self
-        mask = a.data > 0
-        # Build the slope array in the input dtype (np.where of python
-        # floats is float64, which would promote a float32 graph).
-        scale = np.where(mask, 1.0, negative_slope).astype(
-            a.data.dtype, copy=False)
+        # 1 where positive, else the slope, in the input dtype (a python
+        # float would promote a float32 graph to double).
+        scale = np.maximum(a.data > 0, a.data.dtype.type(negative_slope))
 
         def backward(grad):
             return (grad * scale,)

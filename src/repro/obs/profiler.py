@@ -1,13 +1,15 @@
 """Per-op autograd profiler for ``repro.nn``.
 
 When a :class:`Profiler` is active (via the context manager or
-:func:`enable`/:func:`disable`), instrumented tensor ops — ``conv2d``,
-``deconv2d`` (``conv_transpose2d``), ``matmul`` and the elementwise
-ops that route through :meth:`Tensor._make` — record per-op wall time,
-call counts, FLOP estimates and allocated output bytes for both the
-forward pass and (via :meth:`wrap_backward`) the backward pass.
-``Module.forward`` calls are timed separately with self-time
-attribution so nested modules do not double-count their children.
+:func:`enable`/:func:`disable`), four ops record per-op wall time, call
+counts and output bytes for the forward pass and (via
+:meth:`wrap_backward`) the backward pass: ``conv2d``, ``deconv2d``
+(``conv_transpose2d``), ``matmul`` and ``batch_norm`` (the fused
+batch-norm + activation node).  The first three also record FLOP
+estimates.  Other tensor ops are not recorded; their forward time is
+the self time of the module that calls them.  ``Module.forward`` calls
+are timed separately with self-time attribution so nested modules do
+not double-count their children.
 
 Render the collected data with :meth:`Profiler.table` /
 :meth:`Profiler.module_table` — sorted terminal tables in the style of

@@ -237,9 +237,9 @@ class TrainingHarness:
             self.last_action = self._diverged(bad)
             return self.last_action
         backward()
-        # Clip exactly what this step updates: the generator backward
-        # also deposits incidental gradients on the discriminator (via
-        # D(G(z))), which must not contaminate the measured norm.
+        # Clip and measure exactly the parameters this step updates.
+        # (The generator step runs D frozen, so no gradient reaches D's
+        # parameters on the way to G.)
         grad_norm = clip_grad_norm_(optimizer.parameters,
                                     self.config.max_grad_norm)
         self._grad_norms[tag] = grad_norm

@@ -1,8 +1,11 @@
 """Unit tests for Algorithm 1 (adversarial GAN-OPC training)."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import (GanOpcConfig, GanOpcTrainer, MaskGenerator,
                         MaskOnlyDiscriminator, PairDiscriminator)
 from repro.ilt import ILTConfig
@@ -64,6 +67,51 @@ class TestTrainingSteps:
         d_changed = any(not np.array_equal(a, p.data) for a, p in
                         zip(d_before, trainer.discriminator.parameters()))
         assert g_changed and not d_changed
+
+    def test_generator_step_leaves_discriminator_without_gradients(
+            self, dataset):
+        trainer = _trainer()
+        targets, masks = dataset.pairs_batch([0, 1])
+        trainer.generator_step(targets, masks)
+        assert all(p.grad is None
+                   for p in trainer.discriminator.parameters())
+        assert all(p.requires_grad
+                   for p in trainer.discriminator.parameters())
+
+    def test_generator_gradients_match_unfrozen_discriminator(self,
+                                                              dataset):
+        """Freezing D changes no bit of G's gradients."""
+        trainer = _trainer()
+        reference = copy.deepcopy(trainer)
+        targets, masks = dataset.pairs_batch([0, 1])
+        captured = []
+        step = trainer.optimizer_g.step
+
+        def capture():
+            captured.extend(p.grad.copy()
+                            for p in trainer.generator.parameters())
+            step()
+
+        trainer.optimizer_g.step = capture
+        trainer.generator_step(targets, masks)
+
+        # The same losses back-propagated with D's parameters
+        # requiring grad.
+        generator, discriminator = (reference.generator,
+                                    reference.discriminator)
+        target_t = nn.Tensor(targets)
+        fake = generator(target_t)
+        d_fake = discriminator(target_t, fake)
+        loss = (nn.bce_loss(d_fake, nn.ones(d_fake.shape))
+                + reference.config.alpha
+                * nn.mse_loss(fake, nn.Tensor(masks), reduction="mean"))
+        loss.backward()
+        assert all(p.grad is not None for p in discriminator.parameters())
+        expected = [p.grad for p in generator.parameters()]
+        assert len(captured) == len(expected)
+        for got, want in zip(captured, expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_discriminator_step_updates_discriminator_only(self, dataset):
         trainer = _trainer()

@@ -60,9 +60,18 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimizer.optimize(np.zeros((16, 16)))
 
-    def test_max_iterations_override(self, optimizer):
+    def test_max_iterations_override(self, optimizer, litho32, kernels32):
         result = optimizer.optimize(_two_wires(), max_iterations=7)
         assert result.iterations == 7
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                optimizer.optimize(_two_wires(), max_iterations=bad)
+        short = ILTOptimizer(litho32,
+                             ILTConfig(max_iterations=4, patience=None),
+                             kernels=kernels32)
+        assert short.optimize(_two_wires(),
+                              max_iterations=None).iterations == 4
+        assert short.optimize(_two_wires(), max_iterations=3).iterations == 3
 
     def test_stop_l2_early_stop(self, litho32, kernels32):
         config = ILTConfig(max_iterations=200, stop_l2=1e9, eval_interval=1)

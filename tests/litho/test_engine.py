@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.litho import LithoConfig, LithoEngine, build_kernels, real_spectrum
-from repro.litho.resist import sigmoid_mask, _stable_sigmoid
+from repro.litho.resist import sigmoid_mask
+from repro.numerics import stable_sigmoid
 
 GRIDS = (16, 32)
 DOSES = (0.98, 1.0, 1.02)
@@ -49,7 +50,7 @@ def reference_gradient_wrt_mask(mask_relaxed, target, kernels, threshold,
                           np.abs(fields) ** 2)
     if dose != 1.0:
         intensity = intensity * dose
-    wafer = _stable_sigmoid(resist_steepness * (intensity - threshold))
+    wafer = stable_sigmoid(resist_steepness * (intensity - threshold))
     diff = wafer - target
     error = float(np.sum(diff * diff))
 

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.core import MaskGenerator, PairDiscriminator
+from repro.core.unet import UNetMaskGenerator
 from repro.nn import functional as F
 from repro.nn.functional import col2im, im2col
 from repro.nn.tensor import Tensor
@@ -177,6 +180,55 @@ class TestPooling:
         np.testing.assert_allclose(x.grad, np.full((1, 1, 2, 2), 4.0))
 
 
+def _unfused_batch_norm(x, gamma, beta, running_mean, running_var, training,
+                        grad, negative_slope=None, momentum=0.1, eps=1e-5):
+    """Reference: batch-norm, then ``Tensor.relu`` / ``Tensor.leaky_relu``
+    as separate steps.  Returns the output and the x, gamma and beta
+    gradients of ``grad``; running statistics are updated in place."""
+    axes, shape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
+    count = x.size // x.shape[1]
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mean
+        unbiased = var * count / max(count - 1, 1)
+        running_var *= (1.0 - momentum)
+        running_var += momentum * unbiased
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+    if negative_slope == 0.0:  # Tensor.relu
+        mask = out > 0
+        out, grad = out * mask, grad * mask
+    elif negative_slope is not None:  # Tensor.leaky_relu
+        scale = np.where(out > 0, 1.0, negative_slope).astype(out.dtype,
+                                                              copy=False)
+        out, grad = out * scale, grad * scale
+    g = gamma.reshape(shape)
+    grad_gamma = (grad * x_hat).sum(axis=axes)
+    grad_beta = grad.sum(axis=axes)
+    if training:
+        gx_hat = grad * g
+        grad_x = (gx_hat
+                  - gx_hat.mean(axis=axes, keepdims=True)
+                  - x_hat * (gx_hat * x_hat).mean(axis=axes, keepdims=True)
+                  ) * inv_std.reshape(shape)
+    else:
+        grad_x = grad * g * inv_std.reshape(shape)
+    return out, grad_x, grad_gamma, grad_beta
+
+
+def _assert_close(actual, expected, tol):
+    """Worst deviation within ``tol`` of the expected array's largest
+    magnitude, in the expected dtype."""
+    assert actual.dtype == expected.dtype
+    scale = float(np.max(np.abs(expected)))
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=tol * scale)
+
+
 class TestBatchNorm:
     def test_normalizes_in_training(self, rng):
         x = Tensor(rng.normal(3.0, 2.0, size=(8, 4, 5, 5)))
@@ -238,6 +290,105 @@ class TestBatchNorm:
         np.testing.assert_allclose(beta.grad,
                                    numeric_gradient(objective, beta_data, 1e-5),
                                    rtol=1e-4, atol=1e-6)
+
+    # Tolerances from the dtype: the fused node sums in another order,
+    # which moves results by a few ulps of the array's scale.
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    @pytest.mark.parametrize("negative_slope", [None, 0.0, 0.2])
+    @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (10, 3)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_unfused_formula(self, rng, dtype, tol, negative_slope,
+                                     shape, training):
+        x_data = rng.normal(3.0, 2.0, size=shape).astype(dtype)
+        grad = rng.normal(size=shape).astype(dtype)
+        bn = (nn.BatchNorm2d if len(shape) == 4 else nn.BatchNorm1d)(
+            shape[1], negative_slope=negative_slope)
+        bn.gamma.data = (rng.random(shape[1]) + 0.5).astype(dtype)
+        bn.beta.data = rng.normal(size=shape[1]).astype(dtype)
+        bn.running_mean[...] = rng.normal(3.0, 1.0, size=shape[1])
+        bn.running_var[...] = rng.random(shape[1]) + 2.0
+        nn.to_dtype(bn, dtype)
+        bn.train(training)
+        stats = bn.running_mean.copy(), bn.running_var.copy()
+
+        x = Tensor(x_data, requires_grad=True)
+        out = bn(x)
+        out.backward(grad)
+        expected = _unfused_batch_norm(
+            x_data, bn.gamma.data, bn.beta.data, *stats, training, grad,
+            negative_slope)
+
+        for actual, wanted in zip(
+                (out.data, x.grad, bn.gamma.grad, bn.beta.grad), expected):
+            _assert_close(actual, wanted, tol)
+        for actual, wanted in zip((bn.running_mean, bn.running_var), stats):
+            _assert_close(actual, wanted, tol)
+
+    @pytest.mark.parametrize("negative_slope", [0.0, 0.2])
+    def test_gradients_through_activation_numeric(self, rng, negative_slope):
+        x_data = rng.normal(size=(3, 2, 4, 4))
+        gamma_data = rng.random(2) + 0.5
+        beta_data = rng.normal(size=2)
+        weights = rng.normal(size=x_data.shape)
+
+        def run(x, gamma, beta):
+            return F.batch_norm(x, gamma, beta, np.zeros(2), np.ones(2),
+                                True, negative_slope=negative_slope)
+
+        x = Tensor(x_data, requires_grad=True)
+        gamma = Tensor(gamma_data, requires_grad=True)
+        beta = Tensor(beta_data, requires_grad=True)
+        out = run(x, gamma, beta)
+        # Both sides of the rectifier are exercised.
+        assert (out.data > 0).any() and (out.data <= 0).any()
+        (out * Tensor(weights)).sum().backward()
+
+        def objective():
+            o = run(Tensor(x_data), Tensor(gamma_data), Tensor(beta_data))
+            return float((o.data * weights).sum())
+
+        for param, data in ((x, x_data), (gamma, gamma_data),
+                            (beta, beta_data)):
+            np.testing.assert_allclose(
+                param.grad, numeric_gradient(objective, data, 1e-6),
+                rtol=1e-6, atol=1e-8)
+
+    def test_rejects_slope_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            F.batch_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(3)),
+                         Tensor(np.zeros(3)), np.zeros(3), np.ones(3), True,
+                         negative_slope=1.5)
+
+    def test_block_state_dict_keys_unchanged(self):
+        """The activations fused into batch-norm were parameterless
+        modules after it, so every block keeps its keys."""
+        rng = np.random.default_rng(0)
+        bn = ["gamma", "beta", "running_mean", "running_var"]
+        conv = ["weight", "bias"]
+
+        def keys(prefix, names):
+            return [f"{prefix}.{name}" for name in names]
+
+        generator = MaskGenerator((4, 8), rng=rng)
+        assert sorted(generator.state_dict()) == sorted(
+            keys("encoder.0.0", conv) + keys("encoder.0.1", bn)
+            + keys("encoder.1.0", conv) + keys("encoder.1.1", bn)
+            + keys("decoder.0.0", conv) + keys("decoder.0.1", bn)
+            + keys("decoder.1.0", conv) + keys("decoder.1.2", conv))
+        discriminator = PairDiscriminator(16, (4, 8), rng=rng)
+        assert sorted(discriminator.state_dict()) == sorted(
+            keys("trunk.features.0.0", conv) + keys("trunk.features.0.1", bn)
+            + keys("trunk.features.1.0", conv) + keys("trunk.features.1.1", bn)
+            + keys("trunk.classifier", conv))
+        unet = UNetMaskGenerator((4, 8), rng=rng)
+        assert sorted(unet.state_dict()) == sorted(
+            keys("downs.0.body.0", conv) + keys("downs.0.body.1", bn)
+            + keys("downs.1.body.0", conv) + keys("downs.1.body.1", bn)
+            + keys("ups.0.up", conv) + keys("ups.0.fuse.0", conv)
+            + keys("ups.0.fuse.1", bn) + keys("head.0", conv)
+            + keys("head.2", conv))
+
 
 
 class TestLosses:

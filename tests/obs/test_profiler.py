@@ -78,6 +78,19 @@ class TestOpAccounting:
         assert stats["flops"] == 2 * 4 * 5 * 6
         assert stats["nbytes"] == out.data.nbytes == 4 * 6 * 8
 
+    def test_batch_norm_records_forward_and_backward(self):
+        x = nn.Tensor(np.random.default_rng(0).random((2, 3, 4, 4)),
+                      requires_grad=True)
+        bn = nn.BatchNorm2d(3, negative_slope=0.2)
+        with Profiler() as prof:
+            out = bn(x)
+            out.sum().backward()
+        stats = prof.op_stats()["batch_norm"]
+        assert stats["count"] == 1
+        assert stats["backward_count"] == 1
+        assert stats["nbytes"] == out.data.nbytes
+        assert stats["seconds"] > 0.0
+
     def test_backward_time_attributed(self):
         a = nn.Tensor(np.ones((4, 5)), requires_grad=True)
         b = nn.Tensor(np.ones((5, 6)), requires_grad=True)
