@@ -39,6 +39,9 @@ from ..litho.engine import LithoEngine
 from ..litho.kernels import KernelSet, build_kernels
 from ..metrics.defects import detect_bridges, detect_necks
 from ..metrics.report import MaskEvaluation, comparison_table, evaluate_mask
+from ..parallel.flow import _rebuild_generator, generator_payload
+from ..parallel.pool import (TaskRunner, attach_array, worker_engine,
+                             worker_state)
 from .iccad13 import BenchmarkClip, iccad13_suite
 from .visualize import overlay_comparison
 
@@ -182,6 +185,9 @@ def train_generators(pipeline: Pipeline,
 #: Bump when the Table2Result persistence layout changes.
 TABLE2_SCHEMA_VERSION = 1
 
+#: Table 2's columns, in order.
+TABLE2_METHODS = ("ILT", "GAN-OPC", "PGAN-OPC")
+
 
 def _encode_mask(mask: np.ndarray) -> Dict:
     """Lossless strict-JSON encoding of a mask image.
@@ -234,14 +240,14 @@ class Table2Result:
     stage_seconds: Dict[str, List[Dict[str, float]]] = field(
         default_factory=dict)
     #: litho-engine counter totals over the whole experiment —
-    #: ``forward_calls/masks/seconds`` + ``gradient_*``.  Serial runs
+    #: ``forward_calls/masks/seconds`` + ``gradient_*``.  Inline runs
     #: delta the process-wide ``LithoEngine.stats`` around the clip
-    #: loop (nominal engine and corner stacks alike); parallel
+    #: tasks (nominal engine and corner stacks alike); pooled
     #: runs sum the per-task deltas every worker ships back, so the
-    #: counts reconcile 1:1 with a serial run of the same experiment
+    #: counts reconcile 1:1 with an inline run of the same experiment
     #: (the parity test in ``tests/bench``).
     engine_stats: Dict[str, float] = field(default_factory=dict)
-    #: pool accounting for ``workers > 1`` runs (None for serial).
+    #: pool accounting for pooled runs (None for inline ones).
     pool_stats: Optional[object] = None
 
     def engine_table(self) -> str:
@@ -372,6 +378,67 @@ def _emit_clip_results(logger, result: "Table2Result") -> None:
                 epe_hotspots=evaluation.epe_hotspots)
 
 
+def _table2_clip_task(slot: int, masks_spec, grid: int,
+                      litho_config: LithoConfig, ilt_iterations: int,
+                      refine_iterations: int,
+                      conditions: Optional[ConditionSet],
+                      pw_objective: str, logger):
+    """Evaluate ILT / GAN-OPC / PGAN-OPC on one benchmark clip.
+
+    The clip and both generator payloads come from the run's broadcast
+    state; each method's mask goes to row ``(method, slot)`` of the
+    output array.  ``logger``, when given, receives every optimizer's
+    ``quality_sample`` records.
+    """
+    state = worker_state()
+    clip = state["clips"][slot]
+    engine = worker_engine(litho_config)
+    condition_engine = (LithoEngine.for_conditions(engine.kernels, conditions,
+                                                   engine.precision)
+                        if conditions is not None else None)
+    target = (rasterize(clip.layout, grid) >= 0.5).astype(float)
+    masks_out = attach_array(masks_spec)
+
+    evaluations: Dict[str, MaskEvaluation] = {}
+    stages: Dict[str, Dict[str, float]] = {}
+
+    ilt = ILTOptimizer(litho_config,
+                       ILTConfig(max_iterations=ilt_iterations,
+                                 pw_objective=pw_objective),
+                       engine=engine, conditions=conditions)
+    ilt.logger = logger
+    ilt.quality_context = {"clip": clip.name, "method": "ILT",
+                           "stage": "refinement"}
+    started = time.perf_counter()
+    ilt_result = ilt.optimize(target)
+    ilt_runtime = time.perf_counter() - started
+    evaluations["ILT"] = evaluate_mask(
+        engine, ilt_result.mask, target, layout=clip.layout,
+        name=clip.name, runtime_seconds=ilt_runtime,
+        condition_engine=condition_engine)
+    stages["ILT"] = {"generation": 0.0, "refinement": ilt_runtime}
+    masks_out[0, slot] = ilt_result.mask
+
+    refine_cfg = ILTConfig(max_iterations=refine_iterations, patience=4,
+                           pw_objective=pw_objective)
+    for method_index, method in enumerate(TABLE2_METHODS[1:], start=1):
+        flow = GanOpcFlow(_rebuild_generator(state[method]), litho_config,
+                          refine_cfg, engine=engine, conditions=conditions)
+        flow.refiner.logger = logger
+        flow.refiner.quality_context = {"clip": clip.name, "method": method,
+                                        "stage": "refinement"}
+        flow_result = flow.optimize(target)
+        evaluations[method] = evaluate_mask(
+            engine, flow_result.mask, target, layout=clip.layout,
+            name=clip.name, runtime_seconds=flow_result.runtime_seconds,
+            condition_engine=condition_engine)
+        stages[method] = {"generation": flow_result.generation_seconds,
+                          "refinement": flow_result.refinement_seconds}
+        masks_out[method_index, slot] = flow_result.mask
+
+    return (slot, evaluations, stages)
+
+
 def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                clips: Optional[List[BenchmarkClip]] = None,
                workers: int = 1,
@@ -380,10 +447,12 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
                logger=None) -> Table2Result:
     """ILT [7] vs GAN-OPC vs PGAN-OPC on the substitute suite.
 
-    ``workers > 1`` evaluates one clip (all three methods) per worker
-    process: generator weights are broadcast once per worker, result
-    masks come back through shared memory, and per-clip results are
-    identical to the serial loop in float64.
+    Each clip is one :func:`_table2_clip_task` (all three methods),
+    run through a :class:`~repro.parallel.pool.TaskRunner`: inline, in
+    order, with ``workers=1``, and one clip per worker process
+    otherwise, with generator weights broadcast once per worker and
+    result masks returned through shared memory.  Results are
+    identical either way in float64.
 
     ``conditions`` adds a process-window corner stack: every mask is
     additionally evaluated over the corners (window PVB, worst-corner
@@ -392,145 +461,62 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     nominal-only objective.
 
     ``logger`` (a :class:`~repro.runtime.telemetry.RunLogger`) streams
-    quality telemetry into the run ledger: per-evaluation-point
-    ``quality_sample`` records during each serial optimization and one
-    ``clip_result`` record per (method, clip) at the end.  Parallel
-    runs emit only the ``clip_result`` records (worker iteration
-    samples stay in the workers).
+    quality telemetry into the run ledger: one ``clip_result`` record
+    per (method, clip) at the end and, on inline runs only, the
+    per-evaluation-point ``quality_sample`` records of every
+    optimization (a pool's iteration samples stay in its workers).
+    Pooled runs also log the pool's stalls and stragglers as
+    ``anomaly`` records.
     """
     cfg = pipeline.config
     clips = clips or iccad13_suite(pipeline.litho)
-    if workers > 1:
-        return _run_table2_parallel(pipeline, generators, clips, workers,
-                                    conditions=conditions,
-                                    pw_objective=pw_objective,
-                                    logger=logger)
-
-    condition_engine = (LithoEngine.for_conditions(pipeline.kernels,
-                                                   conditions,
-                                                   pipeline.engine.precision)
-                        if conditions is not None else None)
-    ilt = ILTOptimizer(pipeline.litho,
-                       ILTConfig(max_iterations=cfg.ilt_iterations,
-                                 pw_objective=pw_objective),
-                       engine=pipeline.engine, conditions=conditions)
-    refine_cfg = ILTConfig(max_iterations=cfg.refine_iterations, patience=4,
-                           pw_objective=pw_objective)
-    flows = {
-        "GAN-OPC": GanOpcFlow(generators.gan, pipeline.litho, refine_cfg,
-                              engine=pipeline.engine, conditions=conditions),
-        "PGAN-OPC": GanOpcFlow(generators.pgan, pipeline.litho, refine_cfg,
-                               engine=pipeline.engine, conditions=conditions),
-    }
-
-    columns: Dict[str, List[MaskEvaluation]] = {
-        "ILT": [], "GAN-OPC": [], "PGAN-OPC": []}
-    masks: Dict[str, List[np.ndarray]] = {
-        "ILT": [], "GAN-OPC": [], "PGAN-OPC": []}
-    stage_seconds: Dict[str, List[Dict[str, float]]] = {
-        "ILT": [], "GAN-OPC": [], "PGAN-OPC": []}
-
-    stats_before = LithoEngine.stats.snapshot()
-    for clip in clips:
-        target = (rasterize(clip.layout, cfg.grid) >= 0.5).astype(float)
-
-        if logger is not None:
-            ilt.logger = logger
-            ilt.quality_context = {"clip": clip.name, "method": "ILT",
-                                   "stage": "refinement"}
-        start = time.perf_counter()
-        ilt_result = ilt.optimize(target)
-        ilt_runtime = time.perf_counter() - start
-        columns["ILT"].append(evaluate_mask(
-            pipeline.engine, ilt_result.mask, target, layout=clip.layout,
-            name=clip.name, runtime_seconds=ilt_runtime,
-            condition_engine=condition_engine))
-        masks["ILT"].append(ilt_result.mask)
-        stage_seconds["ILT"].append(
-            {"generation": 0.0, "refinement": ilt_runtime})
-
-        for method, flow in flows.items():
-            if logger is not None:
-                flow.refiner.logger = logger
-                flow.refiner.quality_context = {
-                    "clip": clip.name, "method": method,
-                    "stage": "refinement"}
-            flow_result = flow.optimize(target)
-            columns[method].append(evaluate_mask(
-                pipeline.engine, flow_result.mask, target,
-                layout=clip.layout, name=clip.name,
-                runtime_seconds=flow_result.runtime_seconds,
-                condition_engine=condition_engine))
-            masks[method].append(flow_result.mask)
-            stage_seconds[method].append(
-                {"generation": flow_result.generation_seconds,
-                 "refinement": flow_result.refinement_seconds})
-
-    result = Table2Result(columns=columns, masks=masks, clips=clips,
-                          stage_seconds=stage_seconds,
-                          engine_stats=LithoEngine.stats.delta(stats_before))
-    result.table = comparison_table(columns, baseline="ILT")
-    _emit_clip_results(logger, result)
-    return result
-
-
-def _run_table2_parallel(pipeline: Pipeline, generators: TrainedGenerators,
-                         clips: List[BenchmarkClip],
-                         workers: int,
-                         conditions: Optional[ConditionSet] = None,
-                         pw_objective: str = "nominal",
-                         logger=None) -> Table2Result:
-    """Clip-parallel Table 2: one task evaluates all methods on a clip."""
-    from ..parallel.flow import _table2_clip_task, generator_payload
-    from ..parallel.pool import WorkerPool
-    from ..parallel.shm import SharedArray
-
-    cfg = pipeline.config
-    methods = ("ILT", "GAN-OPC", "PGAN-OPC")
     state = {"clips": clips,
              "GAN-OPC": generator_payload(generators.gan),
              "PGAN-OPC": generator_payload(generators.pgan)}
-    shared_masks = SharedArray.create((len(methods), len(clips),
-                                       cfg.grid, cfg.grid), np.float64)
-    try:
-        with WorkerPool(workers, litho_config=pipeline.litho,
-                        precision=pipeline.engine.precision,
-                        state=state) as pool:
-            reports = pool.map(
-                _table2_clip_task,
-                [(slot, shared_masks.spec, cfg.grid, pipeline.litho,
-                  cfg.ilt_iterations, cfg.refine_iterations, conditions,
-                  pw_objective)
-                 for slot in range(len(clips))],
-                label="parallel.table2")
-        all_masks = np.array(shared_masks.array, copy=True)
-    finally:
-        shared_masks.close()
-        shared_masks.unlink()
 
-    columns = {m: [None] * len(clips) for m in methods}
-    masks = {m: [None] * len(clips) for m in methods}
-    stage_seconds = {m: [None] * len(clips) for m in methods}
+    stats_before = LithoEngine.stats.snapshot()
+    with TaskRunner(workers, None, pipeline.litho,
+                    pipeline.engine.precision, state) as runner:
+        masks_handle = runner.share(np.zeros((len(TABLE2_METHODS),
+                                              len(clips), cfg.grid,
+                                              cfg.grid)))
+        task_logger = logger if runner.pool is None else None
+        reports = runner.map(
+            _table2_clip_task,
+            [(slot, masks_handle, cfg.grid, pipeline.litho,
+              cfg.ilt_iterations, cfg.refine_iterations, conditions,
+              pw_objective, task_logger)
+             for slot in range(len(clips))],
+            label="parallel.table2")
+        all_masks = runner.collect(masks_handle)
+    pool_stats = runner.pool_stats
+
+    columns = {m: [None] * len(clips) for m in TABLE2_METHODS}
+    masks = {m: [None] * len(clips) for m in TABLE2_METHODS}
+    stage_seconds = {m: [None] * len(clips) for m in TABLE2_METHODS}
     for slot, evaluations, stages in reports:
-        for method_index, method in enumerate(methods):
+        for method_index, method in enumerate(TABLE2_METHODS):
             columns[method][slot] = evaluations[method]
             masks[method][slot] = all_masks[method_index, slot]
             stage_seconds[method][slot] = stages[method]
 
-    result = Table2Result(columns=columns, masks=masks, clips=clips,
-                          stage_seconds=stage_seconds,
-                          engine_stats=dict(pool.stats.fleet.engine_totals),
-                          pool_stats=pool.stats)
+    result = Table2Result(
+        columns=columns, masks=masks, clips=clips,
+        stage_seconds=stage_seconds,
+        engine_stats=(dict(pool_stats.fleet.engine_totals)
+                      if pool_stats is not None
+                      else LithoEngine.stats.delta(stats_before)),
+        pool_stats=pool_stats)
     result.table = comparison_table(columns, baseline="ILT")
     _emit_clip_results(logger, result)
-    if logger is not None:
-        for event in pool.stats.stalls:
+    if logger is not None and pool_stats is not None:
+        for event in pool_stats.stalls:
             logger.anomaly("worker_stall", pid=event.pid,
                            task_seq=event.task_seq,
                            gap_seconds=event.gap_seconds)
-        for pid, seconds in pool.stats.stragglers():
+        for pid, seconds in pool_stats.stragglers():
             logger.anomaly("straggler", pid=pid, seconds=seconds,
-                           median_seconds=pool.stats.median_task_seconds())
+                           median_seconds=pool_stats.median_task_seconds())
     return result
 
 

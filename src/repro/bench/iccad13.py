@@ -107,23 +107,8 @@ def make_clip(clip_id: int, litho_config: Optional[LithoConfig] = None,
 
 
 def iccad13_suite(litho_config: Optional[LithoConfig] = None,
-                  tolerance: float = 0.1,
-                  workers: int = 1) -> List[BenchmarkClip]:
-    """The full ten-clip substitute suite.
-
-    ``workers > 1`` synthesizes clips in parallel processes; each clip
-    is seeded independently, so the suite is identical regardless of
-    worker count.
-    """
-    if workers > 1:
-        from ..parallel.pool import WorkerPool
-        from ..parallel.raster import _benchmark_clip_task
-        litho_config = litho_config or LithoConfig.paper()
-        with WorkerPool(workers, litho_config=litho_config) as pool:
-            return pool.map(_benchmark_clip_task,
-                            [(i, litho_config, tolerance)
-                             for i in range(1, 11)],
-                            label="parallel.clips")
+                  tolerance: float = 0.1) -> List[BenchmarkClip]:
+    """The full ten-clip substitute suite."""
     return [make_clip(i, litho_config, tolerance) for i in range(1, 11)]
 
 

@@ -870,8 +870,7 @@ def cmd_table2(args) -> int:
                              "pw_objective": args.pw_objective}) as run:
         print(f"training generators at scale {args.scale!r} "
               f"(grid {config.grid}px) ...")
-        if args.workers > 1:
-            pipeline.dataset.precompute(workers=args.workers)
+        pipeline.dataset.precompute(workers=args.workers)
         generators = train_generators(pipeline, verbose=args.verbose)
         result = run_table2(pipeline, generators, clips=clips,
                             workers=args.workers,

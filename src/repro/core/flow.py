@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -134,27 +134,3 @@ class GanOpcFlow:
             refinement_seconds=ilt_result.runtime_seconds,
             ilt_result=ilt_result,
         )
-
-    def optimize_batch(self, targets: np.ndarray,
-                       refine_iterations: Optional[int] = None,
-                       workers: int = 1) -> List[FlowResult]:
-        """Run the flow on a target stack ``(N, grid, grid)``.
-
-        ``workers > 1`` fans one clip per worker process (generator
-        weights broadcast once per worker, images through shared
-        memory); float64 results are bit-exact versus the serial loop.
-        """
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim != 3:
-            raise ValueError(
-                f"targets must be (N, g, g), got shape {targets.shape}")
-        if workers <= 1:
-            return [self.optimize(t, refine_iterations=refine_iterations)
-                    for t in targets]
-        from ..parallel.flow import parallel_flow
-        return parallel_flow(self.generator, targets, self.litho_config,
-                             self.refiner.config,
-                             refine_iterations=refine_iterations,
-                             workers=workers,
-                             precision=self.engine.precision,
-                             conditions=self.conditions)

@@ -161,49 +161,31 @@ class SyntheticDataset:
                    workers: int = 1) -> None:
         """Eagerly build reference masks (the offline dataset stage).
 
-        ``workers > 1`` fans instance construction — layout synthesis,
-        rasterization and the reference-mask ILT run — across worker
-        processes.  Each instance is derived from its own spawned seed,
-        so the resulting targets and masks are bit-exact equal to
-        serial construction regardless of worker count.
+        The targets of every uncached instance go through one
+        :func:`~repro.parallel.ilt.parallel_ilt` run with this
+        dataset's ILT settings: inline with ``workers=1``, across
+        worker processes otherwise.  ILT is deterministic, so the masks
+        are bit-exact equal to lazily built ones whatever the worker
+        count.  Only the masks are kept.
         """
+        # Imported here: repro.parallel imports repro.core, which
+        # imports this module.
+        from ..parallel.ilt import parallel_ilt
+
         indices = list(range(self.size) if indices is None else indices)
-        if workers > 1:
-            self._precompute_parallel(indices, progress, workers)
-            return
-        for counter, index in enumerate(indices):
-            self.reference_mask(index)
-            if progress and (counter + 1) % 10 == 0:
-                print(f"built {counter + 1} reference masks")
-
-    def _precompute_parallel(self, indices: List[int], progress: bool,
-                             workers: int) -> None:
-        """Shared-memory fan-out of instance construction."""
-        from ..parallel.pool import WorkerPool
-        from ..parallel.raster import _dataset_pair_task
-        from ..parallel.shm import SharedArray
-
-        pending = [i for i in indices if self._masks[i] is None]
+        for index in indices:
+            self._check_index(index)
+        pending = [i for i in dict.fromkeys(indices) if self._masks[i] is None]
         if not pending:
             return
-        grid = self.litho_config.grid
-        shared_out = SharedArray.create((2, len(pending), grid, grid),
-                                        np.float64)
-        try:
-            with WorkerPool(workers, litho_config=self.litho_config) as pool:
-                reports = pool.map(
-                    _dataset_pair_task,
-                    [(slot, index, shared_out.spec, self._children[index],
-                      self.topology, self.litho_config, self.ilt.config)
-                     for slot, index in enumerate(pending)],
-                    label="parallel.dataset")
-            pairs = np.array(shared_out.array, copy=True)
-        finally:
-            shared_out.close()
-            shared_out.unlink()
-        for counter, (slot, index, layout) in enumerate(reports):
-            self._layouts[index] = layout
-            self._targets[index] = pairs[0, slot]
-            self._masks[index] = pairs[1, slot]
-            if progress and (counter + 1) % 10 == 0:
-                print(f"built {counter + 1} reference masks")
+
+        def report(done, total, pid, seconds):
+            if done % 10 == 0:
+                print(f"built {done} reference masks")
+
+        run = parallel_ilt(np.stack([self.target(i) for i in pending]),
+                           self.litho_config, self.ilt.config,
+                           workers=workers,
+                           progress=report if progress else None)
+        for index, result in zip(pending, run.results):
+            self._masks[index] = result.mask.copy()

@@ -1,19 +1,18 @@
 """Parallel ILT: fan independent clips across the worker pool.
 
-Per-clip ILT runs (reference-mask generation, the Table 2 baseline
-column, Fig. 6 refinement over a benchmark suite) are embarrassingly
-parallel: each clip's descent touches nothing but its own target.
-:func:`parallel_ilt` distributes them one clip per task, with targets
-(and optional warm-start masks) shipped through one shared-memory
-segment and the image-shaped outputs — best mask, relaxed mask, final
-parameters — written into another.  Only scalars and histories cross
-the pickle boundary, so the transported bytes are independent of grid
-size.
+Per-clip ILT runs (the training library's reference masks, built by
+:meth:`~repro.layoutgen.dataset.SyntheticDataset.precompute`) are
+embarrassingly parallel: each clip's descent touches nothing but its
+own target.  :func:`parallel_ilt` runs one :func:`_ilt_clip_task` per
+clip.  On a pool, targets (and optional warm-start masks) ship through
+one shared-memory segment and the image-shaped outputs — best mask,
+relaxed mask, final parameters — are written into another, so only
+scalars and histories cross the pickle boundary; with one worker the
+same task runs inline on plain arrays.
 
-Determinism: ILT is noise-free steepest descent, and each worker runs
-the identical :class:`~repro.ilt.optimizer.ILTOptimizer` code on the
-identical float64 inputs, so parallel results are **bit-exact** equal
-to a serial per-clip loop at either precision (asserted in
+Determinism: ILT is noise-free steepest descent, and every clip runs
+the identical task on identical float64 inputs, so pooled results are
+**bit-exact** equal to an inline run at either precision (asserted in
 ``tests/parallel``).  The descent itself runs on the f32 engine; its
 documented tolerance is a relaxed litho-error delta of at most 1e-3
 versus an f64 descent (see DESIGN.md §10).
@@ -30,8 +29,8 @@ import numpy as np
 from ..ilt.optimizer import ILTConfig, ILTOptimizer, ILTResult
 from ..litho.conditions import ConditionSet
 from ..litho.config import LithoConfig
-from .pool import PoolStats, WorkerPool, attach_array, worker_engine
-from .shm import ShmSpec, SharedArray
+from .pool import (PoolStats, TaskRunner, WorkerPool, attach_array,
+                   worker_engine)
 
 
 @dataclass
@@ -55,12 +54,12 @@ class ParallelILTResult:
 # ----------------------------------------------------------------------
 # Worker tasks (module-level: must be picklable)
 # ----------------------------------------------------------------------
-def _ilt_clip_task(index: int, targets_spec: ShmSpec,
-                   initial_spec: Optional[ShmSpec], out_spec: ShmSpec,
+def _ilt_clip_task(index: int, targets_spec, initial_spec, out_spec,
                    litho_config: LithoConfig, ilt_config: ILTConfig,
                    max_iterations: Optional[int],
                    conditions: Optional[ConditionSet] = None):
-    """Optimize one clip; images go to shared memory, scalars return."""
+    """Optimize one clip; images go to the output array, scalars
+    return."""
     targets = attach_array(targets_spec)
     initial = (attach_array(initial_spec)[index]
                if initial_spec is not None else None)
@@ -90,82 +89,50 @@ def parallel_ilt(targets: np.ndarray,
                  pool: Optional[WorkerPool] = None,
                  conditions: Optional[ConditionSet] = None,
                  progress=None) -> ParallelILTResult:
-    """Per-clip ILT over a target stack, fanned across worker processes.
+    """Per-clip ILT over a target stack, one :func:`_ilt_clip_task` per
+    clip, through a :class:`~repro.parallel.pool.TaskRunner`.
 
     Parameters
     ----------
     targets:
         Binary target stack ``(N, grid, grid)``.
     workers:
-        Worker processes; ``1`` runs serially in-process (the parity
-        reference — identical code path, no pool).
+        Worker processes; ``1`` runs the same task inline, in order.
     precision:
         Precision of the engine that scores each clip (``None`` =
         ``"f64"``); the descent runs in f32 either way.
     initial_masks:
         Optional per-clip warm starts ``(N, grid, grid)``.
     pool:
-        Reuse an existing pool (its config/precision win); otherwise a
-        pool is created and torn down inside this call.
+        Reuse an existing pool (its config/precision win); otherwise
+        ``workers > 1`` creates one and tears it down inside this call.
     progress:
-        Optional ``(done, total, pid, seconds)`` callback forwarded to
-        :meth:`WorkerPool.map` — what ``repro monitor`` renders live.
+        Optional ``(done, total, pid, seconds)`` callback, called after
+        every finished clip — what ``repro monitor`` renders live.
+
+    Each result's images are views of one ``(3, N, grid, grid)`` array
+    (best mask, relaxed mask, parameters); copy what outlives it.
     """
     litho_config = litho_config or LithoConfig.paper()
     ilt_config = ilt_config or ILTConfig()
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 3:
         raise ValueError(f"targets must be (N, g, g), got {targets.shape}")
-    n = targets.shape[0]
+    n, grid = targets.shape[0], targets.shape[-1]
     started = time.perf_counter()
 
-    if workers <= 1 and pool is None:
-        from ..litho.engine import LithoEngine
-        from ..litho.kernels import build_kernels
-        engine = LithoEngine.for_kernels(build_kernels(litho_config),
-                                         precision=precision)
-        optimizer = ILTOptimizer(litho_config, ilt_config, engine=engine,
-                                 conditions=conditions)
-        results = [optimizer.optimize(
-                       targets[i],
-                       initial_mask=(initial_masks[i]
-                                     if initial_masks is not None else None),
-                       max_iterations=max_iterations)
-                   for i in range(n)]
-        return ParallelILTResult(results=results,
-                                 runtime_seconds=time.perf_counter() - started,
-                                 workers=1)
-
-    grid = targets.shape[-1]
-    own_pool = pool is None
-    if own_pool:
-        pool = WorkerPool(workers, litho_config=litho_config,
-                          precision=precision)
-    shared_targets = SharedArray.from_array(targets)
-    shared_initial = (SharedArray.from_array(np.asarray(initial_masks,
-                                                        dtype=float))
-                      if initial_masks is not None else None)
-    shared_out = SharedArray.create((3, n, grid, grid), np.float64)
-    try:
-        reports = pool.map(
+    with TaskRunner(workers, pool, litho_config, precision) as runner:
+        targets_handle = runner.share(targets)
+        initial_handle = (runner.share(np.asarray(initial_masks, dtype=float))
+                          if initial_masks is not None else None)
+        out_handle = runner.share(np.zeros((3, n, grid, grid)))
+        reports = runner.map(
             _ilt_clip_task,
-            [(i, shared_targets.spec,
-              shared_initial.spec if shared_initial is not None else None,
-              shared_out.spec, litho_config, ilt_config, max_iterations,
-              conditions)
+            [(i, targets_handle, initial_handle, out_handle, litho_config,
+              ilt_config, max_iterations, conditions)
              for i in range(n)],
             label="parallel.ilt", progress=progress)
-        out = np.array(shared_out.array, copy=True)
-    finally:
-        shared_targets.close()
-        shared_targets.unlink()
-        if shared_initial is not None:
-            shared_initial.close()
-            shared_initial.unlink()
-        shared_out.close()
-        shared_out.unlink()
-        if own_pool:
-            pool.shutdown()
+        out = runner.collect(out_handle)
 
     results: List[Optional[ILTResult]] = [None] * n
     for (index, l2, relaxed_history, l2_history, iterations,
@@ -178,4 +145,5 @@ def parallel_ilt(targets: np.ndarray,
             converged=converged)
     return ParallelILTResult(results=results,
                              runtime_seconds=time.perf_counter() - started,
-                             workers=pool.workers, pool_stats=pool.stats)
+                             workers=runner.workers,
+                             pool_stats=runner.pool_stats)

@@ -14,7 +14,9 @@ with the conventions every parallel workload in this repo shares:
 * **shared-memory transport** — tasks receive
   :class:`~repro.parallel.shm.ShmSpec` handles and map the arrays with
   :func:`attach_array`, which memoizes attachments per segment so a
-  worker maps each array once, not once per task.
+  worker maps each array once per :meth:`WorkerPool.map`, not once per
+  task; a worker's first task of a new ``map`` closes the attachments
+  of earlier ones, whose segments the parent has unlinked by then.
 * **error discipline** — an exception inside a task is captured with
   its traceback and re-raised in the parent as :class:`WorkerTaskError`
   (remaining futures are cancelled); a worker dying outright (segfault,
@@ -39,6 +41,11 @@ with the conventions every parallel workload in this repo shares:
 
 Task functions must be module-level (picklable); per-task arguments
 should be small — ship arrays through shared memory, not arguments.
+
+:class:`TaskRunner` is how the parallel entry points use all of this:
+one task function per unit of work (clip, tile), run on a pool when the
+caller gives one or asks for ``workers > 1``, and inline, in order,
+otherwise.
 """
 
 from __future__ import annotations
@@ -50,9 +57,12 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
                     Tuple)
+
+import numpy as np
 
 from repro.obs import profiler, trace
 from repro.obs import aggregate as obs_aggregate
@@ -90,6 +100,7 @@ _WORKER_STATE: Dict[str, Any] = {
     "precision": None,
     "state": None,
     "arrays": {},
+    "map": None,
     "heartbeat": None,
 }
 
@@ -109,6 +120,7 @@ def _worker_init(litho_config: Optional[LithoConfig], precision: str,
     _WORKER_STATE["precision"] = precision
     _WORKER_STATE["state"] = state
     _WORKER_STATE["arrays"] = {}
+    _WORKER_STATE["map"] = None
     _WORKER_STATE["heartbeat"] = None
     if heartbeat is not None:
         name, capacity, interval = heartbeat
@@ -120,7 +132,7 @@ def _worker_init(litho_config: Optional[LithoConfig], precision: str,
 
 
 def worker_engine(litho_config: Optional[LithoConfig] = None) -> LithoEngine:
-    """The warm per-process engine for the pool's (or given) config
+    """The warm per-process engine for the run's (or given) config
     (``for_kernels`` memoizes, so the same engine persists across
     tasks)."""
     config = litho_config or _WORKER_STATE["litho_config"]
@@ -131,12 +143,19 @@ def worker_engine(litho_config: Optional[LithoConfig] = None) -> LithoEngine:
 
 
 def worker_state() -> Any:
-    """Pool-wide broadcast state (e.g. generator weights), if any."""
+    """The run's broadcast state (e.g. generator weights), if any."""
     return _WORKER_STATE["state"]
 
 
-def attach_array(spec: ShmSpec):
-    """Attach (memoized per worker) a shared array and return the ndarray."""
+def attach_array(spec):
+    """The ndarray behind a task's array handle.
+
+    A :class:`ShmSpec` is attached (memoized per worker and map); an
+    ndarray, which is what an inline :class:`TaskRunner` hands its
+    tasks, comes back unchanged.
+    """
+    if isinstance(spec, np.ndarray):
+        return spec
     shared = _WORKER_STATE["arrays"].get(spec.name)
     if shared is None:
         shared = SharedArray.attach(spec)
@@ -144,8 +163,24 @@ def attach_array(spec: ShmSpec):
     return shared.array
 
 
-def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool = False
-              ) -> Tuple:
+def _enter_map(map_index: int) -> None:
+    """Close the attachments of earlier maps at a map's first task here.
+
+    Their segments are unlinked by the time a later map runs, so only
+    this process's mapping still pins their memory.  A ``BufferError``
+    from ``close`` means a task kept a view of a shared array past its
+    return.
+    """
+    if _WORKER_STATE["map"] == map_index:
+        return
+    arrays = _WORKER_STATE["arrays"]
+    while arrays:
+        arrays.popitem()[1].close()
+    _WORKER_STATE["map"] = map_index
+
+
+def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool,
+              map_index: int) -> Tuple:
     """Worker-side wrapper: time the task, capture failures + telemetry.
 
     Failures come back as data (not raised) so the parent never trips
@@ -154,7 +189,8 @@ def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool = False
     process-wide litho counters always ships (a forked worker inherits
     the parent's counts, which the delta cancels); spans and profiler
     tables ship only when ``ship_telemetry`` (the parent was tracing
-    at submit time).
+    at submit time).  ``map_index`` numbers the pool's maps, so the
+    task can release what earlier maps attached.
     """
     heartbeat = _WORKER_STATE["heartbeat"]
     if heartbeat is not None:
@@ -170,6 +206,7 @@ def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool = False
     value = None
     try:
         try:
+            _enter_map(map_index)
             value = fn(*args)
         except BaseException as exc:  # noqa: BLE001 - reported to parent
             failure = (f"{type(exc).__name__}: {exc}",
@@ -346,6 +383,7 @@ class WorkerPool:
         self._board: Optional[HeartbeatBoard] = None
         self._watchdog: Optional[Watchdog] = None
         self._traced_pids: Set[int] = set()
+        self._maps = 0
 
     # ------------------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -403,6 +441,7 @@ class WorkerPool:
         items = list(items)
         executor = self._ensure_executor()
         ship = trace.is_enabled()
+        self._maps += 1
         total = len(items)
         started = time.perf_counter()
         futures: Dict[Any, int] = {}
@@ -413,7 +452,8 @@ class WorkerPool:
             try:
                 for index, item in enumerate(items):
                     futures[executor.submit(
-                        _run_task, fn, tuple(item), ship)] = index
+                        _run_task, fn, tuple(item), ship,
+                        self._maps)] = index
                 done = 0
                 for future in as_completed(futures):
                     report = future.result()
@@ -472,3 +512,95 @@ class WorkerPool:
     def __repr__(self) -> str:
         return (f"WorkerPool(workers={self.workers}, "
                 f"context={self.context!r}, precision={self.precision!r})")
+
+
+class TaskRunner:
+    """One batch of independent tasks, on a worker pool or inline.
+
+    With ``pool``, or with ``workers > 1`` (the runner then starts a
+    :class:`WorkerPool` and owns it), :meth:`map` runs ``fn(*item)``
+    through :meth:`WorkerPool.map` and :meth:`share` puts arrays in
+    shared memory.  Otherwise :meth:`map` runs the same ``fn`` in this
+    process, in order, and :meth:`share` hands over the arrays
+    themselves.  A task body cannot tell the two apart:
+    :func:`attach_array` turns either handle into an ndarray, and
+    inline tasks read :func:`worker_engine` and :func:`worker_state`
+    from this run's ``litho_config``, ``precision`` and ``state`` (a
+    given pool answers from its own).  An inline run adds no span, no
+    shared memory and no :class:`PoolStats`.
+
+    Use it as a context manager: exit closes and unlinks every segment
+    :meth:`share` created and shuts down a pool the runner started,
+    also on error.
+    """
+
+    def __init__(self, workers: int = 1,
+                 pool: Optional[WorkerPool] = None,
+                 litho_config: Optional[LithoConfig] = None,
+                 precision: Optional[str] = None,
+                 state: Any = None):
+        self._cleanup = ExitStack()
+        if pool is None and workers > 1:
+            pool = WorkerPool(workers, litho_config=litho_config,
+                              precision=precision, state=state)
+            self._cleanup.callback(pool.shutdown)
+        self.pool = pool
+        self._context = {"litho_config": litho_config,
+                         "precision": resolve_precision(precision),
+                         "state": state}
+        self._segments: Dict[str, SharedArray] = {}
+
+    @property
+    def workers(self) -> int:
+        return 1 if self.pool is None else self.pool.workers
+
+    @property
+    def pool_stats(self) -> Optional[PoolStats]:
+        return None if self.pool is None else self.pool.stats
+
+    def share(self, array: np.ndarray):
+        """A handle to ``array`` for tasks to :func:`attach_array`: the
+        spec of a shared-memory copy on a pool, ``array`` itself inline.
+        Tasks may write into it; :meth:`collect` reads it back."""
+        if self.pool is None:
+            return array
+        shared = self._cleanup.enter_context(SharedArray.from_array(array))
+        self._segments[shared.spec.name] = shared
+        return shared.spec
+
+    def collect(self, handle) -> np.ndarray:
+        """The array behind a :meth:`share` handle, as one that outlives
+        the run (a private copy of a shared segment)."""
+        if self.pool is None:
+            return handle
+        return np.array(self._segments[handle.name].array, copy=True)
+
+    def map(self, fn: Callable, items: Iterable[Tuple],
+            label: str = "parallel.map",
+            progress: Optional[ProgressFn] = None) -> List[Any]:
+        """``[fn(*item) for item in items]``; ``label`` names the pool's
+        map span and ``progress`` is called as in :meth:`WorkerPool.map`
+        (inline: once per item, in order)."""
+        if self.pool is not None:
+            return self.pool.map(fn, items, label=label, progress=progress)
+        items = list(items)
+        saved = {key: _WORKER_STATE[key] for key in self._context}
+        _WORKER_STATE.update(self._context)
+        try:
+            results = []
+            for done, item in enumerate(items, start=1):
+                started = time.perf_counter()
+                results.append(fn(*item))
+                if progress is not None:
+                    progress(done, len(items), os.getpid(),
+                             time.perf_counter() - started)
+            return results
+        finally:
+            _WORKER_STATE.update(saved)
+
+    def __enter__(self) -> "TaskRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._segments.clear()
+        self._cleanup.close()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -126,18 +126,13 @@ class SharedArray:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-        if self.owner:
-            self.unlink()
+        try:
+            self.close()
+        finally:
+            if self.owner:
+                self.unlink()
 
     def __repr__(self) -> str:
         role = "owner" if self.owner else "attached"
         return (f"SharedArray({self.spec.name}, shape={self.spec.shape}, "
                 f"dtype={self.spec.dtype}, {role})")
-
-
-def copy_out(shared: Optional[SharedArray]) -> Optional[np.ndarray]:
-    """Private copy of a shared array's contents (survives unlink)."""
-    if shared is None:
-        return None
-    return np.array(shared.array, copy=True)

@@ -8,24 +8,24 @@ simulation is periodic on the *tile window* rather than the chip, so
 stitched results match a monolithic run only to within a documented
 seam tolerance that shrinks as the halo grows (tests/tiling).
 
-Parallel runs fan one tile per task over the shared-memory
-:class:`~repro.parallel.pool.WorkerPool`: the chip target ships once
-through shared memory, tile cores are written into disjoint slices of
-a shared chip-sized output (no two tiles own the same core pixel, so
-the writes are race-free), and only scalars cross the pickle
-boundary.  Serial and parallel runs execute the identical per-window
-code on identical float64 inputs, so they are **bit-exact** equal.
+Each tile is one :func:`_tile_task`, run through a
+:class:`~repro.parallel.pool.TaskRunner`: inline with one worker, or
+one tile per task over the shared-memory
+:class:`~repro.parallel.pool.WorkerPool`, where the chip target ships
+once through shared memory and only scalars cross the pickle
+boundary.  Either way tile cores are written into disjoint slices of a
+chip-sized output (no two tiles own the same core pixel, so the writes
+are race-free), and both cases run the identical task on identical
+float64 inputs, so they are **bit-exact** equal.
 
 Empty windows (no geometry in core or halo) are skipped by default:
 the optimum for an empty target is the empty mask, which the skip
 reproduces exactly for the binary mask (the relaxed mask of a real
-run would sit at ``sigmoid(-mask_steepness)`` instead of 0).  Both
-execution paths share the skip logic, so parity is unaffected.
+run would sit at ``sigmoid(-mask_steepness)`` instead of 0).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -34,16 +34,14 @@ import numpy as np
 
 from ..obs import trace
 
+from ..core.flow import GanOpcFlow
 from ..core.generator import MaskGenerator
 from ..ilt.optimizer import ILTConfig, ILTOptimizer
 from ..litho.config import LithoConfig
-from ..litho.engine import LithoEngine
-from ..litho.kernels import build_kernels
 from ..parallel.flow import _rebuild_generator, generator_payload
-from ..parallel.pool import (PoolStats, WorkerPool, attach_array,
-                             worker_engine, worker_state)
-from ..parallel.shm import ShmSpec, SharedArray
-from .grid import Tile, TileGrid, extract_window
+from ..parallel.pool import (PoolStats, TaskRunner, WorkerPool,
+                             attach_array, worker_engine, worker_state)
+from .grid import TileGrid, extract_window
 from .stitch import stitch_feathered
 
 
@@ -107,99 +105,42 @@ class TiledResult:
 
 
 # ----------------------------------------------------------------------
-# Shared per-window work (identical on the serial and worker paths)
+# The tile task (module-level: must be picklable)
 # ----------------------------------------------------------------------
-def _ilt_window(window: np.ndarray, litho_config: LithoConfig,
-                ilt_config: ILTConfig, max_iterations: Optional[int],
-                engine: LithoEngine, skip_empty: bool):
-    """Optimize one tile window; returns (mask, relaxed, l2-parts)."""
-    if skip_empty and not window.any():
-        zeros = np.zeros_like(window)
-        return zeros, zeros, 0, 0.0, True
-    optimizer = ILTOptimizer(litho_config, ilt_config, engine=engine)
-    result = optimizer.optimize(window, max_iterations=max_iterations)
-    return (result.mask, result.mask_relaxed, result.iterations,
-            result.runtime_seconds, False)
+def _tile_task(index: int, chip_spec, out_spec, windows_spec,
+               tile_grid: TileGrid, litho_config: LithoConfig,
+               ilt_config: ILTConfig, max_iterations: Optional[int],
+               skip_empty: bool, flow: bool):
+    """Optimize one tile window and write it into the chip outputs.
 
-
-def _flow_window(window: np.ndarray, generator: MaskGenerator,
-                 litho_config: LithoConfig, refine_config: ILTConfig,
-                 refine_iterations: Optional[int], engine: LithoEngine,
-                 skip_empty: bool):
-    if skip_empty and not window.any():
-        zeros = np.zeros_like(window)
-        return zeros, zeros, 0, 0.0, True
-    from ..core.flow import GanOpcFlow
-    flow = GanOpcFlow(generator, litho_config, refine_config, engine=engine)
-    result = flow.optimize(window, refine_iterations=refine_iterations)
-    ilt = result.ilt_result
-    return (result.mask, ilt.mask_relaxed, ilt.iterations,
-            result.runtime_seconds, False)
-
-
-def _core_l2(engine: LithoEngine, mask_window: np.ndarray,
-             target_window: np.ndarray, tile: Tile) -> float:
-    """Discrete litho error of a tile's mask restricted to its core."""
-    diff = engine.wafer(mask_window) - target_window
-    core = diff[tile.local_core_slices()]
-    return float(np.sum(core * core))
-
-
-def _commit(tile: Tile, mask_window: np.ndarray, relaxed_window: np.ndarray,
-            mask_out: np.ndarray, relaxed_out: Optional[np.ndarray],
-            windows_out: Optional[np.ndarray]) -> None:
-    """Write a finished tile into the chip-level outputs.
-
-    Cores are disjoint chip slices, so parallel workers committing
-    different tiles never touch the same output pixel.
+    ``flow`` selects the GAN-OPC flow — the generator rebuilt from the
+    run's broadcast state, then ``max_iterations`` of refinement —
+    over ILT from scratch.  Cores are disjoint chip slices, so tasks
+    committing different tiles never touch the same output pixel.
+    Returns ``(index, core l2, iterations, skipped)``.
     """
-    mask_out[tile.core_slices()] = mask_window[tile.local_core_slices()]
-    if relaxed_out is not None:
-        relaxed_out[tile.core_slices()] = \
-            relaxed_window[tile.local_core_slices()]
-    if windows_out is not None:
-        windows_out[tile.index] = relaxed_window
-
-
-# ----------------------------------------------------------------------
-# Worker tasks (module-level: must be picklable)
-# ----------------------------------------------------------------------
-def _tile_ilt_task(index: int, chip_spec: ShmSpec, out_spec: ShmSpec,
-                   windows_spec: Optional[ShmSpec], tile_grid: TileGrid,
-                   litho_config: LithoConfig, ilt_config: ILTConfig,
-                   max_iterations: Optional[int], skip_empty: bool):
-    chip = attach_array(chip_spec)
     tile = tile_grid.tiles()[index]
-    window = extract_window(chip, tile)
+    window = extract_window(attach_array(chip_spec), tile)
+    if skip_empty and not window.any():
+        return (index, 0.0, 0, True)
     engine = worker_engine(litho_config)
-    mask_w, relaxed_w, iterations, runtime, skipped = _ilt_window(
-        window, litho_config, ilt_config, max_iterations, engine, skip_empty)
-    l2 = 0.0 if skipped else _core_l2(engine, mask_w, window, tile)
+    if flow:
+        generator = _rebuild_generator(worker_state())
+        result = GanOpcFlow(generator, litho_config, ilt_config,
+                            engine=engine).optimize(
+            window, refine_iterations=max_iterations).ilt_result
+    else:
+        result = ILTOptimizer(litho_config, ilt_config,
+                              engine=engine).optimize(
+            window, max_iterations=max_iterations)
+    core, local = tile.core_slices(), tile.local_core_slices()
     out = attach_array(out_spec)
-    windows_out = (attach_array(windows_spec)
-                   if windows_spec is not None else None)
-    _commit(tile, mask_w, relaxed_w, out[0], out[1], windows_out)
-    return (index, l2, iterations, runtime, skipped)
-
-
-def _tile_flow_task(index: int, chip_spec: ShmSpec, out_spec: ShmSpec,
-                    windows_spec: Optional[ShmSpec], tile_grid: TileGrid,
-                    litho_config: LithoConfig, refine_config: ILTConfig,
-                    refine_iterations: Optional[int], skip_empty: bool):
-    chip = attach_array(chip_spec)
-    tile = tile_grid.tiles()[index]
-    window = extract_window(chip, tile)
-    engine = worker_engine(litho_config)
-    generator = _rebuild_generator(worker_state())
-    mask_w, relaxed_w, iterations, runtime, skipped = _flow_window(
-        window, generator, litho_config, refine_config, refine_iterations,
-        engine, skip_empty)
-    l2 = 0.0 if skipped else _core_l2(engine, mask_w, window, tile)
-    out = attach_array(out_spec)
-    windows_out = (attach_array(windows_spec)
-                   if windows_spec is not None else None)
-    _commit(tile, mask_w, relaxed_w, out[0], out[1], windows_out)
-    return (index, l2, iterations, runtime, skipped)
+    out[0][core] = result.mask[local]
+    out[1][core] = result.mask_relaxed[local]
+    if windows_spec is not None:
+        attach_array(windows_spec)[index] = result.mask_relaxed
+    diff = (engine.wafer(result.mask) - window)[local]
+    return (index, float(np.sum(diff * diff)), result.iterations, False)
 
 
 # ----------------------------------------------------------------------
@@ -208,15 +149,12 @@ def _tile_flow_task(index: int, chip_spec: ShmSpec, out_spec: ShmSpec,
 def _run_tiled(target: np.ndarray, config: TilingConfig,
                litho_config: LithoConfig, workers: int,
                precision: Optional[str], pool: Optional[WorkerPool],
-               state, task_fn, task_args, serial_fn,
-               progress=None) -> TiledResult:
-    """Common serial/parallel machinery for tiled ILT and tiled flow.
+               state, task_args, progress=None) -> TiledResult:
+    """Run one :func:`_tile_task` per tile and stitch the result.
 
-    ``task_fn(index, chip_spec, out_spec, windows_spec, tile_grid,
-    *task_args)`` is the worker task; ``serial_fn(window, engine)`` is
-    the equivalent in-process call returning the same 5-tuple.
+    ``task_args`` are the task's arguments after the tile grid.
     ``progress`` (``(done, total, pid, seconds)``) fires per finished
-    tile on both paths — it is what ``repro monitor`` renders.
+    tile — it is what ``repro monitor`` renders.
     """
     target = np.asarray(target, dtype=float)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
@@ -227,92 +165,41 @@ def _run_tiled(target: np.ndarray, config: TilingConfig,
             f"litho grid {litho_config.grid} != tile size {config.tile}")
     tile_grid = config.grid_for(target.shape[0])
     tiles = tile_grid.tiles()
+    chip_grid = tile_grid.chip_grid
     started = time.perf_counter()
 
-    with trace.span("tiling.run", tiles=len(tiles), workers=workers):
-        if workers <= 1 and pool is None:
-            engine = LithoEngine.for_kernels(build_kernels(litho_config),
-                                             precision=precision)
-            mask = np.zeros_like(target)
-            relaxed = np.zeros_like(target)
-            windows = ([None] * len(tiles) if config.blend > 0 else None)
-            tile_l2 = np.zeros(len(tiles))
-            iterations = 0
-            skipped_count = 0
-            for tile in tiles:
-                window = extract_window(target, tile)
-                mask_w, relaxed_w, iters, _, skipped = serial_fn(window,
-                                                                 engine)
-                tile_l2[tile.index] = (
-                    0.0 if skipped else _core_l2(engine, mask_w, window,
-                                                 tile))
-                iterations = max(iterations, iters)
-                skipped_count += int(skipped)
-                _commit(tile, mask_w, relaxed_w, mask,
-                        None if windows is not None else relaxed, None)
-                if progress is not None:
-                    progress(tile.index + 1, len(tiles), os.getpid(), 0.0)
-                if windows is not None:
-                    windows[tile.index] = relaxed_w
-            if windows is not None:
-                relaxed = stitch_feathered(windows, tile_grid, config.blend)
-            return TiledResult(
-                mask=mask, mask_relaxed=relaxed, tile_grid=tile_grid,
-                l2=float(tile_l2.sum()), tile_l2=tile_l2,
-                tiles_total=len(tiles), tiles_skipped=skipped_count,
-                iterations=iterations,
-                runtime_seconds=time.perf_counter() - started, workers=1)
+    with trace.span("tiling.run", tiles=len(tiles), workers=workers), \
+            TaskRunner(workers, pool, litho_config, precision,
+                       state) as runner:
+        chip = runner.share(target)
+        out = runner.share(np.zeros((2, chip_grid, chip_grid)))
+        windows = (runner.share(np.zeros((len(tiles), config.tile,
+                                          config.tile)))
+                   if config.blend > 0 else None)
+        reports = runner.map(
+            _tile_task,
+            [(tile.index, chip, out, windows, tile_grid) + task_args
+             for tile in tiles],
+            label="tiling.map", progress=progress)
+        mask, relaxed = runner.collect(out)
+        if windows is not None:
+            relaxed = stitch_feathered(list(runner.collect(windows)),
+                                       tile_grid, config.blend)
 
-        own_pool = pool is None
-        if own_pool:
-            pool = WorkerPool(workers, litho_config=litho_config,
-                              precision=precision, state=state)
-        chip_grid = tile_grid.chip_grid
-        shared_chip = SharedArray.from_array(target)
-        shared_out = SharedArray.create((2, chip_grid, chip_grid),
-                                        np.float64)
-        shared_windows = (
-            SharedArray.create((len(tiles), config.tile, config.tile),
-                               np.float64)
-            if config.blend > 0 else None)
-        try:
-            reports = pool.map(
-                task_fn,
-                [(tile.index, shared_chip.spec, shared_out.spec,
-                  shared_windows.spec if shared_windows is not None
-                  else None, tile_grid) + task_args
-                 for tile in tiles],
-                label="tiling.map", progress=progress)
-            mask = np.array(shared_out.array[0], copy=True)
-            relaxed = np.array(shared_out.array[1], copy=True)
-            if shared_windows is not None:
-                relaxed = stitch_feathered(
-                    list(shared_windows.array), tile_grid, config.blend)
-        finally:
-            shared_chip.close()
-            shared_chip.unlink()
-            shared_out.close()
-            shared_out.unlink()
-            if shared_windows is not None:
-                shared_windows.close()
-                shared_windows.unlink()
-            if own_pool:
-                pool.shutdown()
-
-        tile_l2 = np.zeros(len(tiles))
-        iterations = 0
-        skipped_count = 0
-        for index, l2, iters, _, skipped in reports:
-            tile_l2[index] = l2
-            iterations = max(iterations, iters)
-            skipped_count += int(skipped)
-        return TiledResult(
-            mask=mask, mask_relaxed=relaxed, tile_grid=tile_grid,
-            l2=float(tile_l2.sum()), tile_l2=tile_l2,
-            tiles_total=len(tiles), tiles_skipped=skipped_count,
-            iterations=iterations,
-            runtime_seconds=time.perf_counter() - started,
-            workers=pool.workers, pool_stats=pool.stats)
+    tile_l2 = np.zeros(len(tiles))
+    iterations = 0
+    skipped_count = 0
+    for index, l2, iters, skipped in reports:
+        tile_l2[index] = l2
+        iterations = max(iterations, iters)
+        skipped_count += int(skipped)
+    return TiledResult(
+        mask=mask, mask_relaxed=relaxed, tile_grid=tile_grid,
+        l2=float(tile_l2.sum()), tile_l2=tile_l2,
+        tiles_total=len(tiles), tiles_skipped=skipped_count,
+        iterations=iterations,
+        runtime_seconds=time.perf_counter() - started,
+        workers=runner.workers, pool_stats=runner.pool_stats)
 
 
 def tiled_ilt(target: np.ndarray,
@@ -335,19 +222,17 @@ def tiled_ilt(target: np.ndarray,
         Tile/halo/stitch settings; the litho config's grid must equal
         ``config.tile`` (default: ``LithoConfig.small(config.tile)``).
     workers:
-        ``1`` runs serially in-process; ``> 1`` fans tiles over a
-        :class:`WorkerPool`.  Results are bit-exact either way.
+        ``1`` runs the tile task inline, tile by tile; ``> 1`` (or a
+        ``pool``) fans tiles over a :class:`WorkerPool`.  Results are
+        bit-exact either way.
     """
     config = config or TilingConfig()
     litho_config = litho_config or LithoConfig.small(config.tile)
     ilt_config = ilt_config or ILTConfig()
     return _run_tiled(
         target, config, litho_config, workers, precision, pool, None,
-        _tile_ilt_task,
-        (litho_config, ilt_config, max_iterations, config.skip_empty),
-        lambda window, engine: _ilt_window(
-            window, litho_config, ilt_config, max_iterations, engine,
-            config.skip_empty),
+        (litho_config, ilt_config, max_iterations, config.skip_empty,
+         False),
         progress=progress)
 
 
@@ -362,9 +247,10 @@ def tiled_flow(generator: MaskGenerator, target: np.ndarray,
                progress=None) -> TiledResult:
     """GAN-OPC flow (generate + refine) over a chip raster, tile by tile.
 
-    Generator weights are broadcast once per worker through the pool's
-    ``state`` channel, exactly as in
-    :func:`~repro.parallel.flow.parallel_flow`.
+    The run's broadcast state is :func:`~repro.parallel.generator_payload`
+    of ``generator``: sent once per worker through the pool's ``state``
+    channel, or handed to the inline tasks.  A given ``pool`` broadcasts
+    its own state, which must be such a payload.
     """
     config = config or TilingConfig()
     litho_config = litho_config or LithoConfig.small(config.tile)
@@ -372,9 +258,6 @@ def tiled_flow(generator: MaskGenerator, target: np.ndarray,
     return _run_tiled(
         target, config, litho_config, workers, precision, pool,
         generator_payload(generator),
-        _tile_flow_task,
-        (litho_config, refine_config, refine_iterations, config.skip_empty),
-        lambda window, engine: _flow_window(
-            window, generator, litho_config, refine_config,
-            refine_iterations, engine, config.skip_empty),
+        (litho_config, refine_config, refine_iterations, config.skip_empty,
+         True),
         progress=progress)

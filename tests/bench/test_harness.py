@@ -8,6 +8,19 @@ from repro.bench import (ExperimentConfig, Pipeline, iccad13_suite,
                          train_generators)
 
 
+def assert_same_results(serial, pooled):
+    """Every mask and every evaluation field but the wall-clock match."""
+    for method, evaluations in serial.columns.items():
+        assert len(pooled.masks[method]) == len(serial.masks[method])
+        for a, b in zip(serial.masks[method], pooled.masks[method]):
+            np.testing.assert_array_equal(a, b)
+        assert len(pooled.columns[method]) == len(evaluations)
+        for a, b in zip(evaluations, pooled.columns[method]):
+            a, b = a.to_dict(), b.to_dict()
+            a.pop("runtime_seconds"), b.pop("runtime_seconds")
+            assert a == b, method
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     return Pipeline.build(ExperimentConfig.quick())
@@ -171,6 +184,10 @@ class TestWeightedEngineStats:
             assert int(parallel.engine_stats[counter]) == \
                 int(serial.engine_stats[counter]), counter
 
+    def test_serial_and_pooled_results_agree(self, weighted_runs):
+        serial, parallel, _ = weighted_runs
+        assert_same_results(serial, parallel)
+
 
 class TestFigures:
     def test_figure8_gallery_rows(self, pipeline, table2):
@@ -213,9 +230,4 @@ class TestTable2Parity:
         assert parallel_table2.engine_table()  # engine_stats populated
 
     def test_results_match_serial(self, table2, parallel_table2):
-        for method in ("ILT", "GAN-OPC", "PGAN-OPC"):
-            for serial, parallel in zip(table2.columns[method],
-                                        parallel_table2.columns[method]):
-                assert serial.l2_nm2 == pytest.approx(parallel.l2_nm2)
-                assert serial.pvband_nm2 == \
-                    pytest.approx(parallel.pvband_nm2)
+        assert_same_results(table2, parallel_table2)

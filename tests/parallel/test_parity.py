@@ -11,7 +11,6 @@ masks within 1e-3 relative.
 import numpy as np
 import pytest
 
-from repro.core import GanOpcConfig, GanOpcFlow, MaskGenerator
 from repro.ilt import ILTConfig
 from repro.layoutgen import SyntheticDataset
 from repro.litho import LithoConfig, LithoEngine, build_kernels, sigmoid_mask
@@ -127,20 +126,3 @@ class TestDatasetParity:
             np.testing.assert_array_equal(dataset.reference_mask(i),
                                           masks[i])
 
-
-class TestFlowParity:
-    def test_optimize_batch_parallel_bit_exact(self, litho, targets):
-        config = GanOpcConfig.small(GRID)
-        generator = MaskGenerator(config.generator_channels,
-                                  rng=np.random.default_rng(2))
-        generator.eval()
-        flow = GanOpcFlow(generator, litho,
-                          ILTConfig(max_iterations=6, patience=4))
-        serial = flow.optimize_batch(targets)
-        parallel = flow.optimize_batch(targets, workers=2)
-        assert len(parallel) == len(serial)
-        for s, p in zip(serial, parallel):
-            np.testing.assert_array_equal(p.generated_mask, s.generated_mask)
-            np.testing.assert_array_equal(p.mask, s.mask)
-            assert p.l2 == s.l2
-            assert p.ilt_result.iterations == s.ilt_result.iterations

@@ -5,7 +5,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.parallel.shm import SharedArray, ShmSpec, copy_out
+from repro.parallel.shm import SharedArray, ShmSpec
 
 
 class TestSharedArray:
@@ -55,9 +55,3 @@ class TestSharedArray:
             assert spec.shape == (2, 2)
             assert np.dtype(spec.dtype) == np.float32
 
-    def test_copy_out(self):
-        assert copy_out(None) is None
-        with SharedArray.from_array(np.ones((2, 2))) as shared:
-            copied = copy_out(shared)
-            shared.array[0, 0] = 5.0
-            assert copied[0, 0] == 1.0
