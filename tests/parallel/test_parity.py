@@ -116,6 +116,18 @@ class TestDatasetParity:
                                           serial.reference_mask(i))
             assert parallel.layout(i).rects == serial.layout(i).rects
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_precompute_matches_lazy_masks_and_keeps_no_views(self, litho,
+                                                              workers):
+        kwargs = dict(size=2, seed=11, ilt_config=ILTConfig(max_iterations=4))
+        lazy = SyntheticDataset(litho, **kwargs)
+        built = SyntheticDataset(litho, **kwargs)
+        built.precompute(workers=workers)
+        for i in range(2):
+            assert built._masks[i].base is None  # no view of the ILT output
+            np.testing.assert_array_equal(built.reference_mask(i),
+                                          lazy.reference_mask(i))
+
     def test_precompute_parallel_skips_cached(self, litho):
         dataset = SyntheticDataset(litho, size=2, seed=11,
                                    ilt_config=ILTConfig(max_iterations=4))
