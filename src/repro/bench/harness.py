@@ -465,8 +465,7 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     per (method, clip) at the end and, on inline runs only, the
     per-evaluation-point ``quality_sample`` records of every
     optimization (a pool's iteration samples stay in its workers).
-    Pooled runs also log the pool's stalls and stragglers as
-    ``anomaly`` records.
+    Pooled runs also log the pool's stragglers as ``anomaly`` records.
     """
     cfg = pipeline.config
     clips = clips or iccad13_suite(pipeline.litho)
@@ -510,10 +509,6 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     result.table = comparison_table(columns, baseline="ILT")
     _emit_clip_results(logger, result)
     if logger is not None and pool_stats is not None:
-        for event in pool_stats.stalls:
-            logger.anomaly("worker_stall", pid=event.pid,
-                           task_seq=event.task_seq,
-                           gap_seconds=event.gap_seconds)
         for pid, seconds in pool_stats.stragglers():
             logger.anomaly("straggler", pid=pid, seconds=seconds,
                            median_seconds=pool_stats.median_task_seconds())

@@ -13,14 +13,11 @@ without writing Python:
   substrate (checkpoint/resume, divergence guards, JSONL telemetry);
 * ``flow``       — run the GAN-OPC flow with a trained checkpoint;
   ``flow --tiled`` (and ``ilt --tiled``) scale past the engine grid by
-  halo-overlap tile decomposition (``--tile-size --halo --workers``);
+  halo-overlap tile decomposition (``--tile-size --halo --workers``)
+  and print a live progress line (tiles done, ETA, utilization);
 * ``table2``     — run the full Table 2 experiment at a chosen scale;
 * ``profile``    — run a small end-to-end flow under the observability
   layer and emit a Perfetto-loadable Chrome trace plus per-op tables;
-* ``monitor``    — run a tiled job under live fleet monitoring:
-  per-tile progress with ETA, pool utilization, stall/straggler
-  flags, and an OpenMetrics file of the finished run
-  (``--metrics-out``);
 * ``runs``       — inspect the run ledger (``list``/``show``/``diff``);
 * ``report``     — render a recorded run to self-contained HTML.
 
@@ -70,14 +67,10 @@ def _trace_to(trace_dir: Optional[str], prefix: str):
               f"(load in https://ui.perfetto.dev)")
 
 
-def _emit_fleet_telemetry(logger, pool_stats, readings) -> None:
-    """Write per-worker telemetry records after a parallel/tiled run.
-
-    One ``worker_span_summary`` per worker pid (span + engine-counter
-    merges shipped back through the pool) and one ``resource_sample``
-    per pid in ``readings`` (the pool sampler's latest /proc reading
-    per worker, ``WorkerPool.sampler.latest``).
-    """
+def _emit_fleet_telemetry(logger, pool_stats) -> None:
+    """Write one ``worker_span_summary`` per worker pid after a
+    parallel/tiled run: the span and engine-counter merges shipped back
+    through the pool."""
     fleet = pool_stats.fleet
     for pid in sorted(set(pool_stats.task_counts)
                       | set(fleet.pid_span_summary)):
@@ -87,11 +80,6 @@ def _emit_fleet_telemetry(logger, pool_stats, readings) -> None:
             busy_seconds=pool_stats.busy_seconds.get(pid),
             dropped_spans=fleet.dropped_spans or None,
             litho=fleet.pid_engine.get(pid) or None)
-    for pid, reading in sorted(readings.items()):
-        logger.resource_sample(
-            pid, reading["rss_bytes"], reading["cpu_seconds"],
-            num_threads=int(reading["threads"]),
-            cpu_utilization=reading.get("cpu_utilization"))
 
 
 @contextlib.contextmanager
@@ -222,6 +210,47 @@ def _chip_target(path: str, tiling_config, litho):
     return layout, binarize(rasterize(layout, chip_grid))
 
 
+#: Seconds between two tiled-run progress lines when stdout is not a
+#: terminal (on a terminal the line is rewritten after every tile).
+PROGRESS_PERIOD = 0.5
+
+
+def _tile_progress(workers: int):
+    """The ``progress`` callback ``tiled_ilt``/``tiled_flow`` take, as
+    a live line: tiles done/total, elapsed, ETA, workers, and
+    utilization, the tasks' summed seconds over elapsed × workers.
+
+    On a terminal the line is rewritten in place; otherwise it prints
+    at most every :data:`PROGRESS_PERIOD` seconds, plus the final line.
+    """
+    import time
+
+    workers = max(workers, 1)  # fewer than 2 run inline, as one worker
+    started = time.perf_counter()
+    in_place = sys.stdout.isatty()
+    busy = 0.0
+    last_print = float("-inf")
+
+    def progress(done: int, total: int, pid: int, seconds: float) -> None:
+        nonlocal busy, last_print
+        now = time.perf_counter()
+        busy += seconds
+        elapsed = now - started
+        eta = (total - done) * elapsed / done
+        util = busy / (elapsed * workers) if elapsed > 0 else 0.0
+        line = (f"tiles {done:>4d}/{total:<4d}  elapsed {elapsed:7.1f}s  "
+                f"eta {eta:7.1f}s  workers {workers}  "
+                f"util {100.0 * util:5.1f}%")
+        if in_place:
+            sys.stdout.write("\r" + line + ("\n" if done == total else ""))
+            sys.stdout.flush()
+        elif done == total or now - last_print >= PROGRESS_PERIOD:
+            last_print = now
+            print(line, flush=True)
+
+    return progress
+
+
 def _print_tiled(result, out: Optional[str]) -> None:
     from .bench import write_pgm
 
@@ -245,8 +274,8 @@ def _record_tiled(run, result, method: str) -> None:
     """Stream a tiled run's quality telemetry into its run record.
 
     One ``clip_result`` per non-empty tile (core-restricted L2), plus
-    stall/straggler ``anomaly`` records and per-worker span summaries
-    when the run was parallel.
+    straggler ``anomaly`` records and per-worker span summaries when
+    the run was parallel.
     """
     if run is None:
         return
@@ -258,14 +287,10 @@ def _record_tiled(run, result, method: str) -> None:
             {"l2_px": float(tile_l2[tile.index])})
     stats = result.pool_stats
     if stats is not None:
-        for event in stats.stalls:
-            run.logger.anomaly("worker_stall", pid=event.pid,
-                               task_seq=event.task_seq,
-                               gap_seconds=event.gap_seconds)
         for pid, seconds in stats.stragglers():
             run.logger.anomaly("straggler", pid=pid, seconds=seconds,
                                median_seconds=stats.median_task_seconds())
-        _emit_fleet_telemetry(run.logger, stats, {})
+        _emit_fleet_telemetry(run.logger, stats)
         run.manifest.summary["litho"] = dict(stats.fleet.engine_totals)
     run.manifest.summary.update(
         {"l2_px": float(result.l2),
@@ -319,7 +344,8 @@ def cmd_ilt(args) -> int:
             result = tiled_ilt(target, tiling, litho,
                                ILTConfig(max_iterations=args.iterations),
                                workers=args.workers,
-                               precision=args.precision)
+                               precision=args.precision,
+                               progress=_tile_progress(args.workers))
             _record_tiled(run, result, "tiled-ILT")
         _print_tiled(result, args.out)
         return 0
@@ -516,42 +542,25 @@ def cmd_flow(args) -> int:
         generator = MaskGenerator(config.generator_channels,
                                   rng=np.random.default_rng(0))
         nn.load_state(generator, args.checkpoint)
-        pool = None
-        if args.workers > 1:
-            # Own the pool so its sampler's resource readings survive
-            # the run for telemetry emission below.
-            from .parallel import WorkerPool
-            from .parallel.flow import generator_payload
-            pool = WorkerPool(args.workers, litho_config=litho,
-                              precision=args.precision,
-                              state=generator_payload(generator))
-        try:
-            with _run_record(args, "flow", litho=litho,
-                             params={"clip": args.clip,
-                                     "checkpoint": args.checkpoint,
-                                     "tiled": True,
-                                     "iterations": args.iterations,
-                                     "tile_size": args.tile_size,
-                                     "halo": args.halo}) as run:
-                with _trace_to(args.trace_dir, "flow"):
-                    result = tiled_flow(
-                        generator, target, tiling, litho,
-                        ILTConfig(max_iterations=args.iterations,
-                                  patience=4),
-                        workers=args.workers, precision=args.precision,
-                        pool=pool)
-                _record_tiled(run, result, "tiled-GAN-OPC")
-                if args.telemetry_dir and result.pool_stats is not None:
-                    import os
-                    with RunLogger(
-                            os.path.join(args.telemetry_dir, "flow.jsonl"),
-                            "flow", append=True) as logger:
-                        _emit_fleet_telemetry(
-                            logger, result.pool_stats,
-                            pool.sampler.latest if pool is not None else {})
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        with _run_record(args, "flow", litho=litho,
+                         params={"clip": args.clip,
+                                 "checkpoint": args.checkpoint,
+                                 "tiled": True,
+                                 "iterations": args.iterations,
+                                 "tile_size": args.tile_size,
+                                 "halo": args.halo}) as run:
+            with _trace_to(args.trace_dir, "flow"):
+                result = tiled_flow(
+                    generator, target, tiling, litho,
+                    ILTConfig(max_iterations=args.iterations, patience=4),
+                    workers=args.workers, precision=args.precision,
+                    progress=_tile_progress(args.workers))
+            _record_tiled(run, result, "tiled-GAN-OPC")
+            if args.telemetry_dir and result.pool_stats is not None:
+                import os
+                with RunLogger(os.path.join(args.telemetry_dir, "flow.jsonl"),
+                               "flow", append=True) as logger:
+                    _emit_fleet_telemetry(logger, result.pool_stats)
         _print_tiled(result, args.out)
         return 0
 
@@ -736,113 +745,6 @@ def cmd_profile(args) -> int:
     return 1 if mismatched else 0
 
 
-def cmd_monitor(args) -> int:
-    """Run a tiled job with live fleet monitoring.
-
-    Drives ``tiled_ilt`` (or ``tiled_flow`` with ``--checkpoint``)
-    through an explicitly owned :class:`WorkerPool` and renders a live
-    status line from the per-tile progress callback: tiles done/total,
-    elapsed, ETA, pool utilization, and watchdog stall count.
-    ``--metrics-out`` writes the finished run's pool counts, task times
-    and per-worker /proc readings as OpenMetrics text; ``--trace-dir``
-    captures the merged pid-laned Chrome trace and ``--telemetry-dir``
-    records ``worker_span_summary``/``resource_sample`` JSONL events.
-    """
-    import os
-    import time
-
-    from .ilt import ILTConfig
-    from .litho import LithoConfig
-    from .parallel import WorkerPool
-    from .tiling import tiled_flow, tiled_ilt
-
-    tiling = _tiled_config(args)
-    litho = LithoConfig.small(tiling.tile)
-    _, target = _chip_target(args.clip, tiling, litho)
-    generator = None
-    state = None
-    if args.checkpoint:
-        from . import nn
-        from .core import GanOpcConfig, MaskGenerator
-        from .parallel.flow import generator_payload
-        config = GanOpcConfig.small(litho.grid)
-        generator = MaskGenerator(config.generator_channels,
-                                  rng=np.random.default_rng(0))
-        nn.load_state(generator, args.checkpoint)
-        state = generator_payload(generator)
-
-    pool = WorkerPool(max(args.workers, 1), litho_config=litho,
-                      precision=args.precision, state=state,
-                      stall_after=args.stall_after)
-
-    started = time.perf_counter()
-    is_tty = sys.stdout.isatty()
-    last_print = [0.0]
-
-    def progress(done: int, total: int, pid: int, seconds: float) -> None:
-        now = time.perf_counter()
-        elapsed = now - started
-        rate = done / elapsed if elapsed > 0 else 0.0
-        eta = (total - done) / rate if rate > 0 else float("inf")
-        busy = pool.stats.total_busy_seconds
-        util = (busy / (elapsed * pool.workers)
-                if elapsed > 0 and pool.workers else 0.0)
-        line = (f"tiles {done:>4d}/{total:<4d}  elapsed {elapsed:7.1f}s  "
-                f"eta {eta:7.1f}s  workers {pool.workers}  "
-                f"util {100.0 * util:5.1f}%  "
-                f"stalls {len(pool.stats.stalls)}")
-        if is_tty:
-            sys.stdout.write("\r" + line)
-            if done == total:
-                sys.stdout.write("\n")
-            sys.stdout.flush()
-        elif done == total or now - last_print[0] >= args.update_every:
-            last_print[0] = now
-            print(line, flush=True)
-
-    try:
-        with _trace_to(args.trace_dir, "monitor"):
-            if generator is not None:
-                result = tiled_flow(
-                    generator, target, tiling, litho,
-                    ILTConfig(max_iterations=args.iterations, patience=4),
-                    workers=pool.workers, precision=args.precision,
-                    pool=pool, progress=progress)
-            else:
-                result = tiled_ilt(
-                    target, tiling, litho,
-                    ILTConfig(max_iterations=args.iterations),
-                    workers=pool.workers, precision=args.precision,
-                    pool=pool, progress=progress)
-        _print_tiled(result, args.out)
-        stragglers = pool.stats.stragglers()
-        if stragglers:
-            print(f"stragglers (> 3x median "
-                  f"{pool.stats.median_task_seconds():.3f}s):")
-            for pid, seconds in stragglers:
-                print(f"  pid {pid}: {seconds:.3f}s")
-        for event in pool.stats.stalls:
-            print(f"stall: pid {event.pid} task #{event.task_seq} silent "
-                  f"for {event.gap_seconds:.1f}s")
-        if args.metrics_out:
-            from .obs.export import write_openmetrics
-            write_openmetrics(pool.stats, pool.sampler.latest,
-                              args.metrics_out)
-            print(f"openmetrics exposition written to {args.metrics_out}")
-        if args.telemetry_dir:
-            from .runtime import RunLogger
-            with RunLogger(
-                    os.path.join(args.telemetry_dir, "monitor.jsonl"),
-                    "monitor") as logger:
-                _emit_fleet_telemetry(logger, pool.stats,
-                                      pool.sampler.latest)
-            print(f"telemetry written to "
-                  f"{os.path.join(args.telemetry_dir, 'monitor.jsonl')}")
-    finally:
-        pool.shutdown()
-    return 0
-
-
 def cmd_table2(args) -> int:
     from .bench import ExperimentConfig, Pipeline, run_table2, train_generators
     from .bench.iccad13 import iccad13_suite
@@ -1007,11 +909,10 @@ def _add_workers(p) -> None:
                         "(default: 1, serial)")
 
 
-def _add_tiling(p, flag: bool = True) -> None:
-    if flag:
-        p.add_argument("--tiled", action="store_true",
-                       help="decompose the layout into halo-overlap tiles "
-                            "and stitch per-tile results (chip-scale runs)")
+def _add_tiling(p) -> None:
+    p.add_argument("--tiled", action="store_true",
+                   help="decompose the layout into halo-overlap tiles "
+                        "and stitch per-tile results (chip-scale runs)")
     p.add_argument("--tile-size", type=int, default=64,
                    help="tile window size in px, the litho engine grid "
                         "(default: 64)")
@@ -1175,38 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_precision(p)
     _add_workers(p)
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "monitor", help="run a tiled job under live fleet monitoring: "
-                        "per-tile progress + ETA, pool utilization, "
-                        "stall/straggler detection, metrics exposition")
-    p.add_argument("clip", help="chip-scale layout (.glp)")
-    p.add_argument("--checkpoint",
-                   help="generator .npz checkpoint; monitors a tiled "
-                        "GAN-OPC flow instead of tiled ILT")
-    p.add_argument("--iterations", type=int, default=50,
-                   help="per-tile iteration cap (default: 50)")
-    p.add_argument("--out", help="write the stitched mask here (.pgm)")
-    p.add_argument("--stall-after", type=float, default=5.0,
-                   help="watchdog: flag an active task silent for this "
-                        "many seconds (default: 5)")
-    p.add_argument("--update-every", type=float, default=0.5,
-                   help="progress print period in seconds when stdout "
-                        "is not a tty (default: 0.5)")
-    p.add_argument("--metrics-out",
-                   help="write the finished run's pool task counts, task "
-                        "times and per-worker /proc readings to this "
-                        "file as OpenMetrics text")
-    p.add_argument("--telemetry-dir",
-                   help="write worker_span_summary/resource_sample JSONL "
-                        "telemetry under this directory")
-    p.add_argument("--trace-dir",
-                   help="capture the merged pid-laned Chrome trace "
-                        "under this directory")
-    _add_precision(p)
-    _add_workers(p)
-    _add_tiling(p, flag=False)
-    p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("table2", help="run the Table 2 experiment")
     p.add_argument("--scale", choices=("quick", "medium", "full"),

@@ -18,9 +18,8 @@ Clock rebasing: span starts are relative to the recording tracer's
 worker span's parent-relative start is simply
 ``span.start + worker_epoch - parent_epoch``.
 
-Span shipping is bounded: at most :func:`span_cap` spans (default
-2000, env ``REPRO_WORKER_SPAN_CAP``) cross the pickle boundary per
-task, keeping the longest spans (the structural parents); the
+Span shipping is bounded: at most :data:`SPAN_CAP` spans cross the
+pickle boundary per task, keeping the longest spans (the structural parents); the
 per-name summary is always complete, so fleet tables never lose
 counts even when individual events are dropped from the trace.
 
@@ -40,8 +39,8 @@ from .trace import Tracer
 #: shipped spans; they are free-form and may not pickle compactly.
 SpanTuple = Tuple[str, float, float, int, int]
 
-DEFAULT_SPAN_CAP = 2000
-SPAN_CAP_ENV = "REPRO_WORKER_SPAN_CAP"
+#: Most spans one task ships back (:func:`capture_task`'s default cap).
+SPAN_CAP = 2000
 
 ENGINE_FIELDS = ("forward_calls", "forward_masks", "forward_seconds",
                  "gradient_calls", "gradient_masks", "gradient_seconds")
@@ -65,20 +64,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_refresh_pid)
 
 
-def span_cap() -> int:
-    """Max spans shipped per task (``REPRO_WORKER_SPAN_CAP``, >= 0)."""
-    raw = os.environ.get(SPAN_CAP_ENV, "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SPAN_CAP
-
-
 @dataclass
 class TaskTelemetry:
     """One task's worth of worker-side observability, picklable.
 
-    ``spans`` is bounded (see :func:`span_cap`); ``span_summary`` is
+    ``spans`` is bounded (see :data:`SPAN_CAP`); ``span_summary`` is
     always the complete per-name aggregate.  ``engine_delta`` is the
     task's change in the worker's process-wide litho counters
     (``LithoEngine.stats``) and ships with *every* task (six numbers),
@@ -115,7 +105,7 @@ def capture_task(tracer: Optional[Tracer], profiler: Optional[Any],
         telemetry.epoch = tracer.epoch
         telemetry.span_summary = tracer.summary()
         spans = tracer.spans()
-        limit = span_cap() if cap is None else cap
+        limit = SPAN_CAP if cap is None else cap
         if len(spans) > limit:
             keep = sorted(spans, key=lambda s: -s.duration)[:limit]
             telemetry.dropped_spans = len(spans) - limit

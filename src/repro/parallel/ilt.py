@@ -108,7 +108,8 @@ def parallel_ilt(targets: np.ndarray,
         ``workers > 1`` creates one and tears it down inside this call.
     progress:
         Optional ``(done, total, pid, seconds)`` callback, called after
-        every finished clip — what ``repro monitor`` renders live.
+        every finished clip (``precompute(progress=True)`` prints a
+        line every ten masks from it).
 
     Each result's images are views of one ``(3, N, grid, grid)`` array
     (best mask, relaxed mask, parameters); copy what outlives it.

@@ -30,14 +30,9 @@ with the conventions every parallel workload in this repo shares:
   :class:`~repro.obs.aggregate.TaskTelemetry`; the parent merges
   these into :class:`PoolStats` (fleet engine/span/op totals) and
   deposits worker spans into the active tracer so ``--trace-dir``
-  writes one pid-laned Chrome trace (DESIGN.md §13).
-* **health** — workers stamp a shared-memory heartbeat board
-  (per-task beacons + a daemon beat thread); while a ``map`` is in
-  flight a parent watchdog flags active tasks silent past
-  ``stall_after`` seconds into :attr:`PoolStats.stalls`, and a /proc
-  resource sampler keeps each worker's latest RSS/CPU reading in
-  :attr:`WorkerPool.sampler`.  Stragglers (tasks slower than
-  k×median) are available post-hoc via :meth:`PoolStats.stragglers`.
+  writes one pid-laned Chrome trace (DESIGN.md §13).  Stragglers
+  (tasks slower than k×median) are available post-hoc via
+  :meth:`PoolStats.stragglers`.
 
 Task functions must be module-level (picklable); per-task arguments
 should be small — ship arrays through shared memory, not arguments.
@@ -67,13 +62,11 @@ import numpy as np
 from repro.obs import profiler, trace
 from repro.obs import aggregate as obs_aggregate
 from repro.obs.aggregate import FleetTelemetry, TaskTelemetry
-from repro.obs.health import (HeartbeatBoard, ResourceSampler, StallEvent,
-                              Watchdog, WorkerHeartbeat)
 
 from ..litho.config import LithoConfig
 from ..litho.engine import LithoEngine, resolve_precision
 from ..litho.kernels import build_kernels
-from .shm import ShmSpec, SharedArray
+from .shm import SharedArray
 
 #: ``progress`` callback signature for :meth:`WorkerPool.map`:
 #: ``(done, total, pid, seconds)`` after every finished task.
@@ -101,13 +94,11 @@ _WORKER_STATE: Dict[str, Any] = {
     "state": None,
     "arrays": {},
     "map": None,
-    "heartbeat": None,
 }
 
 
 def _worker_init(litho_config: Optional[LithoConfig], precision: str,
-                 state: Any,
-                 heartbeat: Optional[Tuple[str, int, float]] = None) -> None:
+                 state: Any) -> None:
     """Executor initializer: stash the pool-wide context in this worker."""
     # Under ``fork`` the child inherits the parent's active tracer and
     # profiler objects (including an open JSONL file description shared
@@ -121,14 +112,6 @@ def _worker_init(litho_config: Optional[LithoConfig], precision: str,
     _WORKER_STATE["state"] = state
     _WORKER_STATE["arrays"] = {}
     _WORKER_STATE["map"] = None
-    _WORKER_STATE["heartbeat"] = None
-    if heartbeat is not None:
-        name, capacity, interval = heartbeat
-        try:
-            _WORKER_STATE["heartbeat"] = WorkerHeartbeat(
-                name, capacity, interval=interval)
-        except Exception:  # board gone / platform quirk: run unmonitored
-            _WORKER_STATE["heartbeat"] = None
 
 
 def worker_engine(litho_config: Optional[LithoConfig] = None) -> LithoEngine:
@@ -192,9 +175,6 @@ def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool,
     at submit time).  ``map_index`` numbers the pool's maps, so the
     task can release what earlier maps attached.
     """
-    heartbeat = _WORKER_STATE["heartbeat"]
-    if heartbeat is not None:
-        heartbeat.task_started()
     litho = LithoEngine.stats
     before = litho.snapshot()
     tracer = prof = None
@@ -218,8 +198,6 @@ def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool,
     seconds = time.perf_counter() - started
     telemetry = obs_aggregate.capture_task(tracer, prof, litho.delta(before),
                                            seconds)
-    if heartbeat is not None:
-        heartbeat.task_finished()
     if failure is not None:
         message, remote_tb = failure
         return ("error", message, remote_tb, os.getpid(), seconds,
@@ -240,7 +218,6 @@ class PoolStats:
     busy_seconds: Dict[int, float] = field(default_factory=dict)
     task_counts: Dict[int, int] = field(default_factory=dict)
     task_records: List[Tuple[int, float]] = field(default_factory=list)
-    stalls: List[StallEvent] = field(default_factory=list)
     fleet: FleetTelemetry = field(default_factory=FleetTelemetry)
 
     def record(self, pid: int, seconds: float,
@@ -251,9 +228,6 @@ class PoolStats:
         self.task_records.append((pid, seconds))
         if telemetry is not None:
             self.fleet.add(telemetry)
-
-    def record_stall(self, event: StallEvent) -> None:
-        self.stalls.append(event)
 
     @property
     def total_busy_seconds(self) -> float:
@@ -275,9 +249,8 @@ class PoolStats:
                    ) -> List[Tuple[int, float]]:
         """Tasks slower than ``k`` × the median task time.
 
-        Judged post-hoc over the whole run (a straggler beats its
-        heartbeat, so the watchdog rightly ignores it); needs at
-        least ``min_tasks`` records for the median to mean anything.
+        Judged post-hoc over the whole run; needs at least
+        ``min_tasks`` records for the median to mean anything.
         """
         if len(self.task_records) < max(min_tasks, 1):
             return []
@@ -292,23 +265,16 @@ class PoolStats:
         straggler_pids: Dict[int, int] = {}
         for pid, _ in self.stragglers():
             straggler_pids[pid] = straggler_pids.get(pid, 0) + 1
-        stall_pids: Dict[int, int] = {}
-        for event in self.stalls:
-            stall_pids[event.pid] = stall_pids.get(event.pid, 0) + 1
         lines = [f"{'worker pid':>12s} {'tasks':>6s} {'busy s':>9s} "
                  f"{'util %':>7s} {'flags':>14s}"]
         for pid in sorted(self.busy_seconds):
             busy = self.busy_seconds[pid]
             util = (100.0 * busy / self.wall_seconds
                     if self.wall_seconds > 0 else 0.0)
-            flags = []
-            if stall_pids.get(pid):
-                flags.append(f"stalls:{stall_pids[pid]}")
-            if straggler_pids.get(pid):
-                flags.append(f"slow:{straggler_pids[pid]}")
+            flag = (f"slow:{straggler_pids[pid]}"
+                    if pid in straggler_pids else "-")
             lines.append(f"{pid:>12d} {self.task_counts[pid]:>6d} "
-                         f"{busy:>9.3f} {util:>6.1f}% "
-                         f"{','.join(flags) or '-':>14s}")
+                         f"{busy:>9.3f} {util:>6.1f}% {flag:>14s}")
         lines.append(f"{'total':>12s} {self.tasks:>6d} "
                      f"{self.total_busy_seconds:>9.3f} "
                      f"{100.0 * self.utilization():>6.1f}% "
@@ -343,72 +309,35 @@ class WorkerPool:
         Arbitrary picklable broadcast state, shipped once per worker at
         startup and readable via :func:`worker_state` (e.g. generator
         weights for the flow/Table-2 workloads).
-    context:
-        ``multiprocessing`` start-method name; default prefers ``fork``.
-    health:
-        Heartbeat board + watchdog + /proc sampler (default on).
-    stall_after:
-        Watchdog threshold: an *active* task whose heartbeat is older
-        than this many seconds is flagged into :attr:`PoolStats.stalls`.
-    heartbeat_interval:
-        Worker beat (and parent scan) period in seconds.
 
-    Spans and profiler tables ship back per task whenever the parent
-    has an active tracer at :meth:`map` time; litho-counter deltas
-    always ship.  :attr:`sampler` holds each worker's latest /proc
-    reading (export via ``repro.obs.export``).
+    Workers start with :func:`default_context`.  Spans and profiler
+    tables ship back per task whenever the parent has an active tracer
+    at :meth:`map` time; litho-counter deltas always ship.
     """
 
     def __init__(self, workers: int,
                  litho_config: Optional[LithoConfig] = None,
                  precision: Optional[str] = None,
-                 state: Any = None,
-                 context: Optional[str] = None,
-                 health: bool = True,
-                 stall_after: float = 5.0,
-                 heartbeat_interval: float = 0.25):
+                 state: Any = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         self.litho_config = litho_config
         self.precision = resolve_precision(precision)
         self.state = state
-        self.context = context or default_context()
-        self.health = bool(health)
-        self.stall_after = float(stall_after)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.sampler = ResourceSampler()
         self.stats = PoolStats(workers=self.workers)
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._board: Optional[HeartbeatBoard] = None
-        self._watchdog: Optional[Watchdog] = None
         self._traced_pids: Set[int] = set()
         self._maps = 0
 
     # ------------------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            heartbeat_spec = None
-            if self.health:
-                try:
-                    self._board = HeartbeatBoard(
-                        capacity=max(4 * self.workers, 8), create=True)
-                except Exception:  # no shared memory: run unmonitored
-                    self._board = None
-                if self._board is not None:
-                    heartbeat_spec = (self._board.name, self._board.capacity,
-                                      self.heartbeat_interval)
-                    self._watchdog = Watchdog(
-                        self._board, stall_after=self.stall_after,
-                        interval=self.heartbeat_interval,
-                        on_stall=self.stats.record_stall,
-                        sampler=self.sampler)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=multiprocessing.get_context(self.context),
+                mp_context=multiprocessing.get_context(default_context()),
                 initializer=_worker_init,
-                initargs=(self.litho_config, self.precision, self.state,
-                          heartbeat_spec))
+                initargs=(self.litho_config, self.precision, self.state))
         return self._executor
 
     def _absorb(self, pid: int, seconds: float,
@@ -446,8 +375,6 @@ class WorkerPool:
         started = time.perf_counter()
         futures: Dict[Any, int] = {}
         results: List[Any] = [None] * total
-        if self._watchdog is not None:
-            self._watchdog.start()
         with trace.span(label, tasks=total, workers=self.workers):
             try:
                 for index, item in enumerate(items):
@@ -476,26 +403,14 @@ class WorkerPool:
             finally:
                 for future in futures:
                     future.cancel()
-                if self._watchdog is not None:
-                    self._watchdog.stop()
                 self.stats.wall_seconds += time.perf_counter() - started
         return results
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        if self._board is not None:
-            try:
-                self._board.close()
-                self._board.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self._board = None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -503,15 +418,9 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    def __del__(self):  # last-resort board cleanup
-        try:
-            self.shutdown()
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass
-
     def __repr__(self) -> str:
         return (f"WorkerPool(workers={self.workers}, "
-                f"context={self.context!r}, precision={self.precision!r})")
+                f"precision={self.precision!r})")
 
 
 class TaskRunner:

@@ -252,17 +252,6 @@ class RunLogger:
                    tasks=tasks, busy_seconds=busy_seconds,
                    dropped_spans=dropped_spans, litho=litho)
 
-    def resource_sample(self, pid: int, rss_bytes: float,
-                        cpu_seconds: float,
-                        num_threads: Optional[int] = None,
-                        cpu_utilization: Optional[float] = None) -> None:
-        """Record one /proc resource reading for a worker process."""
-        self.event("resource_sample", pid=int(pid),
-                   rss_bytes=float(rss_bytes),
-                   cpu_seconds=float(cpu_seconds),
-                   num_threads=num_threads,
-                   cpu_utilization=cpu_utilization)
-
     def quality_sample(self, iteration: int, objective: float,
                        l2: Optional[float] = None,
                        clip: Optional[str] = None,
@@ -297,11 +286,11 @@ class RunLogger:
                    epe_hotspots=epe_hotspots or None)
 
     def anomaly(self, kind: str, **fields) -> None:
-        """Record one anomaly (divergence, stall, straggler, ...).
+        """Record one anomaly (divergence, straggler, ...).
 
-        Divergence-guard interventions and watchdog findings are
-        recorded through this one event type so a run's health problems
-        are queryable from its telemetry instead of scraped from logs.
+        Divergence-guard interventions and pool stragglers are recorded
+        through this one event type so a run's health problems are
+        queryable from its telemetry instead of scraped from logs.
         """
         self.event("anomaly", kind=kind, **fields)
 

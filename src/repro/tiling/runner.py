@@ -154,7 +154,8 @@ def _run_tiled(target: np.ndarray, config: TilingConfig,
 
     ``task_args`` are the task's arguments after the tile grid.
     ``progress`` (``(done, total, pid, seconds)``) fires per finished
-    tile — it is what ``repro monitor`` renders.
+    tile — ``ilt --tiled`` and ``flow --tiled`` render it as their
+    progress line.
     """
     target = np.asarray(target, dtype=float)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:

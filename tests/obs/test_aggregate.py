@@ -12,12 +12,10 @@ import time
 import pytest
 
 from repro.obs import profiler, trace
-from repro.obs.aggregate import (DEFAULT_SPAN_CAP, SPAN_CAP_ENV,
-                                 FleetTelemetry, TaskTelemetry,
+from repro.obs.aggregate import (FleetTelemetry, TaskTelemetry,
                                  capture_task, chrome_events,
                                  format_engine_table,
-                                 process_metadata_event, reconcile,
-                                 span_cap)
+                                 process_metadata_event, reconcile)
 
 
 def _traced_task(names=("litho.forward", "litho.adjoint")):
@@ -31,20 +29,6 @@ def _traced_task(names=("litho.forward", "litho.adjoint")):
     profiler.disable()
     delta = {"forward_calls": 1.0, "gradient_calls": 1.0}
     return capture_task(tracer, prof, delta, seconds=0.5), tracer
-
-
-class TestSpanCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(SPAN_CAP_ENV, raising=False)
-        assert span_cap() == DEFAULT_SPAN_CAP
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(SPAN_CAP_ENV, "7")
-        assert span_cap() == 7
-
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv(SPAN_CAP_ENV, "many")
-        assert span_cap() == DEFAULT_SPAN_CAP
 
 
 class TestCaptureTask:

@@ -3,8 +3,8 @@
 End-to-end checks that a parallel run is exactly as observable as a
 serial one: engine-counter deltas always ship and sum correctly,
 spans merge into one pid-laned Chrome trace when the parent traces,
-the heartbeat/watchdog path flags a deliberately stalled task, and
-the progress callback fires per completed task.
+stragglers are found from the task times, and the progress callback
+fires per completed task.
 """
 
 import json
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.litho import LithoConfig
-from repro.obs import trace
+from repro.obs import aggregate, trace
 from repro.parallel import WorkerPool
 from repro.parallel.pool import worker_engine
 
@@ -48,21 +48,6 @@ def _sleep_task(seconds):
     return os.getpid()
 
 
-def _hung_task(seconds):
-    """Fault injection: silence this worker's heartbeat, then hang.
-
-    Stopping the beat thread mid-task is what a truly hung worker
-    looks like from the parent's side — the slot stays task-active
-    while its timestamp goes stale.
-    """
-    from repro.parallel.pool import _WORKER_STATE
-    heartbeat = _WORKER_STATE["heartbeat"]
-    if heartbeat is not None:
-        heartbeat._stop.set()
-    time.sleep(seconds)
-    return os.getpid()
-
-
 @pytest.fixture(scope="module")
 def litho():
     return LithoConfig.small(32)
@@ -70,7 +55,7 @@ def litho():
 
 class TestEngineDeltaShipping:
     def test_fleet_totals_count_worker_calls(self, litho):
-        with WorkerPool(2, litho_config=litho, health=False) as pool:
+        with WorkerPool(2, litho_config=litho) as pool:
             pool.map(_forward_task, [(i,) for i in range(6)])
             totals = pool.stats.fleet.engine_totals
         assert totals["forward_calls"] == 6
@@ -79,7 +64,7 @@ class TestEngineDeltaShipping:
         assert pool.stats.fleet.tasks == 6
 
     def test_per_pid_breakdown_sums_to_fleet(self, litho):
-        with WorkerPool(2, litho_config=litho, health=False) as pool:
+        with WorkerPool(2, litho_config=litho) as pool:
             pool.map(_forward_task, [(i,) for i in range(8)])
             fleet = pool.stats.fleet
         assert sum(e["forward_calls"] for e in fleet.pid_engine.values()) \
@@ -87,7 +72,7 @@ class TestEngineDeltaShipping:
 
     def test_deltas_ship_without_tracing(self, litho):
         assert not trace.is_enabled()
-        with WorkerPool(1, litho_config=litho, health=False) as pool:
+        with WorkerPool(1, litho_config=litho) as pool:
             pool.map(_forward_task, [(0,)])
             fleet = pool.stats.fleet
         assert fleet.engine_totals["forward_calls"] == 1
@@ -125,7 +110,7 @@ class TestMergedTrace:
                             multiprocessing.Barrier(2))
         tracer = trace.enable(trace.Tracer())
         try:
-            with WorkerPool(2, litho_config=litho, health=False) as pool:
+            with WorkerPool(2, litho_config=litho) as pool:
                 pool.map(_paired_forward_task, [(i,) for i in range(8)])
         finally:
             trace.disable()
@@ -159,7 +144,7 @@ class TestMergedTrace:
     def test_fleet_reconciles_with_span_counts(self, litho):
         trace.enable(trace.Tracer())
         try:
-            with WorkerPool(2, litho_config=litho, health=False) as pool:
+            with WorkerPool(2, litho_config=litho) as pool:
                 pool.map(_forward_task, [(i,) for i in range(6)])
                 result = pool.stats.fleet.reconcile()
         finally:
@@ -168,10 +153,11 @@ class TestMergedTrace:
         assert result["forward_calls"]["stats"] == 6
 
     def test_span_cap_bounds_shipping(self, litho, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_SPAN_CAP", "1")
+        # Workers fork at the pool's first map, after the patch.
+        monkeypatch.setattr(aggregate, "SPAN_CAP", 1)
         trace.enable(trace.Tracer())
         try:
-            with WorkerPool(1, litho_config=litho, health=False) as pool:
+            with WorkerPool(1, litho_config=litho) as pool:
                 pool.map(_forward_task, [(i,) for i in range(3)])
                 fleet = pool.stats.fleet
         finally:
@@ -181,45 +167,20 @@ class TestMergedTrace:
         assert fleet.span_summary["litho.forward"]["count"] == 3
 
 
-class TestHealth:
-    def test_watchdog_flags_deliberately_stalled_task(self, litho):
-        with WorkerPool(1, litho_config=litho, health=True,
-                        stall_after=0.2, heartbeat_interval=0.05) as pool:
-            pool.map(_hung_task, [(1.0,)])
-            stalls = list(pool.stats.stalls)
-        assert stalls, "watchdog missed the silent active task"
-        assert stalls[0].gap_seconds >= 0.2
-        # The same task is reported once, not once per scan.
-        assert len({(s.pid, s.task_seq) for s in stalls}) == len(stalls)
-
-    def test_healthy_fast_tasks_do_not_stall(self, litho):
-        with WorkerPool(2, litho_config=litho, health=True,
-                        stall_after=30.0) as pool:
-            pool.map(_forward_task, [(i,) for i in range(4)])
-            assert pool.stats.stalls == []
-
+class TestStragglers:
     def test_straggler_detection(self, litho):
-        with WorkerPool(1, litho_config=litho, health=False) as pool:
+        with WorkerPool(1, litho_config=litho) as pool:
             pool.map(_sleep_task,
                      [(0.01,), (0.01,), (0.01,), (0.01,), (0.25,)])
             stragglers = pool.stats.stragglers(k=3.0, min_tasks=4)
         assert len(stragglers) == 1
         assert stragglers[0][1] >= 0.25
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
-                        reason="no procfs")
-    def test_resource_samples_land_in_pool_registry(self, litho):
-        with WorkerPool(1, litho_config=litho, health=True,
-                        heartbeat_interval=0.02) as pool:
-            (pid,) = pool.map(_sleep_task, [(0.2,)])
-            readings = dict(pool.sampler.latest)
-        assert readings[pid]["rss_bytes"] > 0
-
 
 class TestProgress:
     def test_callback_fires_per_task_in_completion_order(self, litho):
         ticks = []
-        with WorkerPool(2, litho_config=litho, health=False) as pool:
+        with WorkerPool(2, litho_config=litho) as pool:
             pool.map(_forward_task, [(i,) for i in range(5)],
                      progress=lambda *args: ticks.append(args))
         assert [t[0] for t in ticks] == [1, 2, 3, 4, 5]
@@ -229,7 +190,7 @@ class TestProgress:
         assert all(t[3] >= 0.0 for t in ticks)
 
     def test_pool_gauges_track_completion(self, litho):
-        with WorkerPool(1, litho_config=litho, health=False) as pool:
+        with WorkerPool(1, litho_config=litho) as pool:
             pool.map(_forward_task, [(i,) for i in range(3)])
             stats = pool.stats
         assert stats.tasks == 3

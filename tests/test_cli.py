@@ -1,6 +1,7 @@
 """Integration tests for the command-line interface."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +385,8 @@ class TestTiled:
         # 64 px chip, core 16 -> 4x4 tiles.
         assert "tiles: 16 (4x4, tile 32px, halo 8px, core 16px)" in stdout
         assert "chip grid: 64px" in stdout
+        assert "16/16" in stdout  # inline runs print the progress line too
+        assert "workers 1" in stdout
         from repro.bench import read_pgm
         mask = read_pgm(out)
         assert mask.shape == (64, 64)
@@ -397,6 +400,10 @@ class TestTiled:
                      "--out", out]) == 0
         stdout = capsys.readouterr().out
         assert "2 workers" in stdout
+        assert "16/16" in stdout
+        assert "eta" in stdout
+        assert "worker pid" in stdout  # per-worker utilization table
+        assert "fleet litho engine" in stdout
         assert os.path.exists(out)
 
     def test_flow_tiled(self, chip_file, tmp_path, capsys):
@@ -461,58 +468,40 @@ class TestTiled:
                 record["spans"]["litho.forward"]["count"]
 
 
-class TestMonitor:
-    @pytest.fixture()
-    def chip_file(self, tmp_path):
-        out = str(tmp_path / "chip.glp")
-        assert main(["chip", "--cells", "2", "--cell-extent", "256",
-                     "--fill", "1.0", "--seed", "1", "--out", out]) == 0
-        return out
+class TestTileProgress:
+    """The progress line of ``ilt --tiled`` / ``flow --tiled``."""
 
-    def test_monitor_ilt_reports_progress_and_fleet(self, chip_file,
-                                                    tmp_path, capsys):
-        out = str(tmp_path / "mask.pgm")
-        metrics = str(tmp_path / "metrics.txt")
-        assert main(["monitor", chip_file, "--tile-size", "32",
-                     "--halo", "8", "--iterations", "4", "--workers", "2",
-                     "--update-every", "0", "--metrics-out", metrics,
-                     "--out", out]) == 0
-        stdout = capsys.readouterr().out
-        assert "16/16" in stdout
-        assert "eta" in stdout
-        assert "worker pid" in stdout  # per-worker utilization table
-        assert "fleet litho engine" in stdout
-        assert os.path.exists(out)
-        content = open(metrics, encoding="utf-8").read()
-        assert content.endswith("# EOF\n")
-        assert "repro_pool_tasks_done 16" in content
+    def _run(self, workers):
+        from repro.cli import _tile_progress
+        progress = _tile_progress(workers)
+        for done in range(1, 6):
+            progress(done, 5, os.getpid(), 0.01)
 
-    def test_monitor_flow_with_checkpoint_telemetry(self, chip_file,
-                                                    tmp_path, capsys):
-        import json
+    def test_not_a_terminal_prints_each_period_plus_the_final_line(
+            self, capsys, monkeypatch):
+        from repro import cli
+        monkeypatch.setattr(cli, "PROGRESS_PERIOD", 3600.0)
+        self._run(workers=2)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert "1/5" in lines[0] and "5/5" in lines[1]
+        assert "eta" in lines[1] and "workers 2" in lines[1]
+        assert "util" in lines[1]
 
-        from repro.runtime import validate_record
+    def test_terminal_rewrites_the_line_in_place(self, monkeypatch):
+        import io
 
-        config = GanOpcConfig.small(32)
-        generator = MaskGenerator(config.generator_channels,
-                                  rng=np.random.default_rng(0))
-        ckpt = str(tmp_path / "gen.npz")
-        nn.save_state(generator, ckpt)
-        telemetry_dir = str(tmp_path / "telemetry")
-        assert main(["monitor", chip_file, "--checkpoint", ckpt,
-                     "--tile-size", "32", "--halo", "8",
-                     "--iterations", "4", "--workers", "2",
-                     "--update-every", "0",
-                     "--telemetry-dir", telemetry_dir,
-                     "--out", str(tmp_path / "mask.pgm")]) == 0
-        capsys.readouterr()
-        path = os.path.join(telemetry_dir, "monitor.jsonl")
-        records = [json.loads(line) for line in open(path, encoding="utf-8")
-                   if line.strip()]
-        for record in records:
-            validate_record(record)
-        assert len([r for r in records
-                    if r["event"] == "worker_span_summary"]) == 2
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        terminal = Terminal()
+        monkeypatch.setattr(sys, "stdout", terminal)
+        self._run(workers=0)
+        out = terminal.getvalue()
+        assert out.count("\r") == 5
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert "5/5" in out and "workers 1" in out
 
 
 class TestRunsLedger:
