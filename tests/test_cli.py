@@ -504,6 +504,75 @@ class TestTileProgress:
         assert "5/5" in out and "workers 1" in out
 
 
+class TestMonitor:
+    """Watching a 2-worker tiled run from its own stdout and telemetry.
+
+    With :data:`repro.cli.PROGRESS_PERIOD` at 0 a non-terminal stdout
+    gets one progress line per finished tile, as it arrives from the
+    pool.
+    """
+
+    @pytest.fixture()
+    def chip_file(self, tmp_path):
+        out = str(tmp_path / "chip.glp")
+        assert main(["chip", "--cells", "2", "--cell-extent", "256",
+                     "--fill", "1.0", "--seed", "1", "--out", out]) == 0
+        return out
+
+    @staticmethod
+    def _progress_counts(stdout):
+        return [int(line.split()[1].split("/")[0])
+                for line in stdout.splitlines() if line.startswith("tiles ")]
+
+    def test_monitor_ilt_reports_progress_and_fleet(self, chip_file,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        from repro import cli
+        monkeypatch.setattr(cli, "PROGRESS_PERIOD", 0.0)
+        out = str(tmp_path / "mask.pgm")
+        assert main(["ilt", chip_file, "--tiled", "--tile-size", "32",
+                     "--halo", "8", "--iterations", "4", "--workers", "2",
+                     "--out", out]) == 0
+        stdout = capsys.readouterr().out
+        assert self._progress_counts(stdout) == list(range(1, 17))
+        assert "16/16" in stdout
+        assert "eta" in stdout
+        assert "worker pid" in stdout  # per-worker utilization table
+        assert "fleet litho engine" in stdout
+        assert os.path.exists(out)
+
+    def test_monitor_flow_with_checkpoint_telemetry(self, chip_file,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        import json
+
+        from repro import cli
+        from repro.runtime import validate_record
+
+        monkeypatch.setattr(cli, "PROGRESS_PERIOD", 0.0)
+        config = GanOpcConfig.small(32)
+        generator = MaskGenerator(config.generator_channels,
+                                  rng=np.random.default_rng(0))
+        ckpt = str(tmp_path / "gen.npz")
+        nn.save_state(generator, ckpt)
+        telemetry_dir = str(tmp_path / "telemetry")
+        assert main(["flow", chip_file, ckpt, "--tiled",
+                     "--tile-size", "32", "--halo", "8",
+                     "--iterations", "4", "--workers", "2",
+                     "--telemetry-dir", telemetry_dir,
+                     "--out", str(tmp_path / "mask.pgm")]) == 0
+        stdout = capsys.readouterr().out
+        assert self._progress_counts(stdout) == list(range(1, 17))
+        assert "workers 2" in stdout
+        path = os.path.join(telemetry_dir, "flow.jsonl")
+        records = [json.loads(line) for line in open(path, encoding="utf-8")
+                   if line.strip()]
+        for record in records:
+            validate_record(record)
+        assert len([r for r in records
+                    if r["event"] == "worker_span_summary"]) == 2
+
+
 class TestRunsLedger:
     """Run recording + runs list/show/diff + report (ISSUE 9)."""
 
