@@ -465,7 +465,10 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     per (method, clip) at the end and, on inline runs only, the
     per-evaluation-point ``quality_sample`` records of every
     optimization (a pool's iteration samples stay in its workers).
-    Pooled runs also log the pool's stragglers as ``anomaly`` records.
+    Pooled runs also log the pool's records
+    (:meth:`~repro.parallel.pool.PoolStats.log_to`):
+    straggler ``anomaly`` records and one ``worker_span_summary`` per
+    worker.
     """
     cfg = pipeline.config
     clips = clips or iccad13_suite(pipeline.litho)
@@ -509,9 +512,7 @@ def run_table2(pipeline: Pipeline, generators: TrainedGenerators,
     result.table = comparison_table(columns, baseline="ILT")
     _emit_clip_results(logger, result)
     if logger is not None and pool_stats is not None:
-        for pid, seconds in pool_stats.stragglers():
-            logger.anomaly("straggler", pid=pid, seconds=seconds,
-                           median_seconds=pool_stats.median_task_seconds())
+        pool_stats.log_to(logger)
     return result
 
 

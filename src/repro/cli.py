@@ -24,14 +24,17 @@ without writing Python:
 ``ilt``, ``train``, ``flow`` and ``table2`` record every invocation in
 the run ledger (``--runs-dir``, default ``.repro_runs/``; disable with
 ``--no-run-record``): a manifest (config hash, git rev, seed,
-precision, argv, package versions) plus schema-validated quality
-telemetry that ``runs diff`` and ``report`` read back (DESIGN.md §14).
+precision, argv, package versions) plus the run's one schema-validated
+telemetry stream, ``quality.jsonl``, that ``runs diff`` and ``report``
+read back (DESIGN.md §14).  A command writes telemetry exactly when it
+is recorded.
 
-``train`` and ``flow`` also accept ``--trace-dir`` to capture span
-traces alongside their normal outputs; with ``--workers > 1`` the
-trace merges every worker's spans into one pid-laned Chrome file
-(DESIGN.md §13).  Layouts move as GLP text files, images as PGM;
-metrics print on stdout.
+``train`` and ``flow`` also accept ``--trace-dir`` for a Chrome
+(Perfetto) trace; a recorded run also gets every finished span as a
+``span`` record and one ``span_summary`` naming the trace file.  With
+``--workers > 1`` the trace merges every worker's spans into one
+pid-laned Chrome file (DESIGN.md §13).  Layouts move as GLP text
+files, images as PGM; metrics print on stdout.
 """
 
 from __future__ import annotations
@@ -45,41 +48,37 @@ import numpy as np
 
 
 @contextlib.contextmanager
-def _trace_to(trace_dir: Optional[str], prefix: str):
-    """Scoped tracing for a CLI command: spans stream to
-    ``<trace_dir>/<prefix>-spans.jsonl`` during the run and the Chrome
-    trace is written on exit.  A falsy ``trace_dir`` is a no-op."""
+def _trace_to(run, trace_dir: Optional[str], prefix: str):
+    """Scoped tracing for a CLI command.
+
+    Every finished span goes into the run's stream as a ``span``
+    record.  On exit the Chrome trace is written to
+    ``<trace_dir>/<prefix>-trace.json``, followed by the run's one
+    ``span_summary``, whose ``trace_file`` names it.  Without a run
+    (``--no-run-record``) only the Chrome trace is written; a falsy
+    ``trace_dir`` is a no-op.
+    """
     if not trace_dir:
         yield None
         return
     import os
 
     from .obs import trace
-    tracer = trace.enable(jsonl_path=os.path.join(
-        trace_dir, f"{prefix}-spans.jsonl"))
+    logger = run.logger if run is not None else None
+    tracer = trace.enable(logger=logger)
     try:
         yield tracer
     finally:
         trace.disable()
         path = tracer.write_chrome_trace(
             os.path.join(trace_dir, f"{prefix}-trace.json"))
+        if logger is not None:
+            logger.span_summary(tracer.summary(),
+                                wall_seconds=tracer.wall_seconds(),
+                                coverage=tracer.coverage(),
+                                trace_file=path)
         print(f"chrome trace written to {path} "
               f"(load in https://ui.perfetto.dev)")
-
-
-def _emit_fleet_telemetry(logger, pool_stats) -> None:
-    """Write one ``worker_span_summary`` per worker pid after a
-    parallel/tiled run: the span and engine-counter merges shipped back
-    through the pool."""
-    fleet = pool_stats.fleet
-    for pid in sorted(set(pool_stats.task_counts)
-                      | set(fleet.pid_span_summary)):
-        logger.worker_span_summary(
-            pid, fleet.pid_span_summary.get(pid, {}),
-            tasks=pool_stats.task_counts.get(pid),
-            busy_seconds=pool_stats.busy_seconds.get(pid),
-            dropped_spans=fleet.dropped_spans or None,
-            litho=fleet.pid_engine.get(pid) or None)
 
 
 @contextlib.contextmanager
@@ -274,8 +273,8 @@ def _record_tiled(run, result, method: str) -> None:
     """Stream a tiled run's quality telemetry into its run record.
 
     One ``clip_result`` per non-empty tile (core-restricted L2), plus
-    straggler ``anomaly`` records and per-worker span summaries when
-    the run was parallel.
+    the pool's records (:meth:`~repro.parallel.pool.PoolStats.log_to`)
+    when the run was parallel.
     """
     if run is None:
         return
@@ -287,10 +286,7 @@ def _record_tiled(run, result, method: str) -> None:
             {"l2_px": float(tile_l2[tile.index])})
     stats = result.pool_stats
     if stats is not None:
-        for pid, seconds in stats.stragglers():
-            run.logger.anomaly("straggler", pid=pid, seconds=seconds,
-                               median_seconds=stats.median_task_seconds())
-        _emit_fleet_telemetry(run.logger, stats)
+        stats.log_to(run.logger)
         run.manifest.summary["litho"] = dict(stats.fleet.engine_totals)
     run.manifest.summary.update(
         {"l2_px": float(result.l2),
@@ -445,12 +441,7 @@ def cmd_train(args) -> int:
                              "batch_size": args.batch_size,
                              "litho_weight": args.litho_weight,
                              "policy": args.policy}) as run:
-        # Without an explicit --telemetry-dir the phase streams land in
-        # the run directory, so `repro runs show` / `repro report` see
-        # the training convergence curves and anomaly records.
-        telemetry_dir = args.telemetry_dir
-        if telemetry_dir is None and run is not None:
-            telemetry_dir = run.dir
+        logger = run.logger if run is not None else None
 
         def runtime(phase: str) -> RunConfig:
             checkpoint_dir = (os.path.join(args.checkpoint_dir, phase)
@@ -459,12 +450,12 @@ def cmd_train(args) -> int:
                              checkpoint_every=args.checkpoint_every,
                              keep_last=args.keep_last,
                              resume=args.resume,
-                             telemetry_dir=telemetry_dir,
+                             logger=logger,
                              policy=args.policy,
                              max_grad_norm=args.max_grad_norm,
                              lr_backoff=args.lr_backoff)
 
-        with _trace_to(args.trace_dir, "train"):
+        with _trace_to(run, args.trace_dir, "train"):
             if args.phase in ("pretrain", "both"):
                 pretrainer = ILTGuidedPretrainer(generator, litho, config,
                                                  engine=engine,
@@ -508,13 +499,8 @@ def cmd_train(args) -> int:
                         "iterations": history.iterations,
                         "final_l2": final,
                         "runtime_seconds": history.runtime_seconds}
-        if run is not None:
-            for phase in ("pretrain", "gan"):
-                path = os.path.join(telemetry_dir or "", f"{phase}.jsonl")
-                if telemetry_dir and os.path.isfile(path):
-                    run.add_artifact(f"telemetry_{phase}", path)
-            if args.checkpoint_dir:
-                run.add_artifact("checkpoints", args.checkpoint_dir)
+        if run is not None and args.checkpoint_dir:
+            run.add_artifact("checkpoints", args.checkpoint_dir)
         if args.out:
             nn.save_state(generator, args.out)
             print(f"generator weights written to {args.out}")
@@ -530,7 +516,6 @@ def cmd_flow(args) -> int:
     from .ilt import ILTConfig
     from .litho import LithoEngine
     from .metrics import evaluate_mask
-    from .runtime import RunLogger
 
     if args.tiled:
         from .litho import LithoConfig
@@ -549,18 +534,13 @@ def cmd_flow(args) -> int:
                                  "iterations": args.iterations,
                                  "tile_size": args.tile_size,
                                  "halo": args.halo}) as run:
-            with _trace_to(args.trace_dir, "flow"):
+            with _trace_to(run, args.trace_dir, "flow"):
                 result = tiled_flow(
                     generator, target, tiling, litho,
                     ILTConfig(max_iterations=args.iterations, patience=4),
                     workers=args.workers, precision=args.precision,
                     progress=_tile_progress(args.workers))
             _record_tiled(run, result, "tiled-GAN-OPC")
-            if args.telemetry_dir and result.pool_stats is not None:
-                import os
-                with RunLogger(os.path.join(args.telemetry_dir, "flow.jsonl"),
-                               "flow", append=True) as logger:
-                    _emit_fleet_telemetry(logger, result.pool_stats)
         _print_tiled(result, args.out)
         return 0
 
@@ -577,19 +557,12 @@ def cmd_flow(args) -> int:
                      params={"clip": args.clip,
                              "checkpoint": args.checkpoint,
                              "iterations": args.iterations}) as run:
-        logger = None
-        if args.telemetry_dir:
-            import os
-            logger = RunLogger(os.path.join(args.telemetry_dir,
-                                            "flow.jsonl"),
-                               "flow", append=True)
-        elif run is not None:
-            logger = run.logger
         flow = GanOpcFlow(generator, litho,
                           ILTConfig(max_iterations=args.iterations,
                                     patience=4,
                                     pw_objective=args.pw_objective),
-                          engine=engine, logger=logger,
+                          engine=engine,
+                          logger=run.logger if run is not None else None,
                           conditions=conditions)
         if run is not None:
             flow.refiner.logger = run.logger
@@ -602,12 +575,8 @@ def cmd_flow(args) -> int:
                                                           conditions,
                                                           engine.precision)
         stats_before = LithoEngine.stats.snapshot()
-        with _trace_to(args.trace_dir, "flow") as tracer:
+        with _trace_to(run, args.trace_dir, "flow"):
             result = flow.optimize(target)
-            if tracer is not None and logger is not None:
-                logger.span_summary(tracer.summary(),
-                                    wall_seconds=tracer.wall_seconds(),
-                                    coverage=tracer.coverage())
         evaluation = evaluate_mask(engine, result.mask, target,
                                    layout=layout, name=clip_name,
                                    runtime_seconds=result.runtime_seconds,
@@ -640,10 +609,11 @@ def cmd_profile(args) -> int:
 
     Enables the span tracer and the per-op autograd profiler, runs
     generator inference + ILT refinement on one clip, then prints the
-    span/op/module tables and writes the Chrome trace (Perfetto) plus
-    the JSONL span stream under ``--trace-dir``.  With ``--workers > 1``
-    it also checks that the litho counters of the parent and every
-    worker equal the merged litho span counts, and returns 1 if not.
+    span/op/module tables and writes the Chrome trace (Perfetto) to
+    ``<trace-dir>/trace.json``; ``profile`` is never recorded in the
+    run ledger.  With ``--workers > 1`` it also checks that the litho
+    counters of the parent and every worker equal the merged litho span
+    counts, and returns 1 if not.
     """
     import os
     import time
@@ -653,9 +623,7 @@ def cmd_profile(args) -> int:
     from .ilt import ILTConfig
     from .obs import profiler, trace
 
-    os.makedirs(args.trace_dir, exist_ok=True)
-    spans_path = os.path.join(args.trace_dir, "spans.jsonl")
-    tracer = trace.enable(jsonl_path=spans_path)
+    tracer = trace.enable()
     prof = profiler.enable()
     wall_started = time.perf_counter()
     try:
@@ -741,7 +709,6 @@ def cmd_profile(args) -> int:
                   f"spans {entry['spans']:>6d}  [{status}]")
     print(f"chrome trace written to {chrome_path} "
           f"(load in https://ui.perfetto.dev)")
-    print(f"span stream written to {spans_path}")
     return 1 if mismatched else 0
 
 
@@ -1020,8 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoints retained on disk")
     p.add_argument("--resume", action="store_true",
                    help="continue from the latest checkpoint, bit-exactly")
-    p.add_argument("--telemetry-dir",
-                   help="write JSONL run telemetry under this directory")
     p.add_argument("--policy", choices=("raise", "rollback", "skip"),
                    default="raise",
                    help="divergence policy on non-finite losses/gradients")
@@ -1030,8 +995,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-backoff", type=float, default=0.5,
                    help="learning-rate multiplier applied on rollback")
     p.add_argument("--trace-dir",
-                   help="capture span traces (Chrome trace JSON + JSONL "
-                        "stream) under this directory")
+                   help="write the Chrome trace under this directory; "
+                        "a recorded run also gets the spans as records")
     p.add_argument("--litho-weight", type=float, default=0.0,
                    help="weight of the litho-guidance term in GAN "
                         "generator updates (0 disables it)")
@@ -1047,11 +1012,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", help="generator .npz checkpoint")
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--telemetry-dir",
-                   help="write JSONL flow telemetry under this directory")
     p.add_argument("--trace-dir",
-                   help="capture span traces (Chrome trace JSON + JSONL "
-                        "stream) under this directory")
+                   help="write the Chrome trace under this directory; "
+                        "a recorded run also gets the spans as records")
     p.add_argument("--out", default="mask.pgm")
     _add_precision(p)
     _add_workers(p)
@@ -1072,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ILT refinement iteration cap")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-dir", default="profile-trace",
-                   help="output directory for trace.json and spans.jsonl")
+                   help="output directory for trace.json")
     _add_precision(p)
     _add_workers(p)
     p.set_defaults(func=cmd_profile)

@@ -9,7 +9,8 @@ it for instrumentation without cycles.
 Three cooperating pieces (see DESIGN.md §9 and §13):
 
 * :mod:`repro.obs.trace` — hierarchical span tracer with Chrome
-  trace-event (Perfetto) and JSONL export;
+  trace-event (Perfetto) export; finished spans can also go into a
+  run's record stream as ``span`` records;
 * :mod:`repro.obs.profiler` — per-op autograd profiler (wall time,
   call counts, FLOPs, allocated bytes) for ``repro.nn``;
 * :mod:`repro.obs.aggregate` — cross-process telemetry: workers ship

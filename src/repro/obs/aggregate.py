@@ -214,12 +214,6 @@ class FleetTelemetry:
             _merge_numeric(merged, parent_summary)
         return merged
 
-    def reconcile(self, parent_summary: Optional[Dict] = None
-                  ) -> Dict[str, Dict[str, float]]:
-        """Fleet engine counters vs. merged litho span counts, 1:1."""
-        return reconcile(self.engine_totals,
-                         self.merged_summary(parent_summary))
-
 
 def reconcile(engine_totals: Dict[str, float],
               span_summary: Dict[str, Dict[str, float]]

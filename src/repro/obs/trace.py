@@ -18,14 +18,18 @@ read plus an empty ``with`` block (~sub-microsecond; the overhead
 guard in ``tests/obs/test_overhead.py`` pins it below 5% of an engine
 forward call).
 
-Finished spans can be exported two ways:
+Finished spans leave the tracer two ways:
 
 * **Chrome trace-event JSON** (:meth:`Tracer.write_chrome_trace`) —
   one complete (``"ph": "X"``) event per span, loadable in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``;
-* **JSONL stream** — pass ``jsonl_path`` to stream every finished
-  span as one strict-JSON line (name, start offset, duration, thread,
-  depth, attributes) while the run is still going.
+* **run records** — given a ``logger`` (the run's
+  :class:`~repro.runtime.telemetry.RunLogger`), the tracer writes every
+  finished span into the run's stream as one schema-validated ``span``
+  record (name, start offset, duration, thread, depth, numeric
+  arguments) the moment it closes.  The logger flushes every record,
+  so a process that exits without :func:`disable` loses no finished
+  span.
 
 Span nesting is tracked per thread: depth and parent containment come
 from a thread-local stack, so concurrent threads trace independently
@@ -34,10 +38,8 @@ and the Chrome export separates them by ``tid``.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -115,21 +117,20 @@ class Tracer:
 
     Parameters
     ----------
-    jsonl_path:
-        Optional path; every finished span is appended to it as one
-        strict-JSON line the moment it closes (parent directories are
-        created on demand).
+    logger:
+        Optional :class:`~repro.runtime.telemetry.RunLogger`; every
+        finished span is written to it as one ``span`` record the
+        moment it closes.  Span arguments must then be numbers.
     """
 
-    def __init__(self, jsonl_path: Optional[str] = None):
+    def __init__(self, logger: Optional[Any] = None):
         self.epoch = time.perf_counter()
         self.pid = os.getpid()
         self._lock = threading.Lock()
         self._spans: List[Span] = []
         self._external: List[Dict[str, Any]] = []
         self._local = threading.local()
-        self._jsonl_path = jsonl_path
-        self._jsonl_fh = None
+        self.logger = logger
 
     # -- span recording -------------------------------------------------
     def span(self, name: str, **args) -> _SpanContext:
@@ -146,19 +147,11 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-            if self._jsonl_path is not None:
-                if self._jsonl_fh is None:
-                    directory = os.path.dirname(
-                        os.path.abspath(self._jsonl_path))
-                    os.makedirs(directory, exist_ok=True)
-                    self._jsonl_fh = open(self._jsonl_path, "w",
-                                          encoding="utf-8")
-                self._jsonl_fh.write(json.dumps(
-                    {"name": span.name, "start": span.start,
-                     "duration": span.duration, "tid": span.tid,
-                     "depth": span.depth, "args": span.args},
-                    sort_keys=True) + "\n")
-                self._jsonl_fh.flush()
+            if self.logger is not None:
+                self.logger.event(
+                    "span", name=span.name, start=span.start,
+                    duration=span.duration, tid=span.tid,
+                    depth=span.depth, args=span.args)
 
     # -- external (cross-process) events --------------------------------
     def add_external_events(self, events: List[Dict[str, Any]]) -> None:
@@ -238,55 +231,21 @@ class Tracer:
             json.dump(self.to_chrome(), fh)
         return path
 
-    def close(self) -> None:
-        with self._lock:
-            if self._jsonl_fh is not None and not self._jsonl_fh.closed:
-                self._jsonl_fh.close()
-
 
 # ----------------------------------------------------------------------
 # Module-level API — the form instrumentation points use.
 # ----------------------------------------------------------------------
 _ACTIVE: Optional[Tracer] = None
-_ATEXIT_REGISTERED = False
-
-
-def _atexit_flush() -> None:
-    """Last-chance flush: close a tracer still active at interpreter exit.
-
-    A tracer left installed at exit means the run ended without the
-    normal ``disable()``/export path (worker killed mid-task, uncaught
-    exception, ``sys.exit`` inside a span).  Rather than silently
-    truncating the JSONL span stream, flush and close it and tell the
-    user the trace is partial.
-    """
-    global _ACTIVE
-    tracer, _ACTIVE = _ACTIVE, None
-    if tracer is None:
-        return
-    spans = len(tracer.spans())
-    tracer.close()
-    print(f"repro.obs.trace: warning: tracer still active at exit; "
-          f"flushed a partial trace ({spans} finished spans"
-          f"{', jsonl stream closed' if tracer._jsonl_path else ''})",
-          file=sys.stderr)
-
-
-def _register_atexit() -> None:
-    global _ATEXIT_REGISTERED
-    if not _ATEXIT_REGISTERED:
-        atexit.register(_atexit_flush)
-        _ATEXIT_REGISTERED = True
 
 
 def reset_for_child() -> None:
-    """Drop tracer state inherited across ``fork`` without closing it.
+    """Drop tracer state inherited across ``fork``.
 
     A forked worker inherits the parent's active tracer *object* —
-    including the open JSONL file description shared with the parent.
-    Calling :func:`disable` here would flush/close through that shared
-    stream and corrupt the parent's span file, so the child simply
-    forgets the reference; the parent keeps sole ownership.
+    including its logger, whose open file description it shares with
+    the parent.  Spans recorded through it would land in the parent's
+    run stream, so the child simply forgets the reference; worker spans
+    travel back to the parent as task telemetry instead.
     """
     global _ACTIVE
     _ACTIVE = None
@@ -310,38 +269,33 @@ def is_enabled() -> bool:
 
 
 def enable(tracer: Optional[Tracer] = None,
-           jsonl_path: Optional[str] = None) -> Tracer:
+           logger: Optional[Any] = None) -> Tracer:
     """Install (and return) a tracer as the process-wide active one."""
     global _ACTIVE
     if tracer is None:
-        tracer = Tracer(jsonl_path=jsonl_path)
+        tracer = Tracer(logger=logger)
     _ACTIVE = tracer
-    _register_atexit()
     return tracer
 
 
 def disable() -> Optional[Tracer]:
-    """Uninstall the active tracer (returned for export) and close it."""
+    """Uninstall the active tracer and return it for export."""
     global _ACTIVE
     tracer, _ACTIVE = _ACTIVE, None
-    if tracer is not None:
-        tracer.close()
     return tracer
 
 
 @contextmanager
-def tracing(jsonl_path: Optional[str] = None):
+def tracing(logger: Optional[Any] = None):
     """Scoped tracing: install a fresh tracer, restore the previous one."""
     global _ACTIVE
     previous = _ACTIVE
-    tracer = Tracer(jsonl_path=jsonl_path)
+    tracer = Tracer(logger=logger)
     _ACTIVE = tracer
-    _register_atexit()
     try:
         yield tracer
     finally:
         _ACTIVE = previous
-        tracer.close()
 
 
 def format_span_table(summary: Dict[str, Dict[str, float]],

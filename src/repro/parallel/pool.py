@@ -31,8 +31,9 @@ with the conventions every parallel workload in this repo shares:
   these into :class:`PoolStats` (fleet engine/span/op totals) and
   deposits worker spans into the active tracer so ``--trace-dir``
   writes one pid-laned Chrome trace (DESIGN.md §13).  Stragglers
-  (tasks slower than k×median) are available post-hoc via
-  :meth:`PoolStats.stragglers`.
+  (warm tasks slower than k×median) are available post-hoc via
+  :meth:`PoolStats.stragglers`, and :meth:`PoolStats.log_to` writes
+  them with one per-worker summary each into a run's stream.
 
 Task functions must be module-level (picklable); per-task arguments
 should be small — ship arrays through shared memory, not arguments.
@@ -239,26 +240,60 @@ class PoolStats:
             return 0.0
         return self.total_busy_seconds / (self.wall_seconds * self.workers)
 
+    def _warm_records(self) -> List[Tuple[int, float]]:
+        """Task records without each worker's first task on the pool,
+        which carries that worker's engine warm-up."""
+        seen: Set[int] = set()
+        warm = []
+        for pid, seconds in self.task_records:
+            if pid in seen:
+                warm.append((pid, seconds))
+            seen.add(pid)
+        return warm
+
     def median_task_seconds(self) -> float:
-        if not self.task_records:
+        """Median time of a warm task (see :meth:`stragglers`)."""
+        warm = self._warm_records()
+        if not warm:
             return 0.0
-        return statistics.median(seconds for _, seconds in
-                                 self.task_records)
+        return statistics.median(seconds for _, seconds in warm)
 
     def stragglers(self, k: float = 3.0, min_tasks: int = 4
                    ) -> List[Tuple[int, float]]:
-        """Tasks slower than ``k`` × the median task time.
+        """Warm tasks slower than ``k`` × :meth:`median_task_seconds`.
 
-        Judged post-hoc over the whole run; needs at least
-        ``min_tasks`` records for the median to mean anything.
+        A worker's first task on the pool builds its engine, so it is
+        neither a candidate nor part of the median.  Judged post-hoc
+        over the whole run; needs at least ``min_tasks`` warm records
+        for the median to mean anything.
         """
-        if len(self.task_records) < max(min_tasks, 1):
+        warm = self._warm_records()
+        if len(warm) < max(min_tasks, 1):
             return []
-        median = self.median_task_seconds()
+        median = statistics.median(seconds for _, seconds in warm)
         if median <= 0.0:
             return []
-        return [(pid, seconds) for pid, seconds in self.task_records
+        return [(pid, seconds) for pid, seconds in warm
                 if seconds > k * median]
+
+    def log_to(self, logger) -> None:
+        """Write the pool's records into a run's stream: one
+        ``straggler`` anomaly per :meth:`stragglers` task, then one
+        ``worker_span_summary`` per worker pid with its task count,
+        busy time and the span and litho-counter merges it shipped."""
+        median = self.median_task_seconds()
+        for pid, seconds in self.stragglers():
+            logger.anomaly("straggler", pid=pid, seconds=seconds,
+                           median_seconds=median)
+        fleet = self.fleet
+        for pid in sorted(set(self.task_counts)
+                          | set(fleet.pid_span_summary)):
+            logger.worker_span_summary(
+                pid, fleet.pid_span_summary.get(pid, {}),
+                tasks=self.task_counts.get(pid),
+                busy_seconds=self.busy_seconds.get(pid),
+                dropped_spans=fleet.dropped_spans or None,
+                litho=fleet.pid_engine.get(pid) or None)
 
     def format_table(self) -> str:
         """Per-worker utilization table (``repro profile`` output)."""

@@ -17,7 +17,6 @@ from .quality import (
     RunQuality,
     clip_metrics,
     load_quality_record,
-    quality_record_from_run,
     quality_record_from_table2,
     run_quality,
     write_quality_record,
@@ -58,7 +57,6 @@ __all__ = [
     "git_revision",
     "load_quality_record",
     "package_versions",
-    "quality_record_from_run",
     "quality_record_from_table2",
     "render_report",
     "run_quality",

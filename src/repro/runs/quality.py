@@ -70,8 +70,10 @@ class RunQuality:
     anomalies:
         Raw ``anomaly`` records in stream order.
     spans:
-        Last-seen ``span_summary`` span map (``{name: {count,
-        seconds}}``), empty when the run recorded no spans.
+        Sum of the run's ``span_summary`` and ``worker_span_summary``
+        span maps (``{name: {count, seconds}}``), empty when the run
+        recorded no spans.  ``span`` records are not folded: the
+        summary already counts them.
     """
 
     samples: Dict[str, List[tuple]] = field(default_factory=dict)
@@ -126,11 +128,11 @@ def _number(value):
 def run_quality(run_dir: str) -> RunQuality:
     """Fold every telemetry stream in a run directory into one view.
 
-    Besides the primary ``quality.jsonl``, commands drop phase streams
-    (``pretrain.jsonl``/``gan.jsonl`` from training runs, ``flow.jsonl``
-    from tiled runs) into the same directory; all of them use the same
-    schema-validated record format, so the fold is additive and events
-    it does not know about are skipped.
+    A run writes one stream, ``quality.jsonl``.  Runs recorded before
+    that also hold phase streams (``pretrain.jsonl``/``gan.jsonl`` from
+    training) in the same directory and the same schema-validated
+    record format, so every ``*.jsonl`` is folded, additively, and
+    events the fold does not know about are skipped.
     """
     quality = RunQuality()
     if not os.path.isdir(run_dir):
@@ -202,37 +204,6 @@ def quality_record_from_table2(result, suite: str,
             if any(key in m for m in per_clip.values())
         }
         for method, per_clip in clips.items()
-    }
-    from .store import utc_iso
-    return {
-        "schema": QUALITY_SCHEMA_VERSION,
-        "kind": "quality",
-        "suite": suite,
-        "generated_utc": utc_iso(),
-        "git_rev": git_rev,
-        "config_hash": config_hash,
-        "clips": clips,
-        "aggregates": aggregates,
-    }
-
-
-def quality_record_from_run(run_dir: str, suite: str,
-                            git_rev: str = "unknown",
-                            config_hash: Optional[str] = None) -> dict:
-    """Build the gate record from a run directory's clip_result stream."""
-    quality = run_quality(run_dir)
-    clips = {
-        method: {clip: {key: value for key, value in metrics.items()
-                        if isinstance(value, (int, float))
-                        and np.isfinite(value)}
-                 for clip, metrics in per_clip.items()}
-        for method, per_clip in quality.clip_results.items()
-    }
-    aggregates = {
-        method: {key: value
-                 for key, value in quality.aggregates()[method].items()
-                 if key in GATE_METRICS}
-        for method in clips
     }
     from .store import utc_iso
     return {

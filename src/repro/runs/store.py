@@ -6,13 +6,16 @@ a content hash of the run's configuration plus its start time, holding
 
 * ``manifest.json`` — what was run: command, CLI argv, git revision,
   litho config (and its kernel-cache ``config_hash``), corner stack,
-  seed, precision, workers, package versions, links to every artifact
-  the run produced (telemetry JSONL, traces, checkpoints, masks,
-  persisted Table 2 results), and a final metric summary;
-* ``quality.jsonl`` — schema-validated quality telemetry
-  (``quality_sample`` / ``clip_result`` / ``anomaly`` records, plus the
-  ``run_manifest`` header record) written through the ordinary
-  :class:`~repro.runtime.telemetry.RunLogger` contract;
+  seed, precision, workers, package versions, links to the artifacts
+  the run produced (checkpoints, masks, persisted Table 2 results),
+  and a final metric summary;
+* ``quality.jsonl`` — the run's one telemetry stream, schema-validated
+  through the :class:`~repro.runtime.telemetry.RunLogger` contract: the
+  ``run_manifest`` header record, then whatever the command records —
+  quality samples, clip results, anomalies, training phase records
+  (each stamped ``pretrain`` or ``gan``), the flow record, ``span``
+  records and the one ``span_summary`` of a traced run, and a worker
+  pool's per-worker summaries;
 * whatever artifacts the command links in (``table2.json``, mask PGMs,
   copied clip ``.glp`` files, ...).
 
@@ -147,7 +150,8 @@ class RunHandle:
 
     @property
     def logger(self):
-        """Lazily opened :class:`RunLogger` on ``quality.jsonl``."""
+        """Lazily opened :class:`RunLogger` on ``quality.jsonl``, the
+        run's one stream; :meth:`finish` closes it."""
         if self._logger is None:
             from ..runtime.telemetry import RunLogger
             self._logger = RunLogger(self.quality_log_path,

@@ -10,11 +10,14 @@ Algorithm 2) with the three substrate services in one place:
 * **guard rails** — non-finite loss / gradient detection with the
   configurable divergence policy of :mod:`repro.runtime.guards`,
   plus optional global gradient-norm clipping;
-* **telemetry** — structured JSONL records via
-  :class:`~repro.runtime.telemetry.RunLogger`, including per-iteration
-  wall-clock and the iteration's delta of the process-wide litho
-  counters (:attr:`~repro.litho.engine.LithoEngine.stats`), so every
-  engine the phase reaches — nominal or corner stack — is counted.
+* **telemetry** — structured records into the run's one stream, the
+  :class:`~repro.runtime.telemetry.RunLogger` given as
+  ``RunConfig.logger``, each stamped with the phase (``pretrain`` or
+  ``gan``), including per-iteration wall-clock and the iteration's
+  delta of the process-wide litho counters
+  (:attr:`~repro.litho.engine.LithoEngine.stats`), so every engine the
+  phase reaches — nominal or corner stack — is counted.  The harness
+  opens and closes no file: the run that owns the logger closes it.
 
 The trainers call four hooks: ``begin`` (once), ``begin_iteration`` /
 ``end_iteration`` (per loop body) and ``finish`` (once); weight updates
@@ -26,14 +29,11 @@ the substrate is strictly additive.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
-
-from repro.obs import trace
 
 from ..litho.engine import LithoEngine
 from ..nn.modules import Module
@@ -63,8 +63,9 @@ class RunConfig:
         (weights, optimizer moments, RNG state and history are all
         restored, so the continuation is bit-identical to an
         uninterrupted run).
-    telemetry_dir:
-        Directory for ``<phase>.jsonl`` telemetry; ``None`` disables.
+    logger:
+        The :class:`RunLogger` the phase writes its records to (a run's
+        ``quality.jsonl``); ``None`` disables telemetry.
     policy:
         Divergence policy: ``"raise"``, ``"rollback"`` or ``"skip"``.
     max_grad_norm:
@@ -83,7 +84,7 @@ class RunConfig:
     checkpoint_every: int = 0
     keep_last: int = 3
     resume: bool = False
-    telemetry_dir: Optional[str] = None
+    logger: Optional[RunLogger] = None
     policy: str = "raise"
     max_grad_norm: Optional[float] = None
     lr_backoff: float = 0.5
@@ -122,11 +123,7 @@ class TrainingHarness:
         self.checkpointer = (
             Checkpointer(self.config.checkpoint_dir, self.config.keep_last)
             if self.config.checkpoint_dir else None)
-        self.logger = (
-            RunLogger(os.path.join(self.config.telemetry_dir,
-                                   f"{phase}.jsonl"),
-                      phase, append=self.config.resume)
-            if self.config.telemetry_dir else None)
+        self.logger = self.config.logger
 
         self.recoveries = 0
         self.last_action = "ok"
@@ -156,17 +153,15 @@ class TrainingHarness:
                     series.extend(state.history.get(name, []))
                 start_iteration = state.iteration
                 self._last_saved_iteration = state.iteration
-                if self.logger:
-                    self.logger.event("resume", iteration=start_iteration,
-                                      checkpoint=path)
+                self._log("resume", iteration=start_iteration,
+                          checkpoint=path)
         self._snapshot = capture_state(start_iteration, self.modules,
                                        self.optimizers, phase=self.phase)
         self._run_started = time.perf_counter()
         self._iter_started = self._run_started
-        if self.logger:
-            self.logger.event("run_start", iteration=start_iteration,
-                              total_iterations=int(total_iterations),
-                              policy=self.config.policy)
+        self._log("run_start", iteration=start_iteration,
+                  total_iterations=int(total_iterations),
+                  policy=self.config.policy)
         return start_iteration
 
     def begin_iteration(self, iteration: int) -> None:
@@ -186,16 +181,16 @@ class TrainingHarness:
                       losses: Dict[str, float]) -> None:
         """Record telemetry and checkpoint at the configured cadence."""
         seconds = time.perf_counter() - self._iter_started
-        if self.logger:
-            self.logger.iteration(
-                iteration=iteration, losses=losses, seconds=seconds,
-                grad_norms=self._grad_norms or None,
-                action=self.last_action, litho=self._litho_delta())
+        if self.logger is not None:
+            self._log("iteration", iteration=iteration, losses=losses,
+                      seconds=seconds, grad_norms=self._grad_norms or None,
+                      action=self.last_action, litho=self._litho_delta())
             objective = next(
                 (losses[key] for key in self.QUALITY_KEYS if key in losses),
                 next(iter(losses.values())) if losses else float("nan"))
-            self.logger.quality_sample(iteration, objective,
-                                       stage=self.phase, seconds=seconds)
+            self._log("quality_sample", iteration=iteration,
+                      objective=objective, stage=self.phase,
+                      seconds=seconds)
         every = self.config.checkpoint_every
         if self.checkpointer and every and (iteration + 1) % every == 0:
             self._save(iteration + 1, rng, history)
@@ -203,21 +198,12 @@ class TrainingHarness:
     def finish(self, iteration: int,
                rng: Optional[np.random.Generator],
                history: Dict[str, List[float]]) -> None:
-        """Write the final checkpoint and close out telemetry."""
+        """Write the final checkpoint and the ``run_end`` record."""
         if self.checkpointer and self._last_saved_iteration != iteration:
             self._save(iteration, rng, history)
-        if self.logger:
-            tracer = trace.active()
-            if tracer is not None and tracer.spans():
-                self.logger.span_summary(
-                    tracer.summary(),
-                    wall_seconds=tracer.wall_seconds(),
-                    coverage=tracer.coverage())
-            self.logger.event(
-                "run_end", iteration=iteration,
-                seconds=time.perf_counter() - self._run_started,
-                recoveries=self.recoveries, litho=self._litho_delta())
-            self.logger.close()
+        self._log("run_end", iteration=iteration,
+                  seconds=time.perf_counter() - self._run_started,
+                  recoveries=self.recoveries, litho=self._litho_delta())
 
     # ------------------------------------------------------------------
     # guarded weight updates
@@ -254,12 +240,9 @@ class TrainingHarness:
         self.recoveries += 1
         policy = self.config.policy
         if policy == "raise" or self.recoveries > self.config.max_recoveries:
-            if self.logger:
-                self.logger.anomaly(
-                    "divergence", iteration=self._iteration or 0,
-                    action="raise", values=values,
-                    recoveries=self.recoveries)
-                self.logger.close()
+            self._log("anomaly", kind="divergence",
+                      iteration=self._iteration or 0, action="raise",
+                      values=values, recoveries=self.recoveries)
             raise DivergenceError(self.phase, self._iteration, values,
                                   self.recoveries - 1)
         if policy == "rollback":
@@ -269,12 +252,11 @@ class TrainingHarness:
             action = "rollback"
         else:
             action = "skip"
-        if self.logger:
-            self.logger.anomaly(
-                "divergence", iteration=self._iteration or 0,
-                action=action, values=values, recoveries=self.recoveries,
-                learning_rates={name: opt.lr for name, opt
-                                in self.optimizers.items()})
+        self._log("anomaly", kind="divergence",
+                  iteration=self._iteration or 0, action=action,
+                  values=values, recoveries=self.recoveries,
+                  learning_rates={name: opt.lr for name, opt
+                                  in self.optimizers.items()})
         return action
 
     # ------------------------------------------------------------------
@@ -290,9 +272,12 @@ class TrainingHarness:
         # Rollback targets the last durable state, so refresh the
         # in-memory snapshot to match what just hit disk.
         self._snapshot = state
-        if self.logger:
-            self.logger.event("checkpoint", iteration=next_iteration,
-                              path=path)
+        self._log("checkpoint", iteration=next_iteration, path=path)
+
+    def _log(self, event: str, **fields) -> None:
+        """One record into the run's stream, stamped with this phase."""
+        if self.logger is not None:
+            self.logger.event(event, phase=self.phase, **fields)
 
     def _litho_delta(self) -> Dict[str, float]:
         """Litho work since the previous record, so the iteration and

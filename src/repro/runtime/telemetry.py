@@ -1,9 +1,11 @@
 """Structured JSONL run telemetry.
 
 :class:`RunLogger` appends one strict-JSON object per line to a
-telemetry file: per-iteration losses and gradient norms, wall-clock per
-phase, lithography-engine call counts, checkpoint/divergence/resume
-events.  The record layout is pinned by the checked-in schema
+telemetry file — for a recorded run, the run's one stream
+``quality.jsonl``: per-iteration losses and gradient norms, wall-clock
+per phase, lithography-engine call counts, checkpoint/divergence/resume
+events, finished spans and their summaries, and a worker pool's
+per-worker records.  Every record is flushed as it is written.  The record layout is pinned by the checked-in schema
 ``telemetry_schema.json`` and *every* record is validated against it
 before it is written — the schema is a contract for downstream
 consumers (dashboards, regression tests), not documentation.
@@ -182,17 +184,19 @@ def validate_record(record: dict) -> None:
 
 # ----------------------------------------------------------------------
 class RunLogger:
-    """Append-only JSONL telemetry writer for one run phase.
+    """Append-only JSONL telemetry writer for one run.
 
     Parameters
     ----------
     path:
         Telemetry file; parent directories are created on demand.
     phase:
-        Stamped on every record (``"pretrain"``, ``"gan"``, ``"flow"``).
+        Stamped on every record that does not pass its own ``phase``
+        field to :meth:`event` (the training harness stamps
+        ``"pretrain"``/``"gan"`` on its records this way).
     append:
-        Open in append mode (used when resuming a run) instead of
-        truncating.
+        Open in append mode instead of truncating (a run handle's
+        stream, which a reloaded handle may reopen).
     """
 
     def __init__(self, path: str, phase: str, append: bool = False):
@@ -240,8 +244,8 @@ class RunLogger:
                             litho: Optional[Dict[str, float]] = None) -> None:
         """Record one worker process's aggregated span summary.
 
-        The pool parent emits one of these per worker pid after a
-        parallel/tiled run, from the shipped
+        :meth:`~repro.parallel.pool.PoolStats.log_to` writes one of
+        these per worker pid after a pooled run, from the shipped
         :class:`~repro.obs.aggregate.TaskTelemetry` merges; ``litho``
         carries the worker's summed engine-counter deltas.
         """
@@ -293,15 +297,6 @@ class RunLogger:
         queryable from its telemetry instead of scraped from logs.
         """
         self.event("anomaly", kind=kind, **fields)
-
-    def iteration(self, iteration: int, losses: Dict[str, float],
-                  seconds: float,
-                  grad_norms: Optional[Dict[str, float]] = None,
-                  action: Optional[str] = None,
-                  litho: Optional[Dict[str, float]] = None) -> None:
-        self.event("iteration", iteration=iteration, losses=losses,
-                   seconds=seconds, grad_norms=grad_norms or None,
-                   action=action, litho=litho)
 
     def close(self) -> None:
         if not self._fh.closed:

@@ -138,7 +138,7 @@ class TestFleetTelemetry:
     def test_reconcile_matches_and_mismatches(self):
         fleet = FleetTelemetry()
         fleet.add(self._telemetry(1, forward=2.0))
-        result = fleet.reconcile()
+        result = reconcile(fleet.engine_totals, fleet.merged_summary())
         assert result["forward_calls"]["match"] is True
         assert result["gradient_calls"] == {"stats": 0, "spans": 0,
                                             "match": True}

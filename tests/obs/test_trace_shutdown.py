@@ -1,9 +1,10 @@
-"""Tracer shutdown hardening (ISSUE 8 satellite).
+"""Span records survive an exit without ``trace.disable``.
 
-A process that exits while a tracer is still installed (worker killed
-mid-task, uncaught exception, ``sys.exit`` inside a span) must not
-silently truncate the JSONL span stream: the atexit hook flushes and
-closes it and prints a partial-trace warning to stderr.
+A tracer with a logger writes every finished span into the run's stream
+as it closes, and the logger flushes every record.  So a process that
+leaves its tracer installed — even one that ends in ``os._exit``, which
+runs no exit handler — keeps every finished span as a complete,
+schema-valid ``span`` record.
 """
 
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 
 from repro.obs import trace
+from repro.runtime import RunLogger, validate_record
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -24,58 +26,55 @@ def _run_script(script, tmp_path):
                           timeout=60)
 
 
-def test_exit_without_disable_flushes_stream_and_warns(tmp_path):
+def _records(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def test_os_exit_keeps_every_finished_span(tmp_path):
     result = _run_script(
+        "import os\n"
         "from repro.obs import trace\n"
-        "trace.enable(jsonl_path='spans.jsonl')\n"
-        "with trace.span('work'):\n"
-        "    pass\n"
-        "raise SystemExit(0)\n",  # exits without trace.disable()
+        "from repro.runtime import RunLogger\n"
+        "trace.enable(logger=RunLogger('quality.jsonl', 'flow'))\n"
+        "for i in range(3):\n"
+        "    with trace.span('work', iteration=i):\n"
+        "        pass\n"
+        "with trace.span('unfinished'):\n"
+        "    os._exit(0)\n",  # no disable, no close, no exit handlers
         tmp_path)
     assert result.returncode == 0
-    assert "partial trace" in result.stderr
-    assert "1 finished spans" in result.stderr
-    lines = (tmp_path / "spans.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])  # complete strict-JSON line, not torn
-    assert record["name"] == "work"
+    records = _records(tmp_path / "quality.jsonl")
+    for record in records:  # complete strict-JSON lines, not torn
+        validate_record(record)
+    assert [(r["event"], r["name"], r["args"]) for r in records] == \
+        [("span", "work", {"iteration": i}) for i in range(3)]
 
 
 def test_clean_disable_does_not_warn(tmp_path):
     result = _run_script(
         "from repro.obs import trace\n"
-        "trace.enable(jsonl_path='spans.jsonl')\n"
+        "from repro.runtime import RunLogger\n"
+        "trace.enable(logger=RunLogger('quality.jsonl', 'flow'))\n"
         "with trace.span('work'):\n"
         "    pass\n"
         "trace.disable()\n",
         tmp_path)
     assert result.returncode == 0
-    assert "partial trace" not in result.stderr
-
-
-def test_atexit_flush_in_process():
-    tracer = trace.enable(trace.Tracer())
-    with trace.span("x"):
-        pass
-    trace._atexit_flush()
-    assert not trace.is_enabled()
-    assert len(tracer.spans()) == 1
-    # Idempotent once nothing is active.
-    trace._atexit_flush()
+    assert result.stderr == ""
+    assert len(_records(tmp_path / "quality.jsonl")) == 1
 
 
 def test_reset_for_child_drops_without_closing(tmp_path):
-    path = str(tmp_path / "spans.jsonl")
-    tracer = trace.enable(jsonl_path=path)
-    with trace.span("parent-span"):
-        pass
-    trace.reset_for_child()  # what _worker_init does after fork
-    assert not trace.is_enabled()
-    assert tracer._jsonl_fh is not None and not tracer._jsonl_fh.closed
-    trace.enable(tracer)  # parent still owns a working stream
-    with trace.span("after"):
-        pass
-    trace.disable()
-    lines = open(path, encoding="utf-8").read().strip().splitlines()
-    assert [json.loads(line)["name"] for line in lines] == \
-        ["parent-span", "after"]
+    path = str(tmp_path / "quality.jsonl")
+    with RunLogger(path, "flow") as logger:
+        tracer = trace.enable(logger=logger)
+        with trace.span("parent-span"):
+            pass
+        trace.reset_for_child()  # what _worker_init does after fork
+        assert not trace.is_enabled()
+        trace.enable(tracer)  # the parent's stream still works
+        with trace.span("after"):
+            pass
+        trace.disable()
+    assert [r["name"] for r in _records(path)] == ["parent-span", "after"]

@@ -143,20 +143,32 @@ class TestChromeExport:
 
 
 class TestJsonlStream:
+    """Spans as ``span`` records in a run's stream."""
+
     def test_spans_streamed_as_strict_json_lines(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
-        with trace.tracing(jsonl_path=path) as tracer:
-            with trace.span("a", n=1):
-                pass
-            with trace.span("b"):
-                pass
+        from repro.runtime import RunLogger, validate_record
+
+        path = str(tmp_path / "quality.jsonl")
+        with RunLogger(path, "flow") as logger:
+            with trace.tracing(logger=logger) as tracer:
+                with trace.span("a", n=1):
+                    with trace.span("a.inner"):
+                        pass
+                with trace.span("b"):
+                    pass
         with open(path, "r", encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
-        assert [line["name"] for line in lines] == ["a", "b"]
-        assert lines[0]["args"] == {"n": 1}
-        assert set(lines[0]) == {"name", "start", "duration", "tid",
-                                 "depth", "args"}
-        assert tracer.spans()[0].duration == lines[0]["duration"]
+        for line in lines:
+            validate_record(line)
+        assert [line["name"] for line in lines] == ["a.inner", "a", "b"]
+        assert {line["event"] for line in lines} == {"span"}
+        assert lines[1]["args"] == {"n": 1}
+        assert [line["depth"] for line in lines] == [1, 0, 0]
+        assert set(lines[1]) == {"schema", "event", "phase", "ts", "name",
+                                 "start", "duration", "tid", "depth",
+                                 "args"}
+        assert tracer.spans()[1].duration == lines[1]["duration"]
+        assert tracer.spans()[1].start == lines[1]["start"]
 
 
 class TestThreads:

@@ -18,7 +18,8 @@ import pytest
 from repro.litho import LithoConfig
 from repro.obs import aggregate, trace
 from repro.parallel import WorkerPool
-from repro.parallel.pool import worker_engine
+from repro.parallel.pool import PoolStats, worker_engine
+from repro.runtime import RunLogger, validate_record
 
 
 def _forward_task(seed):
@@ -146,7 +147,9 @@ class TestMergedTrace:
         try:
             with WorkerPool(2, litho_config=litho) as pool:
                 pool.map(_forward_task, [(i,) for i in range(6)])
-                result = pool.stats.fleet.reconcile()
+                fleet = pool.stats.fleet
+                result = aggregate.reconcile(fleet.engine_totals,
+                                             fleet.merged_summary())
         finally:
             trace.disable()
         assert result["forward_calls"]["match"] is True
@@ -175,6 +178,43 @@ class TestStragglers:
             stragglers = pool.stats.stragglers(k=3.0, min_tasks=4)
         assert len(stragglers) == 1
         assert stragglers[0][1] >= 0.25
+
+    @staticmethod
+    def _stats():
+        """Two workers whose first tasks carry a slow engine warm-up,
+        and one slow later task on worker 1."""
+        stats = PoolStats(workers=2)
+        for pid, seconds in [(1, 0.5), (2, 0.4), (1, 0.01), (2, 0.01),
+                             (1, 0.012), (2, 0.011), (1, 0.2), (2, 0.01)]:
+            stats.record(pid, seconds)
+        return stats
+
+    def test_first_task_of_each_worker_is_warm_up(self):
+        stats = self._stats()
+        # The median is over the six later tasks only.
+        assert stats.median_task_seconds() == pytest.approx(0.0105)
+        assert stats.stragglers() == [(1, 0.2)]
+        assert "slow:1" in stats.format_table().splitlines()[1]
+        assert "slow" not in stats.format_table().splitlines()[2]
+
+    def test_log_to_writes_stragglers_and_one_summary_per_worker(
+            self, tmp_path):
+        stats = self._stats()
+        path = str(tmp_path / "quality.jsonl")
+        with RunLogger(path, "flow") as logger:
+            stats.log_to(logger)
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        for record in records:
+            validate_record(record)
+        (anomaly,) = [r for r in records if r["event"] == "anomaly"]
+        assert (anomaly["kind"], anomaly["pid"], anomaly["seconds"]) == \
+            ("straggler", 1, 0.2)
+        assert anomaly["median_seconds"] == stats.median_task_seconds()
+        summaries = [r for r in records
+                     if r["event"] == "worker_span_summary"]
+        assert [(r["pid"], r["tasks"]) for r in summaries] == [(1, 4),
+                                                               (2, 4)]
 
 
 class TestProgress:

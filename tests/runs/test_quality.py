@@ -9,7 +9,7 @@ import pytest
 
 from repro.runs import (GATE_METRICS, QUALITY_SCHEMA_VERSION,
                         QualityRecordError, clip_metrics,
-                        load_quality_record, quality_record_from_run,
+                        load_quality_record, quality_record_from_table2,
                         run_quality, write_quality_record)
 from repro.runtime import RunLogger
 
@@ -101,9 +101,14 @@ class TestRunQuality:
 
     def test_unknown_events_skipped(self, run_dir):
         with RunLogger(os.path.join(run_dir, "extra.jsonl"), "flow") as lg:
-            lg.iteration(0, {"loss": 1.0}, 0.1)
+            lg.event("iteration", iteration=0, losses={"loss": 1.0},
+                     seconds=0.1)
+            lg.event("span", name="litho.forward", start=0.0,
+                     duration=0.1, tid=1, depth=0, args={"masks": 1})
         quality = run_quality(run_dir)
         assert quality.clip_results["ILT"]["iccad13-01"]["l2_nm2"] == 100.0
+        # The span summaries already count the span records.
+        assert quality.spans["litho.forward"]["count"] == 10
 
 
 class TestClipMetrics:
@@ -121,16 +126,29 @@ class TestClipMetrics:
                            "bridge_defects": 1.0}
 
 
+def _table2_record(suite, **kwargs):
+    """A gate record from a two-clip, one-method Table 2 result."""
+    from repro.metrics.report import MaskEvaluation
+
+    class Result:
+        columns = {"ILT": [
+            MaskEvaluation(name="iccad13-01", l2_px=1.0, l2_nm2=100.0,
+                           pvband_nm2=50.0, epe_violations=2,
+                           runtime_seconds=1.5),
+            MaskEvaluation(name="iccad13-02", l2_px=2.0, l2_nm2=200.0,
+                           pvband_nm2=70.0, epe_violations=4,
+                           runtime_seconds=2.5)]}
+
+    return quality_record_from_table2(Result(), suite, **kwargs)
+
+
 class TestGateRecord:
-    def test_record_from_run_round_trips(self, run_dir, tmp_path):
-        record = quality_record_from_run(run_dir, "suite-x",
-                                         git_rev="abc1234",
-                                         config_hash="deadbeef")
+    def test_record_round_trips(self, tmp_path):
+        record = _table2_record("suite-x", git_rev="abc1234",
+                                config_hash="deadbeef")
         assert record["schema"] == QUALITY_SCHEMA_VERSION
         assert record["suite"] == "suite-x"
         assert record["clips"]["ILT"]["iccad13-01"]["l2_nm2"] == 100.0
-        # the NaN metric is excluded from the strict-JSON gate record
-        assert "pvband_nm2" not in record["clips"]["ILT"]["iccad13-02"]
         assert set(record["aggregates"]["ILT"]) <= set(GATE_METRICS)
 
         path = str(tmp_path / "QUALITY.json")
@@ -159,8 +177,8 @@ class TestGateRecord:
         with pytest.raises(QualityRecordError, match="no 'clips'"):
             load_quality_record(str(path))
 
-    def test_written_record_is_strict_json(self, run_dir, tmp_path):
-        record = quality_record_from_run(run_dir, "suite-x")
+    def test_written_record_is_strict_json(self, tmp_path):
+        record = _table2_record("suite-x")
         path = str(tmp_path / "QUALITY.json")
         write_quality_record(record, path)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -17,9 +18,20 @@ def _read_records(path):
 
 
 class TestHelpers:
-    def test_git_revision_of_repo_is_short_hash(self):
-        rev = git_revision(os.path.dirname(os.path.abspath(__file__)))
-        assert rev != "unknown"
+    def test_git_revision_of_repo_is_short_hash(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false",
+                 *args], cwd=tmp_path, check=True, capture_output=True,
+                text=True).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "a.txt").write_text("a\n")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", "a")
+        rev = git_revision(str(tmp_path))
+        assert rev == git("rev-parse", "--short", "HEAD")
         assert 6 <= len(rev) <= 12
 
     def test_git_revision_outside_repo_is_unknown(self, tmp_path):

@@ -237,6 +237,30 @@ class TestHarnessUnit:
         assert all(np.array_equal(a, p.data)
                    for a, p in zip(before, module.parameters()))
 
+    def test_divergence_leaves_the_logger_to_its_run(self, tmp_path):
+        """The raise anomaly lands in the run's stream, stamped with
+        the harness's phase, and the logger stays open: the run that
+        owns it closes it."""
+        import json
+
+        from repro.runtime import RunLogger
+
+        path = str(tmp_path / "quality.jsonl")
+        with RunLogger(path, "train") as logger:
+            module, optimizer, harness = self._harness(
+                RunConfig(logger=logger))
+            harness.begin_iteration(0)
+            with pytest.raises(DivergenceError):
+                harness.apply_update({"loss": float("nan")},
+                                     self._grads(module), optimizer)
+            logger.event("run_end", iteration=0, seconds=0.0)
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [(r["event"], r["phase"]) for r in records] == [
+            ("run_start", "test"), ("anomaly", "test"),
+            ("run_end", "train")]
+        assert records[1]["action"] == "raise"
+
     def test_grad_clipping_bounds_update(self):
         module, optimizer, harness = self._harness(
             RunConfig(max_grad_norm=1.0))

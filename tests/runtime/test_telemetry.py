@@ -149,30 +149,6 @@ class TestSpanSummary:
         assert isinstance(record["spans"]["work"]["count"], int)
         assert record["trace_file"] == "trace.json"
 
-    def test_harness_emits_span_summary_when_tracing(self, litho32,
-                                                     kernels32, dataset,
-                                                     tmp_path):
-        from repro.obs import trace
-
-        config = GanOpcConfig(grid=32, generator_channels=(4, 8),
-                              discriminator_channels=(4, 8), batch_size=2,
-                              seed=7)
-        generator = MaskGenerator(config.generator_channels,
-                                  rng=np.random.default_rng(1))
-        pre = ILTGuidedPretrainer(generator, litho32, config,
-                                  kernels=kernels32)
-        with trace.tracing():
-            pre.train(dataset, 2,
-                      runtime=RunConfig(telemetry_dir=str(tmp_path)))
-        records = _read_records(os.path.join(str(tmp_path),
-                                             "pretrain.jsonl"))
-        summaries = [r for r in records if r["event"] == "span_summary"]
-        assert len(summaries) == 1
-        spans = summaries[0]["spans"]
-        assert "pretrain.step" in spans
-        assert spans["pretrain.step"]["count"] == 2
-        assert "litho.adjoint" in spans
-
     def test_no_span_summary_without_tracer(self, litho32, kernels32,
                                             dataset, tmp_path):
         config = GanOpcConfig(grid=32, generator_channels=(4, 8),
@@ -182,16 +158,20 @@ class TestSpanSummary:
                                   rng=np.random.default_rng(1))
         pre = ILTGuidedPretrainer(generator, litho32, config,
                                   kernels=kernels32)
-        pre.train(dataset, 1, runtime=RunConfig(telemetry_dir=str(tmp_path)))
-        records = _read_records(os.path.join(str(tmp_path),
-                                             "pretrain.jsonl"))
-        assert all(r["event"] != "span_summary" for r in records)
+        path = os.path.join(str(tmp_path), "pretrain.jsonl")
+        with RunLogger(path, "train") as logger:
+            pre.train(dataset, 1, runtime=RunConfig(logger=logger))
+        records = _read_records(path)
+        assert all(r["event"] not in ("span", "span_summary")
+                   for r in records)
 
 
 class TestScriptedRun:
     ITERATIONS = 3
 
     def _run(self, litho32, kernels32, dataset, telemetry_dir):
+        """Pretrain into ``<telemetry_dir>/pretrain.jsonl`` through a
+        logger whose own phase is the command's, ``train``."""
         config = GanOpcConfig(grid=32, generator_channels=(4, 8),
                               discriminator_channels=(4, 8), batch_size=2,
                               seed=7)
@@ -200,8 +180,10 @@ class TestScriptedRun:
         pre = ILTGuidedPretrainer(generator, litho32, config,
                                   kernels=kernels32)
         before = pre.engine.stats.snapshot()
-        pre.train(dataset, self.ITERATIONS,
-                  runtime=RunConfig(telemetry_dir=telemetry_dir))
+        path = os.path.join(telemetry_dir, "pretrain.jsonl")
+        with RunLogger(path, "train") as logger:
+            pre.train(dataset, self.ITERATIONS,
+                      runtime=RunConfig(logger=logger))
         return pre.engine.stats.delta(before)
 
     def test_every_line_validates(self, litho32, kernels32, dataset,
@@ -263,10 +245,12 @@ class TestGanTelemetry:
         discriminator = PairDiscriminator(
             config.grid, config.discriminator_channels,
             rng=np.random.default_rng(2))
-        GanOpcTrainer(generator, discriminator, config).train(
-            dataset, 2, runtime=RunConfig(telemetry_dir=str(tmp_path)))
+        path = os.path.join(str(tmp_path), "gan.jsonl")
+        with RunLogger(path, "train") as logger:
+            GanOpcTrainer(generator, discriminator, config).train(
+                dataset, 2, runtime=RunConfig(logger=logger))
 
-        records = _read_records(os.path.join(str(tmp_path), "gan.jsonl"))
+        records = _read_records(path)
         for record in records:
             validate_record(record)
             assert record["phase"] == "gan"

@@ -23,6 +23,24 @@ def clip_file(tmp_path):
     return path
 
 
+def _run_records(store):
+    """The one run recorded in ``store`` and the records of its stream
+    (``quality.jsonl``), each checked against the telemetry schema."""
+    import json
+
+    from repro.runs import RunStore
+    from repro.runtime import validate_record
+
+    run_store = RunStore(store)
+    (run_id,) = run_store.run_ids()
+    run = run_store.load(run_id)
+    with open(run.quality_log_path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    for record in records:
+        validate_record(record)
+    return run, records
+
+
 class TestSynthesize:
     def test_writes_valid_glp(self, clip_file):
         layout = glp.load(clip_file)
@@ -84,7 +102,7 @@ class TestTrain:
                 "--batch-size", "2", "--seed", "11",
                 "--checkpoint-dir", str(tmp_path / "ckpts"),
                 "--checkpoint-every", "1",
-                "--telemetry-dir", str(tmp_path / "telemetry"),
+                "--runs-dir", str(tmp_path / "runs"),
                 *extra]
 
     def test_pretrain_writes_checkpoints_and_telemetry(self, tmp_path,
@@ -95,27 +113,25 @@ class TestTrain:
         assert os.path.exists(out)
         assert os.listdir(str(tmp_path / "ckpts" / "pretrain"))
 
-        import json
-
-        from repro.runtime import validate_record
-        telemetry = str(tmp_path / "telemetry" / "pretrain.jsonl")
-        records = [json.loads(line) for line in open(telemetry)]
-        for record in records:
-            validate_record(record)
-        assert [r["event"] for r in records].count("iteration") == 2
+        run, records = _run_records(str(tmp_path / "runs"))
+        iterations = [r for r in records if r["event"] == "iteration"]
+        assert [r["phase"] for r in iterations] == ["pretrain"] * 2
+        assert sorted(os.listdir(run.dir)) == ["manifest.json",
+                                               "quality.jsonl"]
 
     def test_resume_flag(self, tmp_path, capsys):
         assert main(self._args(tmp_path)) == 0
         capsys.readouterr()
         args = self._args(tmp_path, "--resume")
         args[args.index("--iterations") + 1] = "4"
+        args[args.index("--runs-dir") + 1] = str(tmp_path / "resumed")
         assert main(args) == 0
         assert "pretrain: 4 iterations" in capsys.readouterr().out
 
-        import json
-        telemetry = str(tmp_path / "telemetry" / "pretrain.jsonl")
-        events = [json.loads(line)["event"] for line in open(telemetry)]
+        _, records = _run_records(str(tmp_path / "resumed"))
+        events = [r["event"] for r in records]
         assert "resume" in events
+        assert events.count("iteration") == 2
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         assert main(["train", "--resume"]) == 2
@@ -128,16 +144,15 @@ class TestTrain:
     def _iteration_litho(self, tmp_path, phase, *extra):
         """``litho`` of every ``iteration`` record of a 2-iteration run
         with two masks per batch."""
-        import json
-        telemetry = str(tmp_path / "telemetry")
+        store = str(tmp_path / "runs")
         assert main(["train", "--phase", phase, "--grid", "32",
                      "--iterations", "2", "--dataset-size", "4",
-                     "--batch-size", "2", "--telemetry-dir", telemetry,
+                     "--batch-size", "2", "--runs-dir", store,
                      *extra]) == 0
-        records = [json.loads(line) for line in
-                   open(os.path.join(telemetry, f"{phase}.jsonl"))]
+        _, records = _run_records(store)
         return [record["litho"] for record in records
-                if record["event"] == "iteration"]
+                if record["event"] == "iteration"
+                and record["phase"] == phase]
 
     def test_pretrain_on_corners_counts_every_iteration(self, tmp_path,
                                                         capsys):
@@ -188,6 +203,16 @@ class TestTrain:
             main(self._args(tmp_path, "--corners", "bogus"))
         assert excinfo.value.code == 2
         assert "--corners" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["flow", "clip.glp", "gen.npz"]])
+    def test_telemetry_dir_is_rejected(self, command, tmp_path, capsys):
+        """A command writes telemetry into its run record, so there is
+        no separate telemetry directory to ask for."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--telemetry-dir", str(tmp_path / "t")])
+        assert excinfo.value.code == 2
+        assert "--telemetry-dir" in capsys.readouterr().err
 
 
 class TestFlow:
@@ -257,10 +282,8 @@ class TestProfile:
                 "flow.refine"} <= names
         for event in chrome["traceEvents"]:
             assert event["ph"] == "X"
-
-        with open(os.path.join(trace_dir, "spans.jsonl")) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        assert len(lines) == len(chrome["traceEvents"])
+        # profile is never recorded: the Chrome trace is all it writes.
+        assert os.listdir(trace_dir) == ["trace.json"]
 
     def test_restores_global_observability_state(self, tmp_path, capsys):
         from repro.obs import profiler, trace
@@ -309,24 +332,47 @@ class TestTraceDir:
         import json
 
         trace_dir = str(tmp_path / "traces")
+        store = str(tmp_path / "runs")
         assert main(["train", "--phase", "pretrain", "--grid", "32",
                      "--iterations", "2", "--dataset-size", "2",
                      "--batch-size", "2", "--seed", "11",
-                     "--telemetry-dir", str(tmp_path / "telemetry"),
-                     "--trace-dir", trace_dir]) == 0
+                     "--runs-dir", store, "--trace-dir", trace_dir]) == 0
         capsys.readouterr()
-        with open(os.path.join(trace_dir, "train-trace.json")) as fh:
+        trace_path = os.path.join(trace_dir, "train-trace.json")
+        with open(trace_path) as fh:
             chrome = json.load(fh)
         names = {event["name"] for event in chrome["traceEvents"]}
         assert "pretrain.step" in names
 
-        from repro.runtime import validate_record
-        telemetry = str(tmp_path / "telemetry" / "pretrain.jsonl")
-        records = [json.loads(line) for line in open(telemetry)]
+        _, records = _run_records(store)
         summaries = [r for r in records if r["event"] == "span_summary"]
         assert len(summaries) == 1
-        validate_record(summaries[0])
         assert summaries[0]["spans"]["pretrain.step"]["count"] == 2
+        assert summaries[0]["trace_file"] == trace_path
+        spans = [r for r in records if r["event"] == "span"]
+        assert len(spans) == len(chrome["traceEvents"])
+
+    def test_train_both_phases_write_one_stream(self, tmp_path, capsys):
+        """Both training phases, their spans and the one span summary
+        of ``train --phase both`` go into the run's stream; the summary
+        counts the 2 pretraining steps once."""
+        from repro.runs import run_quality
+
+        trace_dir = str(tmp_path / "T")
+        store = str(tmp_path / "R")
+        assert main(["train", "--phase", "both", "--grid", "32",
+                     "--iterations", "2", "--dataset-size", "4",
+                     "--trace-dir", trace_dir, "--runs-dir", store]) == 0
+        capsys.readouterr()
+        run, records = _run_records(store)
+        assert run_quality(run.dir).spans["pretrain.step"]["count"] == 2
+        assert [r["event"] for r in records].count("span_summary") == 1
+        assert len([r for r in records if r["event"] == "span"
+                    and r["name"] == "pretrain.step"]) == 2
+        phases = [r["phase"] for r in records if r["event"] == "iteration"]
+        assert phases == ["pretrain"] * 2 + ["gan"] * 2
+        assert not {"pretrain.jsonl", "gan.jsonl"} & set(os.listdir(run.dir))
+        assert os.listdir(trace_dir) == ["train-trace.json"]
 
     def test_flow_trace_dir(self, clip_file, tmp_path, capsys):
         config = GanOpcConfig.small(64)
@@ -335,13 +381,21 @@ class TestTraceDir:
         ckpt = str(tmp_path / "gen.npz")
         nn.save_state(generator, ckpt)
         trace_dir = str(tmp_path / "traces")
+        store = str(tmp_path / "runs")
         assert main(["flow", clip_file, ckpt, "--grid", "64",
                      "--iterations", "5",
                      "--out", str(tmp_path / "mask.pgm"),
-                     "--trace-dir", trace_dir]) == 0
+                     "--trace-dir", trace_dir, "--runs-dir", store]) == 0
         capsys.readouterr()
-        assert os.path.exists(os.path.join(trace_dir, "flow-trace.json"))
-        assert os.path.exists(os.path.join(trace_dir, "flow-spans.jsonl"))
+        assert os.listdir(trace_dir) == ["flow-trace.json"]
+        _, records = _run_records(store)
+        events = [r["event"] for r in records]
+        assert {"flow", "span", "quality_sample", "clip_result"} <= \
+            set(events)
+        (summary,) = [r for r in records if r["event"] == "span_summary"]
+        assert summary["trace_file"] == os.path.join(trace_dir,
+                                                     "flow-trace.json")
+        assert summary["spans"]["flow.refine"]["count"] == 1
 
 
 class TestParser:
@@ -427,20 +481,17 @@ class TestTiled:
         plus validated worker_span_summary telemetry (ISSUE 8)."""
         import json
 
-        from repro.runtime import validate_record
-
         config = GanOpcConfig.small(32)
         generator = MaskGenerator(config.generator_channels,
                                   rng=np.random.default_rng(0))
         ckpt = str(tmp_path / "gen.npz")
         nn.save_state(generator, ckpt)
         trace_dir = str(tmp_path / "traces")
-        telemetry_dir = str(tmp_path / "telemetry")
+        store = str(tmp_path / "runs")
         assert main(["flow", chip_file, ckpt, "--tiled",
                      "--tile-size", "32", "--halo", "8",
                      "--iterations", "4", "--workers", "2",
-                     "--trace-dir", trace_dir,
-                     "--telemetry-dir", telemetry_dir,
+                     "--trace-dir", trace_dir, "--runs-dir", store,
                      "--out", str(tmp_path / "mask.pgm")]) == 0
         capsys.readouterr()
 
@@ -455,14 +506,10 @@ class TestTiled:
                       if e["name"] == "litho.forward"}
         assert worker_pids <= litho_pids
 
-        path = os.path.join(telemetry_dir, "flow.jsonl")
-        records = [json.loads(line) for line in open(path, encoding="utf-8")
-                   if line.strip()]
+        _, records = _run_records(store)
         summaries = [r for r in records
                      if r["event"] == "worker_span_summary"]
-        assert {r["pid"] for r in summaries} == worker_pids
-        for record in records:
-            validate_record(record)
+        assert sorted(r["pid"] for r in summaries) == sorted(worker_pids)
         for record in summaries:
             assert record["litho"]["forward_calls"] == \
                 record["spans"]["litho.forward"]["count"]
@@ -544,10 +591,7 @@ class TestMonitor:
     def test_monitor_flow_with_checkpoint_telemetry(self, chip_file,
                                                     tmp_path, capsys,
                                                     monkeypatch):
-        import json
-
         from repro import cli
-        from repro.runtime import validate_record
 
         monkeypatch.setattr(cli, "PROGRESS_PERIOD", 0.0)
         config = GanOpcConfig.small(32)
@@ -555,20 +599,16 @@ class TestMonitor:
                                   rng=np.random.default_rng(0))
         ckpt = str(tmp_path / "gen.npz")
         nn.save_state(generator, ckpt)
-        telemetry_dir = str(tmp_path / "telemetry")
+        store = str(tmp_path / "runs")
         assert main(["flow", chip_file, ckpt, "--tiled",
                      "--tile-size", "32", "--halo", "8",
                      "--iterations", "4", "--workers", "2",
-                     "--telemetry-dir", telemetry_dir,
+                     "--runs-dir", store,
                      "--out", str(tmp_path / "mask.pgm")]) == 0
         stdout = capsys.readouterr().out
         assert self._progress_counts(stdout) == list(range(1, 17))
         assert "workers 2" in stdout
-        path = os.path.join(telemetry_dir, "flow.jsonl")
-        records = [json.loads(line) for line in open(path, encoding="utf-8")
-                   if line.strip()]
-        for record in records:
-            validate_record(record)
+        _, records = _run_records(store)
         assert len([r for r in records
                     if r["event"] == "worker_span_summary"]) == 2
 
