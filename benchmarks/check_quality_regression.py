@@ -19,8 +19,10 @@ tolerances combine, and a value fails only when it exceeds **both**:
   off-by-one noise while a 0 -> 5 jump still fails.
 
 Per-clip metrics and per-method aggregates are both gated; comparisons
-run only where baseline and candidate share the entry, and
-``--require`` guards against a method or clip silently vanishing.
+run only where baseline and candidate share the method and clip, and
+``--require`` guards against a method silently vanishing.  A metric
+that is numeric in the baseline but ``null`` (not finite when measured)
+or missing in the candidate is a regression.
 
 Usage::
 
@@ -64,14 +66,19 @@ def compare(baseline: dict, candidate: dict, rel_tol: float,
 
     def check(label: str, base_metrics: Dict[str, float],
               cand_metrics: Dict[str, float]) -> None:
-        for metric in sorted(set(base_metrics) & set(cand_metrics)):
+        for metric in sorted(base_metrics):
             name = f"{label}.{metric}"
             if any(token in name for token in skip):
                 continue
             base = base_metrics[metric]
-            cand = cand_metrics[metric]
-            if not isinstance(base, (int, float)) \
-                    or not isinstance(cand, (int, float)):
+            if not isinstance(base, (int, float)):
+                continue
+            cand = cand_metrics.get(metric)
+            if not isinstance(cand, (int, float)):
+                regressions.append(name)
+                shown = "missing" if metric not in cand_metrics else "null"
+                lines.append(f"  {name:55s} {base:12.1f} -> {shown:>12s}  "
+                             f"REGRESSION")
                 continue
             status = "ok"
             if _worse(float(base), float(cand), rel_tol, abs_tol):

@@ -59,20 +59,14 @@ both resamples are skipped.  ``g`` and ``J`` are derived from the
 kernels; neither is an option.  Results match the plain ``fft2``
 reference to ~1e-13 (DESIGN.md §16).
 
-Two single-process fast paths are built in:
-
-* **precision mode** — ``precision="f32"`` runs the whole pipeline in
-  ``float32``/``complex64`` (kernels, DFT factors, fields, resist);
-  ``"f64"`` (the default) remains the parity reference.  Every ILT
-  descent evaluates its Eq. 14 error and gradient on the kernel set's
-  f32 engine, while the caller's engine scores the discrete masks
-  (:mod:`repro.ilt.optimizer`).  Documented f32 tolerance: relaxed
-  litho error within 1e-3 of the f64 value on normalized masks (see
-  DESIGN.md §10).
-* **workspace arena** — per-engine scratch buffers
-  (:class:`repro.workspace.Workspace`) are reused across iterations
-  for every intermediate that does not escape the call.  Arrays
-  returned to callers are always freshly allocated.
+**Precision mode.**  ``precision="f32"`` runs the whole pipeline in
+``float32``/``complex64`` (kernels, DFT factors, fields, resist);
+``"f64"`` (the default) remains the parity reference.  Every ILT
+descent evaluates its Eq. 14 error and gradient on the kernel set's
+f32 engine, while the caller's engine scores the discrete masks
+(:mod:`repro.ilt.optimizer`).  Documented f32 tolerance: relaxed
+litho error within 1e-3 of the f64 value on normalized masks (see
+DESIGN.md §10).
 
 :meth:`LithoEngine.for_kernels` memoizes one engine per
 (:class:`~repro.litho.kernels.KernelSet`, precision), so the ILT
@@ -90,7 +84,6 @@ import numpy as np
 
 from repro.numerics import stable_sigmoid
 from repro.obs import trace
-from repro.workspace import Workspace
 
 from .conditions import ConditionSet
 from .config import LithoConfig
@@ -129,8 +122,8 @@ class EngineStats:
     One instance is shared by all engines as :attr:`LithoEngine.stats`,
     so the nominal engine and every ``for_conditions`` corner stack
     count into the same six plain fields and no caller has to find
-    them.  The engine is driven from one thread per process (see
-    :mod:`repro.workspace`), so updates take no lock.  A forked worker
+    them.  The engine is driven from one thread per process, so
+    updates take no lock.  A forked worker
     inherits the parent's counts; a :meth:`snapshot` before a task and
     a :meth:`delta` after it count only the task's own work.
 
@@ -341,14 +334,13 @@ class _KernelStack:
     intensity is a plain sum of squared fields.
     """
 
-    __slots__ = ("tag", "num_fields", "num_groups", "group_slices", "rows",
+    __slots__ = ("num_fields", "num_groups", "group_slices", "rows",
                  "cols", "half", "raster", "table", "adjoint", "spec_row",
                  "spec_col", "field_row", "field_col", "fft_row", "fft_col",
                  "grad_row", "grad_col", "up", "down", "chunk")
 
-    def __init__(self, tag: str, kernel_sets: List[KernelSet],
+    def __init__(self, kernel_sets: List[KernelSet],
                  rdtype: np.dtype, cdtype: np.dtype):
-        self.tag = tag
         grid = kernel_sets[0].grid
         parts, rows, cols, sizes = _hermitian_parts(kernel_sets)
         self.num_fields = len(parts)
@@ -472,7 +464,7 @@ class LithoEngine:
         self.kernels = kernels
         self.precision = resolve_precision(precision)
         self._rdtype, self._cdtype = PRECISION_DTYPES[self.precision]
-        self._nominal = self._stack("nominal", [kernels])
+        self._nominal = self._stack([kernels])
 
         if conditions is None:
             conditions = ConditionSet.nominal(
@@ -483,10 +475,8 @@ class LithoEngine:
         self.conditions = conditions
         self._condition_plan: Optional[Tuple[_KernelStack, _Corners]] = None
 
-        self.workspace = Workspace()
-
-    def _stack(self, tag: str, kernel_sets: List[KernelSet]) -> _KernelStack:
-        return _KernelStack(tag, kernel_sets, self._rdtype, self._cdtype)
+    def _stack(self, kernel_sets: List[KernelSet]) -> _KernelStack:
+        return _KernelStack(kernel_sets, self._rdtype, self._cdtype)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -586,17 +576,12 @@ class LithoEngine:
         Condition-independent: defocus is a pupil phase and dose an
         intensity scale.
         """
-        ws, tag = self.workspace, stack.tag
         n, grid = batch.shape[0], self.grid
-        n_rows, n_half = len(stack.rows), len(stack.half)
+        n_half = len(stack.half)
         with trace.span("litho.spectrum", masks=n):
-            partial = ws.get((tag, "spec.partial"), (n, grid, n_half),
-                             self._cdtype)
+            partial = np.empty((n, grid, n_half), self._cdtype)
             np.matmul(batch, stack.spec_col, out=partial.view(self._rdtype))
-            return np.matmul(
-                stack.spec_row, partial,
-                out=ws.get((tag, "spec.compact"), (n, n_rows, n_half),
-                           self._cdtype))
+            return np.matmul(stack.spec_row, partial)
 
     def _forward_impl(self, stack: _KernelStack, compact: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
@@ -606,10 +591,8 @@ class LithoEngine:
         Returns ``(group_intensity, fields)``: the aerial image of each
         defocus group on the full raster, ``(F, N, G, G)``, and every
         stacked part's (``sqrt(w_k)``-scaled) real field on the reduced
-        raster, ``(N, g, J, g)``.  Both live in the workspace arena and
-        must be consumed before the next engine call.
+        raster, ``(N, g, J, g)``.
         """
-        ws, tag = self.workspace, stack.tag
         n, (n_rows, n_half) = compact.shape[0], compact.shape[1:]
         g, grid, k = stack.raster, self.grid, stack.num_fields
 
@@ -617,21 +600,18 @@ class LithoEngine:
         # transform of the (R, J * R/2) passband products, then the
         # real column transform of the interleaved result.  Per-mask
         # calls keep every result independent of the batch size.
-        prod = ws.get((tag, "passband"), (n, n_rows, k, n_half),
-                      self._cdtype)
-        np.multiply(stack.table, compact[:, :, None], out=prod)
-        partial = ws.get((tag, "partial"), (n, g, k, n_half), self._cdtype)
+        prod = np.multiply(stack.table, compact[:, :, None])
+        partial = np.empty((n, g, k, n_half), self._cdtype)
         np.matmul(stack.field_row, prod.reshape(n, n_rows, -1),
                   out=partial.reshape(n, g, -1))
-        fields = ws.get((tag, "fwd.fields"), (n, g, k, g), self._rdtype)
+        fields = np.empty((n, g, k, g), self._rdtype)
         np.matmul(partial.view(self._rdtype).reshape(n, -1, 2 * n_half),
                   stack.field_col, out=fields.reshape(n, -1, g))
 
         # Sum of squared fields over each group's parts, in order: one
         # fused pass (the field axis is not contiguous, so a separate
         # square and sum would run short inner loops twice).
-        reduced = ws.get((tag, "fwd.reduced"), (stack.num_groups, n, g, g),
-                         self._rdtype)
+        reduced = np.empty((stack.num_groups, n, g, g), self._rdtype)
         for f, group in enumerate(stack.group_slices):
             part = fields[:, :, group]
             np.einsum("nxjy,nxjy->nxy", part, part, out=reduced[f])
@@ -639,14 +619,7 @@ class LithoEngine:
             return reduced, fields
 
         # Exact band-limited resample onto the full raster: U I_g U^T.
-        half = np.matmul(
-            reduced, stack.down,
-            out=ws.get((tag, "fwd.up"), (stack.num_groups, n, g, grid),
-                       self._rdtype))
-        intensity = np.matmul(
-            stack.up, half,
-            out=ws.get((tag, "fwd.intensity"),
-                       (stack.num_groups, n, grid, grid), self._rdtype))
+        intensity = np.matmul(stack.up, np.matmul(reduced, stack.down))
         return intensity, fields
 
     def _forward(self, stack: _KernelStack, plan: _Corners,
@@ -803,7 +776,6 @@ class LithoEngine:
             grads_out: np.ndarray) -> None:
         """One chunk of the adjoint, written into ``errors_out`` /
         ``grads_out``."""
-        ws, tag = self.workspace, stack.tag
         group_intensity, fields = self._forward_impl(
             stack, self._compact_spectrum(stack, batch))
         n, grid, g = batch.shape[0], self.grid, stack.raster
@@ -837,43 +809,28 @@ class LithoEngine:
 
         # Combine corner upstreams per defocus group, then resample
         # them onto the reduced raster: U^T (dE/dI) U.
-        combined = ws.zeros((tag, "adj.combined"),
-                            (stack.num_groups, n, grid, grid), self._rdtype)
+        combined = np.zeros((stack.num_groups, n, grid, grid), self._rdtype)
         for c, group in enumerate(plan.group_of):
             combined[group] += coef[:, c, None, None] * upstream[c]
         if stack.up is not None:
-            half = np.matmul(
-                combined, stack.up,
-                out=ws.get((tag, "adj.down"),
-                           (stack.num_groups, n, grid, g), self._rdtype))
-            combined = np.matmul(
-                stack.down, half,
-                out=ws.get((tag, "adj.reduced"),
-                           (stack.num_groups, n, g, g), self._rdtype))
+            combined = np.matmul(stack.down, np.matmul(combined, stack.up))
 
         # Adjoint push through every field: transform ``a_j dE/dI``
         # onto the half passband, multiply there by the adjoint table
         # (``2 conj`` of the forward one) and sum over j.  The fields
-        # are spent, so the product overwrites them, and the transforms
-        # reuse the forward's buffers.
+        # are spent, so the product overwrites them.
         weighted = fields
         for f, group in enumerate(stack.group_slices):
             weighted[:, :, group] *= combined[f][:, :, None]
         n_rows, k, n_half = stack.adjoint.shape
-        partial = ws.get((tag, "partial"), (n, g, k, n_half), self._cdtype)
+        partial = np.empty((n, g, k, n_half), self._cdtype)
         np.matmul(weighted.reshape(n, -1, g), stack.fft_col,
                   out=partial.view(self._rdtype).reshape(n, -1, 2 * n_half))
-        spectra = ws.get((tag, "passband"), (n, n_rows, k, n_half),
-                         self._cdtype)
+        spectra = np.empty((n, n_rows, k, n_half), self._cdtype)
         np.matmul(stack.fft_row, partial.reshape(n, g, -1),
                   out=spectra.reshape(n, n_rows, -1))
         spectra *= stack.adjoint
-        accumulated = np.sum(
-            spectra, axis=2,
-            out=ws.get((tag, "adj.acc"), (n, n_rows, n_half), self._cdtype))
-        expand = np.matmul(
-            stack.grad_row, accumulated,
-            out=ws.get((tag, "adj.expand"), (n, grid, n_half), self._cdtype))
+        expand = np.matmul(stack.grad_row, np.sum(spectra, axis=2))
         errors_out[...] = aggregated
         np.matmul(expand.view(self._rdtype), stack.grad_col, out=grads_out)
 
@@ -962,7 +919,7 @@ class LithoEngine:
             if conditions.is_single_nominal(self.config.optics.defocus):
                 stack = self._nominal
             else:
-                stack = self._stack("condition", [
+                stack = self._stack([
                     self._kernels_for_defocus(defocus)
                     for defocus, _ in groups])
             group_of = [0] * self.num_conditions

@@ -6,8 +6,8 @@
 * A **bridge** is printed material connecting two patterns that are
   distinct in the target — an electrical short.
 
-Both detectors work on binary raster images: target component labeling
-uses 4-connectivity via ``scipy.ndimage``; neck detection scans
+Both detectors work on binary raster images: components are labeled
+with 4-connectivity (:func:`_label_components`); neck detection scans
 run-lengths through printed pixels in both axes.  Figure 9 of the paper
 uses exactly these failure modes to explain why the ILT baseline's
 smaller PV band can hide bridge / line-end pull-back defects.
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,6 @@ class BridgeDefect:
     pixels: int
 
 
-_STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
 def detect_necks(wafer: np.ndarray, target: np.ndarray,
                  min_width_px: int) -> List[NeckDefect]:
     """Find printed runs narrower than ``min_width_px`` on target wires.
@@ -75,7 +71,7 @@ def detect_necks(wafer: np.ndarray, target: np.ndarray,
     narrow_axis = np.where(runs_h <= runs_v, 1, 0)
     narrow = np.minimum(runs_h, runs_v)
     violating = wafer & target & (narrow < min_width_px)
-    labels, count = ndimage.label(violating, structure=_STRUCTURE_4)
+    labels, count = _label_components(violating)
     defects: List[NeckDefect] = []
     for label in range(1, count + 1):
         rows, cols = np.nonzero(labels == label)
@@ -95,8 +91,8 @@ def detect_bridges(wafer: np.ndarray, target: np.ndarray) -> List[BridgeDefect]:
     if wafer.shape != target.shape:
         raise ValueError("wafer/target shape mismatch")
 
-    target_labels, _ = ndimage.label(target, structure=_STRUCTURE_4)
-    wafer_labels, wafer_count = ndimage.label(wafer, structure=_STRUCTURE_4)
+    target_labels, _ = _label_components(target)
+    wafer_labels, wafer_count = _label_components(wafer)
     defects: List[BridgeDefect] = []
     for label in range(1, wafer_count + 1):
         blob = wafer_labels == label
@@ -111,22 +107,64 @@ def detect_bridges(wafer: np.ndarray, target: np.ndarray) -> List[BridgeDefect]:
 def _run_lengths(image: np.ndarray, axis: int) -> np.ndarray:
     """Per-pixel length of the ON-run containing each pixel along
     ``axis``; 0 for OFF pixels."""
-    image = image.astype(bool)
+    image = np.asarray(image, dtype=bool)
     if axis == 0:
         image = image.T
     rows, cols = image.shape
+    padded = np.zeros((rows, cols + 2), dtype=np.int8)
+    padded[:, 1:-1] = image
+    # +1 where a run starts, -1 one past where it ends.  Runs never
+    # cross a row, so starts and ends pair up in raster order and the
+    # distance between their flat indices is the run length.
+    steps = np.diff(padded, axis=1).ravel()
+    lengths = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
     out = np.zeros((rows, cols), dtype=int)
-    for r in range(rows):
-        row = image[r]
-        if not row.any():
-            continue
-        # Boundaries of runs of ones.
-        padded = np.concatenate(([0], row.view(np.int8), [0]))
-        changes = np.diff(padded)
-        starts = np.nonzero(changes == 1)[0]
-        ends = np.nonzero(changes == -1)[0]
-        for start, end in zip(starts, ends):
-            out[r, start:end] = end - start
+    # ON pixels in raster order are the runs' pixels, run after run.
+    out[image] = np.repeat(lengths, lengths)
     if axis == 0:
         out = out.T
     return out
+
+
+def _label_components(image: np.ndarray) -> Tuple[np.ndarray, int]:
+    """4-connected components of a binary image: ``(labels, count)``.
+
+    Background is 0 and the components are numbered ``1..count`` in
+    raster order of each component's first pixel, as
+    ``scipy.ndimage.label`` numbers them.  Union-find over the
+    horizontal runs, numbered in raster order: every pair of runs that
+    touch vertically hooks the larger of their two roots onto the
+    smaller, then pointer jumping compresses every path, until no pair
+    joins two roots.  Roots only ever move to smaller numbers, so each
+    component ends rooted at its first run, whose start is its first
+    pixel.
+    """
+    image = np.asarray(image, dtype=bool)
+    rows, cols = image.shape
+    starts = image.copy()
+    starts[:, 1:] &= ~image[:, :-1]
+    run_of = np.cumsum(starts) - 1
+    # One pair per two touching runs: the first column of each stretch
+    # where a row and the row below are both ON.
+    both = image[:-1] & image[1:]
+    stretch = both.copy()
+    stretch[:, 1:] &= ~both[:, :-1]
+    upper = np.flatnonzero(stretch)
+    first, second = run_of[upper], run_of[upper + cols]
+    root = np.arange(np.count_nonzero(starts))
+    while True:
+        a, b = root[first], root[second]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root = jumped
+            jumped = root[root]
+    is_root = root == np.arange(root.size)
+    on = image.ravel()
+    labels = np.zeros(rows * cols, dtype=int)
+    labels[on] = np.cumsum(is_root)[root][run_of[on]]
+    return labels.reshape(rows, cols), int(np.count_nonzero(is_root))

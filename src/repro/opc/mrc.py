@@ -22,11 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from ..metrics.defects import _run_lengths
-
-_STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+from ..metrics.defects import _label_components, _run_lengths
 
 
 @dataclass(frozen=True)
@@ -88,14 +85,13 @@ def check_mask(mask: np.ndarray, pixel_nm: float,
     width_violations = _narrow_regions(mask, feature_px)
     space_violations = _narrow_spaces(mask, space_px)
 
-    labels, count = ndimage.label(mask, structure=_STRUCTURE_4)
-    sizes = ndimage.sum_labels(np.ones_like(labels), labels,
-                               index=range(1, count + 1)) if count else []
-    small_islands = int(sum(1 for s in sizes if s < area_px))
+    labels, count = _label_components(mask)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    small_islands = int(np.count_nonzero(sizes < area_px))
 
     # Pinholes: background components fully enclosed by mask, below the
     # minimum area.
-    holes, hole_count = ndimage.label(~mask, structure=_STRUCTURE_4)
+    holes, hole_count = _label_components(~mask)
     pinholes = 0
     for label in range(1, hole_count + 1):
         region = holes == label
@@ -121,13 +117,13 @@ def cleanup_mask(mask: np.ndarray, pixel_nm: float,
     area_px = max(int(np.ceil(config.min_area / (pixel_nm * pixel_nm))), 1)
 
     cleaned = mask.copy()
-    labels, count = ndimage.label(cleaned, structure=_STRUCTURE_4)
+    labels, count = _label_components(cleaned)
     for label in range(1, count + 1):
         region = labels == label
         if region.sum() < area_px:
             cleaned[region] = False
 
-    holes, hole_count = ndimage.label(~cleaned, structure=_STRUCTURE_4)
+    holes, hole_count = _label_components(~cleaned)
     for label in range(1, hole_count + 1):
         region = holes == label
         if _touches_border(region):
@@ -142,7 +138,7 @@ def _narrow_regions(image: np.ndarray, min_px: int) -> int:
     runs_h = _run_lengths(image, axis=1)
     runs_v = _run_lengths(image, axis=0)
     narrow = image & (np.minimum(runs_h, runs_v) < min_px)
-    _, count = ndimage.label(narrow, structure=_STRUCTURE_4)
+    _, count = _label_components(narrow)
     return int(count)
 
 
@@ -155,7 +151,7 @@ def _narrow_spaces(mask: np.ndarray, min_px: int) -> int:
     """
     narrow = (_bounded_short_runs(mask, min_px, axis=1)
               | _bounded_short_runs(mask, min_px, axis=0))
-    _, count = ndimage.label(narrow, structure=_STRUCTURE_4)
+    _, count = _label_components(narrow)
     return int(count)
 
 

@@ -442,16 +442,22 @@ class WorkerPool:
         return results
 
     # ------------------------------------------------------------------
-    def shutdown(self) -> None:
+    def shutdown(self, wait: bool = True) -> None:
+        """Cancel pending tasks and stop the workers.
+
+        ``wait`` joins every worker before returning; ``wait=False``
+        returns at once, which an error path needs when a task may
+        still be running.
+        """
         if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor.shutdown(wait=wait, cancel_futures=True)
             self._executor = None
 
     def __enter__(self) -> "WorkerPool":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    def __exit__(self, exc_type, *exc) -> None:
+        self.shutdown(wait=exc_type is None)
 
     def __repr__(self) -> str:
         return (f"WorkerPool(workers={self.workers}, "
@@ -487,7 +493,7 @@ class TaskRunner:
         if pool is None and workers > 1:
             pool = WorkerPool(workers, litho_config=litho_config,
                               precision=precision, state=state)
-            self._cleanup.callback(pool.shutdown)
+            self._cleanup.enter_context(pool)
         self.pool = pool
         self._context = {"litho_config": litho_config,
                          "precision": resolve_precision(precision),
@@ -547,4 +553,4 @@ class TaskRunner:
 
     def __exit__(self, *exc) -> None:
         self._segments.clear()
-        self._cleanup.close()
+        self._cleanup.__exit__(*exc)

@@ -184,22 +184,37 @@ def _fold_stream(quality: RunQuality, path: str) -> None:
 # ----------------------------------------------------------------------
 # the flat gate record (QUALITY_*.json / BASELINE_quality.json)
 # ----------------------------------------------------------------------
+def _finite_or_none(value: float) -> Optional[float]:
+    return float(value) if np.isfinite(value) else None
+
+
+def _mean_or_none(values: List[Optional[float]]) -> Optional[float]:
+    if any(value is None for value in values):
+        return None
+    return _finite_or_none(np.mean(values))
+
+
 def quality_record_from_table2(result, suite: str,
                                git_rev: str = "unknown",
                                config_hash: Optional[str] = None) -> dict:
-    """Distill a Table 2 result into the gate's flat record shape."""
-    clips: Dict[str, Dict[str, Dict[str, float]]] = {}
+    """Distill a Table 2 result into the gate's flat record shape.
+
+    A metric that is not finite is written as ``None`` (JSON ``null``),
+    and so is a method's mean over clips that include one.
+    """
+    clips: Dict[str, Dict[str, Dict[str, Optional[float]]]] = {}
     for method, evaluations in result.columns.items():
         clips[method] = {}
         for evaluation in evaluations:
             metrics = clip_metrics(evaluation)
-            metrics = {key: value for key, value in metrics.items()
+            metrics = {key: _finite_or_none(value)
+                       for key, value in metrics.items()
                        if isinstance(value, (int, float))}
             clips[method][evaluation.name] = metrics
     aggregates = {
         method: {
-            key: float(np.mean([m[key] for m in per_clip.values()
-                                if key in m]))
+            key: _mean_or_none([m[key] for m in per_clip.values()
+                                if key in m])
             for key in GATE_METRICS
             if any(key in m for m in per_clip.values())
         }
@@ -222,10 +237,14 @@ def write_quality_record(record: dict, path: str) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 

@@ -36,6 +36,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 MANIFEST_NAME = "manifest.json"
 QUALITY_LOG_NAME = "quality.jsonl"
 TABLE2_NAME = "table2.json"
@@ -62,14 +64,7 @@ def git_revision(cwd: Optional[str] = None) -> str:
 
 def package_versions() -> Dict[str, str]:
     """Versions of the packages that determine numeric results."""
-    versions = {"python": platform.python_version()}
-    for name in ("numpy", "scipy"):
-        try:
-            module = __import__(name)
-            versions[name] = str(getattr(module, "__version__", "unknown"))
-        except ImportError:
-            pass
-    return versions
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def utc_iso(ts: Optional[float] = None) -> str:

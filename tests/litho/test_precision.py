@@ -1,4 +1,4 @@
-"""Engine precision modes (f32/f64) and the workspace arena."""
+"""Engine precision modes (f32/f64) and engine outputs that own their memory."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.litho import LithoEngine
 from repro.litho.engine import (PRECISION_DTYPES, real_spectrum,
                                 resolve_precision)
-from repro.workspace import Workspace
 
 
 @pytest.fixture(scope="module")
@@ -106,97 +105,9 @@ class TestEnginePrecision:
 
 
 class TestWorkspace:
-    def test_reuses_buffer_for_same_key(self):
-        ws = Workspace(enabled=True)
-        a = ws.get("k", (4, 4), np.float64)
-        b = ws.get("k", (4, 4), np.float64)
-        assert a is b
-        assert ws.hits == 1 and ws.misses == 1
-
-    def test_reallocates_on_shape_change(self):
-        ws = Workspace(enabled=True)
-        a = ws.get("k", (4, 4), np.float64)
-        b = ws.get("k", (8, 8), np.float64)
-        assert a is not b
-        assert b.shape == (8, 8)
-
-    def test_reallocates_on_dtype_change(self):
-        ws = Workspace(enabled=True)
-        a = ws.get("k", (4,), np.float64)
-        b = ws.get("k", (4,), np.float32)
-        assert a is not b
-        assert b.dtype == np.float32
-
-    def test_cross_dtype_never_aliases(self):
-        """Buffers are keyed by ``(key, dtype)``: an f32 caller is never
-        handed memory aliasing an f64 caller's live buffer."""
-        ws = Workspace(enabled=True)
-        a32 = ws.get("scratch", (8, 8), np.float32)
-        a64 = ws.get("scratch", (8, 8), np.float64)
-        assert a32.dtype == np.float32
-        assert a64.dtype == np.float64
-        assert not np.shares_memory(a32, a64)
-        # Writing through one slot must not corrupt the other.
-        a32.fill(1.0)
-        a64.fill(2.0)
-        assert float(a32[0, 0]) == 1.0
-        assert float(a64[0, 0]) == 2.0
-
-    def test_cross_dtype_does_not_thrash(self):
-        ws = Workspace(enabled=True)
-        a32 = ws.get("scratch", (4, 4), np.float32)
-        a64 = ws.get("scratch", (4, 4), np.float64)
-        # Alternating dtypes must hit both slots, not reallocate.
-        assert ws.get("scratch", (4, 4), np.float32) is a32
-        assert ws.get("scratch", (4, 4), np.float64) is a64
-        assert ws.get("scratch", (4, 4), np.float32) is a32
-        assert ws.hits == 3 and ws.misses == 2
-
-    def test_complex_dtypes_keyed_separately(self):
-        ws = Workspace(enabled=True)
-        c64 = ws.get("spec", (4, 4), np.complex64)
-        c128 = ws.get("spec", (4, 4), np.complex128)
-        assert c64.dtype == np.complex64 and c128.dtype == np.complex128
-        assert not np.shares_memory(c64, c128)
-
-    def test_shape_change_reallocates_within_dtype(self):
-        ws = Workspace(enabled=True)
-        small = ws.get("buf", (2, 2), np.float64)
-        big = ws.get("buf", (4, 4), np.float64)
-        assert small is not big
-        assert ws.get("buf", (4, 4), np.float64) is big
-
-    def test_dtype_spec_normalized(self):
-        ws = Workspace(enabled=True)
-        a = ws.get("buf", (2, 2), np.float64)
-        # "float64", np.float64 and np.dtype(np.float64) are one slot.
-        assert ws.get("buf", (2, 2), "float64") is a
-        assert ws.get("buf", (2, 2), np.dtype(np.float64)) is a
-
-    def test_disabled_always_allocates(self):
-        ws = Workspace(enabled=False)
-        a = ws.get("k", (4,), np.float64)
-        b = ws.get("k", (4,), np.float64)
-        assert a is not b
-
-    def test_zeros_is_cleared_on_reuse(self):
-        ws = Workspace(enabled=True)
-        a = ws.zeros("z", (3,), np.float64)
-        a[:] = 7.0
-        b = ws.zeros("z", (3,), np.float64)
-        assert b is a
-        np.testing.assert_array_equal(b, 0.0)
-
-    def test_engine_workspace_hits_on_repeated_calls(self, kernels32,
-                                                     masks, targets):
-        engine = LithoEngine.for_kernels(kernels32)
-        engine.error_and_gradient_wrt_mask(masks, targets)
-        before = engine.workspace.hits
-        engine.error_and_gradient_wrt_mask(masks, targets)
-        assert engine.workspace.hits > before
-
     def test_results_do_not_alias_workspace(self, kernels32, masks):
-        """Escaping outputs must be private copies, not arena views."""
+        """Outputs own their memory: a later call leaves them as they
+        were."""
         engine = LithoEngine.for_kernels(kernels32)
         first = engine.aerial(masks)
         snapshot = first.copy()

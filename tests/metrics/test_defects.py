@@ -1,10 +1,109 @@
 """Unit tests for neck/bridge defect detectors (Figure 2 semantics)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.metrics import detect_bridges, detect_necks
-from repro.metrics.defects import _run_lengths
+from repro.metrics.defects import _label_components, _run_lengths
+
+
+def _loop_run_lengths(image, axis):
+    """Row-by-row reference for ``_run_lengths``."""
+    image = image.astype(bool)
+    if axis == 0:
+        image = image.T
+    out = np.zeros(image.shape, dtype=int)
+    for r, row in enumerate(image):
+        padded = np.concatenate(([0], row.view(np.int8), [0]))
+        changes = np.diff(padded)
+        starts = np.nonzero(changes == 1)[0]
+        ends = np.nonzero(changes == -1)[0]
+        for start, end in zip(starts, ends):
+            out[r, start:end] = end - start
+    return out.T if axis == 0 else out
+
+
+def _flood_fill_labels(image):
+    """Breadth-first 4-connected labeling, components numbered in
+    raster order of their first pixel."""
+    rows, cols = image.shape
+    labels = np.zeros((rows, cols), dtype=int)
+    count = 0
+    for r in range(rows):
+        for c in range(cols):
+            if not image[r, c] or labels[r, c]:
+                continue
+            count += 1
+            labels[r, c] = count
+            queue = deque([(r, c)])
+            while queue:
+                y, x = queue.popleft()
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if (0 <= ny < rows and 0 <= nx < cols and image[ny, nx]
+                            and not labels[ny, nx]):
+                        labels[ny, nx] = count
+                        queue.append((ny, nx))
+    return labels, count
+
+
+def _serpentine(size):
+    """One path filling every other row, joined at alternating ends."""
+    image = np.zeros((size, size), dtype=bool)
+    image[::2] = True
+    for r in range(1, size, 2):
+        image[r, -1 if r % 4 == 1 else 0] = True
+    return image
+
+
+_LABEL_CASES = {
+    "empty": np.zeros((9, 7), dtype=bool),
+    "full": np.ones((9, 7), dtype=bool),
+    "row": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool),
+    "column": np.array([[1], [0], [1], [1], [0], [1]], dtype=bool),
+    "checkerboard": np.indices((8, 9)).sum(axis=0) % 2 == 0,
+    "serpentine": _serpentine(128),
+    "u_shapes": np.array([[1, 0, 1, 0, 0, 1],
+                          [1, 0, 1, 0, 1, 1],
+                          [1, 1, 1, 0, 1, 0],
+                          [0, 0, 0, 0, 1, 1]], dtype=bool),
+}
+
+
+class TestLabelComponents:
+    @pytest.mark.parametrize("name", sorted(_LABEL_CASES))
+    def test_matches_flood_fill(self, name):
+        image = _LABEL_CASES[name]
+        labels, count = _label_components(image)
+        expected, expected_count = _flood_fill_labels(image)
+        assert count == expected_count
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_shape_cases_count(self):
+        assert _label_components(_LABEL_CASES["empty"])[1] == 0
+        assert _label_components(_LABEL_CASES["full"])[1] == 1
+        assert _label_components(_LABEL_CASES["checkerboard"])[1] == 36
+        assert _label_components(_LABEL_CASES["serpentine"])[1] == 1
+
+    def test_random_masks_match_flood_fill(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            rows, cols = rng.integers(1, 24, size=2)
+            image = rng.random((rows, cols)) < rng.random()
+            labels, count = _label_components(image)
+            expected, expected_count = _flood_fill_labels(image)
+            assert count == expected_count
+            np.testing.assert_array_equal(labels, expected)
+
+    def test_numbering_follows_first_pixel_in_raster_order(self):
+        image = _LABEL_CASES["u_shapes"]
+        labels, count = _label_components(image)
+        firsts = [np.flatnonzero(labels.ravel() == label)[0]
+                  for label in range(1, count + 1)]
+        assert firsts == sorted(firsts)
+        # The right U's first pixel, (0, 5), comes after the left U's.
+        assert labels[0, 5] == 2 and labels[0, 0] == labels[0, 2] == 1
 
 
 class TestRunLengths:
@@ -21,6 +120,18 @@ class TestRunLengths:
     def test_all_off(self):
         runs = _run_lengths(np.zeros((3, 3), dtype=bool), axis=1)
         assert runs.sum() == 0
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_row_loop(self, axis):
+        rng = np.random.default_rng(7)
+        images = [rng.random(rng.integers(1, 30, size=2)) < rng.random()
+                  for _ in range(100)]
+        images += [_LABEL_CASES[name] for name in sorted(_LABEL_CASES)]
+        for image in images:
+            runs = _run_lengths(image, axis=axis)
+            expected = _loop_run_lengths(image, axis)
+            assert runs.dtype == expected.dtype
+            np.testing.assert_array_equal(runs, expected)
 
 
 class TestNeckDetection:

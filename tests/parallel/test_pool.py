@@ -2,6 +2,7 @@
 shared-memory lifetimes, and the task runner's inline case."""
 
 import os
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -22,6 +23,11 @@ def _fail(x):
 
 def _die():
     os._exit(3)
+
+
+def _touch_then_sleep(path, seconds):
+    open(path, "w").close()
+    time.sleep(seconds)
 
 
 def _read_state(offset):
@@ -86,6 +92,35 @@ class TestWorkerPool:
                          [(i, shared.spec, float(10 * i)) for i in range(6)])
             np.testing.assert_array_equal(shared.array,
                                           [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+
+    def test_normal_exit_reaps_every_worker(self):
+        with WorkerPool(2) as pool:
+            for _ in range(5):
+                pool.map(_square, [(i,) for i in range(8)])
+            pids = list(pool._executor._processes)
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_error_exit_does_not_wait_for_a_running_task(self, tmp_path):
+        flag = tmp_path / "started"
+        with pytest.raises(RuntimeError, match="stop"):
+            with WorkerPool(1) as pool:
+                executor = pool._ensure_executor()
+                executor.submit(_touch_then_sleep, str(flag), 2.0)
+                manager = executor._executor_manager_thread
+                deadline = time.monotonic() + 60.0
+                while not flag.exists():
+                    assert time.monotonic() < deadline, "task never started"
+                    time.sleep(0.01)
+                raised = time.monotonic()
+                raise RuntimeError("stop")
+        assert time.monotonic() - raised < 1.0
+        # The worker exits once its task is done; the executor's manager
+        # thread joins it.
+        manager.join(timeout=60.0)
+        assert not manager.is_alive()
 
     def test_stats_accounting(self):
         with WorkerPool(2) as pool:

@@ -100,6 +100,23 @@ class TestCompare:
                                       skip=["iccad13-01", "mean"])
         assert regressions == []
 
+    @pytest.mark.parametrize("absent", ["null", "missing"])
+    def test_null_or_missing_candidate_metric_regresses(self, gate, absent):
+        candidate = _record()
+        metrics = candidate["clips"]["ILT"]["iccad13-01"]
+        if absent == "null":
+            metrics["pvband_nm2"] = None
+        else:
+            del metrics["pvband_nm2"]
+        candidate["aggregates"]["ILT"]["pvband_nm2"] = None
+        lines, regressions = gate.compare(_record(), candidate,
+                                          rel_tol=0.05, abs_tol=1.0,
+                                          skip=[])
+        assert regressions == ["ILT/iccad13-01.pvband_nm2",
+                               "ILT/mean.pvband_nm2"]
+        assert any(absent in line and "REGRESSION" in line
+                   for line in lines)
+
     def test_baseline_only_method_noted_not_compared(self, gate):
         candidate = _record()
         del candidate["clips"]["PGAN-OPC"]
@@ -129,6 +146,27 @@ class TestMain:
         assert gate.main(self._args(base, cand)) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "ILT/iccad13-01.l2_nm2" in out
+
+    def test_nan_table2_record_fails_the_gate(self, gate, tmp_path,
+                                              capsys):
+        from repro.metrics.report import MaskEvaluation
+        from repro.runs import (quality_record_from_table2,
+                                write_quality_record)
+
+        def written(name, pvband):
+            class Result:
+                columns = {"ILT": [MaskEvaluation(
+                    name="iccad13-01", l2_px=1.0, l2_nm2=100.0,
+                    pvband_nm2=pvband, epe_violations=0)]}
+            return write_quality_record(
+                quality_record_from_table2(Result(), "table2-quick"),
+                str(tmp_path / name))
+
+        base = written("base.json", 50.0)
+        cand = written("cand.json", float("nan"))
+        assert gate.main(self._args(base, cand)) == 1
+        out = capsys.readouterr().out
+        assert "ILT/iccad13-01.pvband_nm2" in out and "null" in out
 
     def test_improvement_passes(self, gate, tmp_path, capsys):
         base = _write(tmp_path, "base.json", _record())

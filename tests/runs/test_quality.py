@@ -188,6 +188,41 @@ class TestGateRecord:
             json.load(fh, parse_constant=reject)
 
 
+class TestNonFiniteGateRecord:
+    def _record(self):
+        from repro.metrics.report import MaskEvaluation
+
+        class Result:
+            columns = {"ILT": [
+                MaskEvaluation(name="iccad13-01", l2_px=1.0, l2_nm2=100.0,
+                               pvband_nm2=float("nan"), epe_violations=2,
+                               runtime_seconds=1.5),
+                MaskEvaluation(name="iccad13-02", l2_px=2.0, l2_nm2=200.0,
+                               pvband_nm2=70.0, epe_violations=4,
+                               runtime_seconds=2.5)]}
+
+        return quality_record_from_table2(Result(), "suite-x")
+
+    def test_nan_metric_written_as_null_and_reloads(self, tmp_path):
+        record = self._record()
+        assert record["clips"]["ILT"]["iccad13-01"]["pvband_nm2"] is None
+        assert record["clips"]["ILT"]["iccad13-02"]["pvband_nm2"] == 70.0
+        assert record["aggregates"]["ILT"]["pvband_nm2"] is None
+        assert record["aggregates"]["ILT"]["l2_nm2"] == 150.0
+        path = str(tmp_path / "QUALITY.json")
+        write_quality_record(record, path)
+        assert load_quality_record(path) == record
+        assert os.listdir(tmp_path) == ["QUALITY.json"]
+
+    def test_failed_dump_leaves_no_temp_file(self, tmp_path):
+        record = self._record()
+        record["clips"]["ILT"]["iccad13-01"]["l2_nm2"] = float("nan")
+        path = str(tmp_path / "QUALITY.json")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_quality_record(record, path)
+        assert os.listdir(tmp_path) == []
+
+
 class TestTable2GateRecord:
     def test_record_from_table2_matches_columns(self):
         from repro.metrics.report import MaskEvaluation

@@ -3,6 +3,7 @@
 import json
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -39,8 +40,23 @@ class TestHelpers:
 
     def test_package_versions_cover_numeric_stack(self):
         versions = package_versions()
-        assert "python" in versions
-        assert "numpy" in versions
+        assert set(versions) == {"python", "numpy"}
+
+    def test_program_runs_without_scipy(self):
+        """numpy is the only dependency: importing the CLI, the Table 2
+        harness and OPC, and recording package versions, loads no
+        scipy module."""
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, os.pardir, "src")
+        code = ("import sys, repro.cli, repro.bench.harness, repro.opc\n"
+                "from repro.runs import package_versions\n"
+                "package_versions()\n"
+                "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+                "assert not loaded, loaded\n")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_utc_iso_is_zulu(self):
         stamp = utc_iso(0.0)
@@ -94,6 +110,20 @@ class TestCreate:
             {"run_id": "x", "command": "ilt", "future_field": 42})
         assert manifest.run_id == "x"
         assert not hasattr(manifest, "future_field")
+
+    def test_manifest_recording_scipy_still_loads(self, tmp_path):
+        store = RunStore(str(tmp_path))
+        run = store.create("ilt")
+        path = os.path.join(run.dir, MANIFEST_NAME)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["packages"] = {"python": "3.11.7", "numpy": "1.26.4",
+                            "scipy": "1.11.4"}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        loaded = store.load(run.manifest.run_id)
+        assert loaded.manifest.packages["scipy"] == "1.11.4"
+        assert loaded.manifest.config_fields()["packages.scipy"] == "1.11.4"
 
 
 class TestLoggerAndFinish:
