@@ -88,14 +88,14 @@ def _legacy_gradient_wrt_mask(mask, target, kernels, threshold, steepness):
     """The pre-refactor single-image path, verbatim: plain ``fft2``,
     per-call flipped-kernel recompute, per-kernel inverse transforms."""
     spectrum = np.fft.fft2(mask)
-    fields = np.fft.ifft2(spectrum[None] * kernels.freq_kernels,
+    fields = np.fft.ifft2(spectrum[None] * kernels.full_grid(),
                           axes=(-2, -1))
     intensity = np.einsum("k,kxy->xy", kernels.weights,
                           np.abs(fields) ** 2)
     wafer = stable_sigmoid(steepness * (intensity - threshold))
     diff = wafer - target
     grad_intensity = 2.0 * steepness * diff * wafer * (1.0 - wafer)
-    flipped = np.roll(kernels.freq_kernels[:, ::-1, ::-1], 1, axis=(-2, -1))
+    flipped = np.roll(kernels.full_grid()[:, ::-1, ::-1], 1, axis=(-2, -1))
     weighted = grad_intensity[None] * np.conj(fields)
     grad = np.fft.ifft2(np.fft.fft2(weighted, axes=(-2, -1)) * flipped,
                         axes=(-2, -1))

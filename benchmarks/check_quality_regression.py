@@ -18,11 +18,12 @@ tolerances combine, and a value fails only when it exceeds **both**:
   small-count metrics (EPE violations 0 -> 1) from tripping on
   off-by-one noise while a 0 -> 5 jump still fails.
 
-Per-clip metrics and per-method aggregates are both gated; comparisons
-run only where baseline and candidate share the method and clip, and
-``--require`` guards against a method silently vanishing.  A metric
-that is numeric in the baseline but ``null`` (not finite when measured)
-or missing in the candidate is a regression.
+Per-clip metrics and per-method aggregates are both gated.  For every
+method the candidate ran, each baseline clip and the method mean must be
+there: a metric that is numeric in the baseline but ``null`` (not
+finite when measured) or missing in the candidate, with its clip or
+mean or not, is a regression.  A method absent from the candidate is
+only noted; ``--require`` guards against a method silently vanishing.
 
 Usage::
 
@@ -92,14 +93,13 @@ def compare(baseline: dict, candidate: dict, rel_tol: float,
     base_clips = baseline["clips"]
     cand_clips = candidate["clips"]
     for method in sorted(set(base_clips) & set(cand_clips)):
-        for clip in sorted(set(base_clips[method])
-                           & set(cand_clips[method])):
+        for clip in sorted(base_clips[method]):
             check(f"{method}/{clip}", base_clips[method][clip],
-                  cand_clips[method][clip])
+                  cand_clips[method].get(clip, {}))
     base_agg = baseline.get("aggregates", {})
     cand_agg = candidate.get("aggregates", {})
-    for method in sorted(set(base_agg) & set(cand_agg)):
-        check(f"{method}/mean", base_agg[method], cand_agg[method])
+    for method in sorted(set(base_agg) & set(cand_clips)):
+        check(f"{method}/mean", base_agg[method], cand_agg.get(method, {}))
 
     for method in sorted(set(base_clips) - set(cand_clips)):
         lines.append(f"  {method:55s} (baseline only, skipped)")

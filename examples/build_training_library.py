@@ -20,7 +20,7 @@ from repro.bench import write_pgm
 from repro.geometry import binarize, glp, rasterize
 from repro.ilt import ILTConfig
 from repro.layoutgen import LayoutSynthesizer, TopologyConfig
-from repro.litho import LithoConfig, build_kernels, save_kernels
+from repro.litho import LithoConfig, build_kernels
 from repro.opc import MrcConfig, check_mask, cleanup_mask
 from repro.parallel import parallel_ilt
 
@@ -36,9 +36,10 @@ def main():
     args = parser.parse_args()
 
     litho = LithoConfig.small(args.grid)
-    kernels = build_kernels(litho)
     os.makedirs(OUT, exist_ok=True)
-    save_kernels(kernels, os.path.join(OUT, "kernels.npz"))
+    # The kernel archive is kept with the library: a later run given
+    # disk_cache=OUT loads it instead of repeating the SVD.
+    build_kernels(litho, disk_cache=OUT)
 
     # 1. Synthesize.
     topo = TopologyConfig(extent=litho.extent_nm,

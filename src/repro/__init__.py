@@ -17,7 +17,34 @@ with Lithography-guided Generative Adversarial Nets" (Yang et al., DAC
   experiment harness regenerating the paper\'s tables and figures.
 """
 
+import ctypes
+
 __version__ = "0.1.0"
 
 __all__ = ["nn", "litho", "geometry", "layoutgen", "ilt", "opc",
            "metrics", "core", "bench", "__version__"]
+
+#: glibc ``mallopt`` parameters and the values fixed at import
+#: (DESIGN.md §10).  Below the mmap threshold an array is carved from
+#: the heap, and up to the trim threshold of free heap top stays mapped,
+#: so the arrays one training step frees are reused by the next instead
+#: of being unmapped and faulted back in page by page.  Setting either
+#: stops glibc from adapting the other, so both are set.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
+
+
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's malloc thresholds; do nothing where libc has no
+    ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_fix_malloc_thresholds()

@@ -112,7 +112,7 @@ class Pipeline:
     def build(config: Optional[ExperimentConfig] = None,
               precision: Optional[str] = None) -> "Pipeline":
         """Build the shared state; ``precision`` selects the engine's
-        compute dtype (``"f32"``/``"f64"``, default environment)."""
+        compute dtype (``"f32"``/``"f64"``; ``None`` means f64)."""
         config = config or ExperimentConfig()
         litho = LithoConfig.small(config.grid)
         kernels = build_kernels(litho)

@@ -144,7 +144,7 @@ def _engine(litho, precision=None):
     Kernel construction goes through the two-level ``build_kernels``
     cache (in-process + on-disk), so repeated CLI runs at the same
     settings skip the eigendecomposition entirely.  ``precision``
-    selects the compute dtype (``f32``/``f64``; default environment).
+    selects the compute dtype (``f32``/``f64``; ``None`` means f64).
     """
     from .litho import LithoEngine, build_kernels
     return LithoEngine.for_kernels(build_kernels(litho),

@@ -142,9 +142,12 @@ class GanOpcTrainer:
 
             # Corner-robust litho guidance: the analytic process-window
             # gradient (Eq. 14 aggregated over the condition stack) is
-            # injected as a second upstream gradient of the generator
-            # output, the same mechanism as Algorithm 2 pre-training.
-            backward = loss.backward
+            # injected as an upstream gradient of the generator output,
+            # the same mechanism as Algorithm 2 pre-training.  Backward
+            # releases the graph it runs through, so the injection is
+            # the surrogate term sum(fake * upstream), whose gradient
+            # with respect to fake is exactly upstream, and one backward
+            # pass carries both objectives.
             if self._litho_engine is not None:
                 weight = self.config.litho_weight
                 cfg = self._litho_engine.config
@@ -159,17 +162,14 @@ class GanOpcTrainer:
                 upstream = np.asarray(
                     (weight / len(targets)) * litho_grads[:, None],
                     dtype=dtype)
-
-                def backward(upstream=upstream):
-                    loss.backward()
-                    fake.backward(upstream)
+                loss = loss + (fake * nn.Tensor(upstream)).sum()
 
             if harness is None:
-                backward()
+                loss.backward()
                 self.optimizer_g.step()
             else:
                 harness.apply_update({"generator_loss": loss_value},
-                                     backward, self.optimizer_g,
+                                     loss.backward, self.optimizer_g,
                                      tag="generator")
 
         diff = fake.data - reference_masks

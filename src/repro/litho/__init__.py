@@ -11,8 +11,7 @@ corner stacks for process-variation-band evaluation.
 from .conditions import PW_OBJECTIVES, Condition, ConditionSet
 from .config import LithoConfig, OpticsConfig
 from .engine import EngineStats, LithoEngine, real_spectrum
-from .kernels import (KernelSet, build_kernels, clear_cache, config_hash,
-                      load_kernels, save_kernels)
+from .kernels import KernelSet, build_kernels, clear_cache, config_hash
 from .pupil import frequency_grid, pupil_function
 from .resist import (binarize_mask, hard_resist, sigmoid_mask,
                      sigmoid_resist)
@@ -25,7 +24,6 @@ __all__ = [
     "Condition", "ConditionSet", "PW_OBJECTIVES",
     "EngineStats", "LithoEngine", "real_spectrum",
     "KernelSet", "build_kernels", "clear_cache", "config_hash",
-    "save_kernels", "load_kernels",
     "frequency_grid", "pupil_function", "source_points", "source_map",
     "hard_resist", "sigmoid_resist", "sigmoid_mask", "binarize_mask",
     "ProcessWindow", "process_window_matrix", "exposure_latitude",

@@ -249,9 +249,12 @@ def _hermitian_parts(kernel_sets: List[KernelSet]
 
     ``H = A + iB`` with ``A = (H + conj H(-f)) / 2`` and
     ``B = -i (H - conj H(-f)) / 2``; both satisfy
-    ``X(-f) = conj X(f)``.  The parts are built on the passband block
-    only (every entry outside it is zero), so a stack never holds
-    full-grid copies of its kernels.  Returns the kept parts,
+    ``X(-f) = conj X(f)``.  The parts are built on the block of FFT
+    rows and columns that hold passband points, or their mirrors, of
+    any kernel set (every entry outside it is zero), so a stack never
+    holds full-grid copies of its kernels.  The block is symmetric, so
+    the mirrored kernels ``H(-f)`` are the block itself with its rows
+    and columns reversed in frequency.  Returns the kept parts,
     ``(J, R, C)`` in kernel order (A before B), the FFT rows and columns
     of the block where any kept part is nonzero, and the number kept
     per kernel set.
@@ -259,20 +262,18 @@ def _hermitian_parts(kernel_sets: List[KernelSet]
     grid = kernel_sets[0].grid
     support = np.zeros((2, grid), dtype=bool)
     for ks in kernel_sets:
-        nonzero = ks.freq_kernels != 0
-        support[0] |= nonzero.any(axis=(0, 2))
-        support[1] |= nonzero.any(axis=(0, 1))
+        support[0, ks.rows] = True
+        support[1, ks.cols] = True
     support |= support[:, (-np.arange(grid)) % grid]  # mirror: -f
     rows, cols = np.flatnonzero(support[0]), np.flatnonzero(support[1])
-    block = (slice(None), rows[:, None], cols[None, :])
-    mirror = (slice(None), ((-rows) % grid)[:, None],
-              ((-cols) % grid)[None, :])
+    flip_rows = np.searchsorted(rows, (-rows) % grid)[:, None]
+    flip_cols = np.searchsorted(cols, (-cols) % grid)[None, :]
 
     parts, sizes = [], []
     for ks in kernel_sets:
         root_weights = np.sqrt(ks.weights)[:, None, None]
-        kernels = root_weights * ks.freq_kernels[block]
-        mirrored = np.conj(root_weights * ks.freq_kernels[mirror])
+        kernels = root_weights * ks.block(rows, cols)
+        mirrored = np.conj(kernels[:, flip_rows, flip_cols])
         even = (kernels + mirrored) / 2
         odd = (kernels - mirrored) * -0.5j
         noise = _PART_CUTOFF * np.abs(kernels).max(axis=(1, 2), keepdims=True)
@@ -661,7 +662,7 @@ class LithoEngine:
             spectrum = real_spectrum(batch)
         block = (slice(None), stack.rows[:, None], stack.cols[None, :])
         compact = np.asarray(spectrum[block], dtype=self._cdtype)
-        kernels = np.asarray(self.kernels.freq_kernels[block],
+        kernels = np.asarray(self.kernels.block(stack.rows, stack.cols),
                              dtype=self._cdtype)
         x = np.arange(grid)
         row = _dft_factor(x, stack.rows, +1, 1.0 / grid, grid, self._cdtype)

@@ -13,7 +13,10 @@ passband; the right singular vectors of ``A`` are then exactly the TCC
 eigenvectors (Cobb 1998), obtained by one economy SVD.
 
 Kernels are kept in the frequency domain on the simulation raster's FFT
-grid, so imaging is two FFTs per kernel with no resampling.
+grid, so imaging needs no resampling.  Only the passband points are
+stored: every kernel is zero outside the pupil cutoff, and at 128 px the
+511 passband values of 24 kernels take 0.19 MiB where the full complex
+grid would take 6 MiB.
 """
 
 from __future__ import annotations
@@ -39,9 +42,13 @@ class KernelSet:
 
     Attributes
     ----------
-    freq_kernels:
-        Complex array ``(N_h, grid, grid)`` in unshifted FFT layout; the
-        k-th slice is ``H_k(f)``, the frequency response of kernel k.
+    values:
+        Complex array ``(N_h, P)``: ``H_k(f)``, the frequency response
+        of kernel k, at the P passband points.  Every kernel is zero
+        outside the passband.
+    rows, cols:
+        Integer arrays ``(P,)``: the unshifted FFT-grid row and column
+        of each passband point, in row-major order.
     weights:
         Nonnegative weights ``w_k`` (TCC eigenvalues), normalized so a
         fully-open mask images to intensity 1.0 (clear-field dose).
@@ -49,7 +56,9 @@ class KernelSet:
         The :class:`LithoConfig` the kernels were built for.
     """
 
-    freq_kernels: np.ndarray
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     weights: np.ndarray
     config: LithoConfig
 
@@ -59,7 +68,28 @@ class KernelSet:
 
     @property
     def grid(self) -> int:
-        return self.freq_kernels.shape[-1]
+        return self.config.grid
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The kernels on the FFT rows x columns ``rows`` x ``cols``
+        (each without repeats), ``(N_h, len(rows), len(cols))``;
+        passband points outside the block are left out."""
+        row_at = np.full(self.grid, -1)
+        col_at = np.full(self.grid, -1)
+        row_at[rows] = np.arange(len(rows))
+        col_at[cols] = np.arange(len(cols))
+        r, c = row_at[self.rows], col_at[self.cols]
+        inside = (r >= 0) & (c >= 0)
+        block = np.zeros((len(self.values), len(rows), len(cols)),
+                         self.values.dtype)
+        block[:, r[inside], c[inside]] = self.values[:, inside]
+        return block
+
+    def full_grid(self) -> np.ndarray:
+        """The kernels on the whole FFT grid, ``(N_h, grid, grid)`` in
+        unshifted layout (reference paths and visualization only)."""
+        everything = np.arange(self.grid)
+        return self.block(everything, everything)
 
     def spatial_kernels(self, shifted: bool = True) -> np.ndarray:
         """Inverse-transform kernels to the spatial domain.
@@ -70,7 +100,7 @@ class KernelSet:
             If true, apply ``fftshift`` so each kernel is centered —
             convenient for visualization.
         """
-        spatial = np.fft.ifft2(self.freq_kernels, axes=(-2, -1))
+        spatial = np.fft.ifft2(self.full_grid(), axes=(-2, -1))
         if shifted:
             spatial = np.fft.fftshift(spatial, axes=(-2, -1))
         return spatial
@@ -78,9 +108,15 @@ class KernelSet:
 
 _CACHE: Dict[Tuple, KernelSet] = {}
 
-# Bump when the decomposition math changes so stale on-disk archives are
-# never reused across incompatible builds.
-_DISK_FORMAT_VERSION = 1
+# Bump when the decomposition math changes: every config hash changes
+# with it, so kernels built by incompatible code are never reused and run
+# records tell the two apart.
+_DECOMPOSITION_VERSION = 1
+
+# Bump when the archive layout changes; an archive in any other format is
+# rebuilt.  Version 2 stores the passband values and their indices, not
+# the full grid.
+_DISK_FORMAT_VERSION = 2
 
 
 def config_hash(config: LithoConfig) -> str:
@@ -91,7 +127,7 @@ def config_hash(config: LithoConfig) -> str:
     parameter change invalidates it.
     """
     payload = json.dumps(
-        {"version": _DISK_FORMAT_VERSION, "config": asdict(config)},
+        {"version": _DECOMPOSITION_VERSION, "config": asdict(config)},
         sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -116,18 +152,25 @@ def _disk_cache_dir(disk_cache: Union[bool, str, None]) -> Optional[str]:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro", "kernels")
 
 
+_ARCHIVE_FIELDS = ("values", "rows", "cols", "weights")
+
+
 def _disk_load(path: str, config: LithoConfig) -> Optional[KernelSet]:
     try:
         with np.load(path) as archive:
-            freq_kernels = np.asarray(archive["freq_kernels"])
-            weights = np.asarray(archive["weights"])
-        if (freq_kernels.ndim != 3 or freq_kernels.shape[-1] != config.grid
-                or len(weights) != len(freq_kernels)):
+            if int(archive["format"]) != _DISK_FORMAT_VERSION:
+                return None
+            values, rows, cols, weights = (np.asarray(archive[name])
+                                           for name in _ARCHIVE_FIELDS)
+        if (values.ndim != 2 or rows.shape != values.shape[1:]
+                or cols.shape != rows.shape or len(weights) != len(values)
+                or not np.all((0 <= rows) & (rows < config.grid)
+                              & (0 <= cols) & (cols < config.grid))):
             return None
-        return KernelSet(freq_kernels=freq_kernels, weights=weights,
-                         config=config)
+        return KernelSet(values=values, rows=rows, cols=cols,
+                         weights=weights, config=config)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return None  # corrupt or partial archive: rebuild
+        return None  # corrupt, partial or older-format archive: rebuild
 
 
 def _disk_store(path: str, kernel_set: KernelSet) -> None:
@@ -137,8 +180,9 @@ def _disk_store(path: str, kernel_set: KernelSet) -> None:
                                    dir=os.path.dirname(path))
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, freq_kernels=kernel_set.freq_kernels,
-                         weights=kernel_set.weights)
+                np.savez(handle, format=_DISK_FORMAT_VERSION,
+                         **{name: getattr(kernel_set, name)
+                            for name in _ARCHIVE_FIELDS})
             os.replace(tmp, path)  # atomic: concurrent runs never see partials
         except BaseException:
             os.unlink(tmp)
@@ -193,21 +237,18 @@ def build_kernels(config: LithoConfig, cache: bool = True,
     eigenvalues = singular[:rank] ** 2
     vectors = vh[:rank].conj()  # eigenvectors of A^H A
 
-    freq_kernels = np.zeros((rank, config.grid, config.grid), dtype=complex)
-    for k in range(rank):
-        kernel = np.zeros((config.grid, config.grid), dtype=complex)
-        kernel[passband] = vectors[k]
-        freq_kernels[k] = kernel
+    rows, cols = np.nonzero(passband)
 
     # Normalize clear-field intensity to 1: a fully open mask has
-    # FFT = N^2 * delta(0), imaging to sum_k w_k |H_k(0)|^2.
-    dc_gain = float(np.sum(eigenvalues * np.abs(freq_kernels[:, 0, 0]) ** 2))
+    # FFT = N^2 * delta(0), imaging to sum_k w_k |H_k(0)|^2.  The DC bin
+    # (0, 0) is the first passband point in row-major order.
+    dc_gain = float(np.sum(eigenvalues * np.abs(vectors[:, 0]) ** 2))
     if dc_gain <= 0:
         raise RuntimeError("degenerate kernel set: zero clear-field intensity")
     eigenvalues = eigenvalues / dc_gain
 
-    kernel_set = KernelSet(freq_kernels=freq_kernels, weights=eigenvalues,
-                           config=config)
+    kernel_set = KernelSet(values=vectors, rows=rows, cols=cols,
+                           weights=eigenvalues, config=config)
     if cache:
         _CACHE[key] = kernel_set
     if disk_path:
@@ -219,39 +260,3 @@ def clear_cache() -> None:
     """Drop all cached kernel sets (used by tests)."""
     _CACHE.clear()
 
-
-def save_kernels(kernel_set: KernelSet, path: str) -> None:
-    """Persist a kernel set as an ``.npz`` archive.
-
-    Building kernels costs an SVD (sub-second at 64 px, ~1 s at 256 px,
-    growing with the passband area); persisting them lets repeated
-    command-line runs and paper-scale sweeps skip the rebuild.  Only
-    the decomposition is stored — the config is revalidated on load.
-    """
-    import numpy as _np
-    _np.savez(path,
-              freq_kernels=kernel_set.freq_kernels,
-              weights=kernel_set.weights,
-              grid=kernel_set.config.grid,
-              pixel_nm=kernel_set.config.pixel_nm)
-
-
-def load_kernels(path: str, config: LithoConfig) -> KernelSet:
-    """Load a kernel set saved by :func:`save_kernels`.
-
-    The archive's grid/pixel metadata must match ``config``; a mismatch
-    raises rather than silently simulating the wrong optics.
-    """
-    import os as _os
-    import numpy as _np
-    if not _os.path.exists(path) and _os.path.exists(path + ".npz"):
-        path = path + ".npz"
-    with _np.load(path) as archive:
-        grid = int(archive["grid"])
-        pixel_nm = float(archive["pixel_nm"])
-        if grid != config.grid or pixel_nm != config.pixel_nm:
-            raise ValueError(
-                f"kernel archive is {grid}px @ {pixel_nm}nm but config is "
-                f"{config.grid}px @ {config.pixel_nm}nm")
-        return KernelSet(freq_kernels=archive["freq_kernels"],
-                         weights=archive["weights"], config=config)

@@ -36,12 +36,13 @@ from .modules import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d,
 from .optim import (SGD, Adam, ExponentialLR, Optimizer, StepLR,
                     clip_grad_norm_, global_grad_norm)
 from .serialization import CheckpointLoadError, load_state, save_state
-from .tensor import (Tensor, concatenate, full, is_grad_enabled, maximum,
-                     no_grad, ones, pad2d, stack, where, zeros)
+from .tensor import (GraphReleasedError, Tensor, concatenate, full,
+                     is_grad_enabled, maximum, no_grad, ones, pad2d, stack,
+                     where, zeros)
 from .utils import compute_dtype, to_dtype
 
 __all__ = [
-    "Tensor", "no_grad", "is_grad_enabled",
+    "Tensor", "GraphReleasedError", "no_grad", "is_grad_enabled",
     "zeros", "ones", "full", "concatenate", "stack", "where", "maximum",
     "pad2d",
     "functional", "init", "utils",

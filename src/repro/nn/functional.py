@@ -355,24 +355,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     taps = _Taps((h, w), (oh, ow), (kh, kw), stride, padding)
     dtype = _dtype(x, weight, bias)
     tap_weights = _tap_weights(weight.data, taps)
-    # Cached for the weight gradient: the input's phase planes, or
-    # their gather when the input has fewer channels than the output.
+    # The input's phase planes, or their gather when the input has
+    # fewer channels than the output; the weight gradient reads them.
     operand = _fine_operand(x.data, taps, f, dtype)
     out = _dense(_to_coarse(operand, tap_weights, taps), bias)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_grad, w_grad = x.requires_grad, weight.requires_grad
+    b_grad = bias is not None and bias.requires_grad
+    if not w_grad:
+        operand = None
 
     def backward(grad):
         framed, raster = _coarse_operand(grad, taps,
                                          np.result_type(grad, dtype))
         grads = [
-            _to_fine(framed, tap_weights, taps, (h, w))
-            if x.requires_grad else None,
-            _weight_grad(operand, raster, taps, weight.shape)
-            if weight.requires_grad else None]
+            _to_fine(framed, tap_weights, taps, (h, w)) if x_grad else None,
+            _weight_grad(operand, raster, taps, (f, c, kh, kw))
+            if w_grad else None]
         if bias is not None:
-            grads.append(grad.sum(axis=(0, 2, 3)) if bias.requires_grad
-                         else None)
+            grads.append(grad.sum(axis=(0, 2, 3)) if b_grad else None)
         return tuple(grads)
 
     if prof is not None:
@@ -418,23 +420,26 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     taps = _Taps((oh, ow), (h, w), (kh, kw), stride, padding)
     dtype = _dtype(x, weight, bias)
     tap_weights = _tap_weights(weight.data, taps)
+    # The framed input; the weight gradient reads its raster view.
     framed, raster = _coarse_operand(x.data, taps, dtype)
     out = _to_fine(framed, tap_weights, taps, (oh, ow))
     if bias is not None:
         out += bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_grad, w_grad = x.requires_grad, weight.requires_grad
+    b_grad = bias is not None and bias.requires_grad
+    if not w_grad:
+        raster = None
 
     def backward(grad):
         operand = _fine_operand(grad, taps, c, np.result_type(grad, dtype))
         grads = [
-            _dense(_to_coarse(operand, tap_weights, taps))
-            if x.requires_grad else None,
-            _weight_grad(operand, raster, taps, weight.shape)
-            if weight.requires_grad else None]
+            _dense(_to_coarse(operand, tap_weights, taps)) if x_grad else None,
+            _weight_grad(operand, raster, taps, (c, f, kh, kw))
+            if w_grad else None]
         if bias is not None:
-            grads.append(grad.sum(axis=(0, 2, 3)) if bias.requires_grad
-                         else None)
+            grads.append(grad.sum(axis=(0, 2, 3)) if b_grad else None)
         return tuple(grads)
 
     if prof is not None:
@@ -586,6 +591,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         # max(z, s·z) is z for z > 0 and s·z otherwise, for 0 <= s <= 1.
         np.maximum(out, negative_slope * out, out=out)
 
+    x_grad, gamma_grad, beta_grad = (x.requires_grad, gamma.requires_grad,
+                                     beta.requires_grad)
+    k = (gamma.data * inv_std).reshape(shape)
+
     def backward(grad):
         if negative_slope is not None:
             # The output is positive exactly where its input was.
@@ -594,8 +603,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         grad_beta = grad.sum(axis=axes)
         grad_gamma = _channel_dot(grad, x_hat)
         grad_x = None
-        if x.requires_grad:
-            k = (gamma.data * inv_std).reshape(shape)
+        if x_grad:
             if training:
                 grad_x = x_hat * (grad_gamma / count).reshape(shape)
                 np.subtract(grad, grad_x, out=grad_x)
@@ -604,8 +612,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             else:
                 grad_x = grad * k
         return (grad_x,
-                grad_gamma if gamma.requires_grad else None,
-                grad_beta if beta.requires_grad else None)
+                grad_gamma if gamma_grad else None,
+                grad_beta if beta_grad else None)
 
     if prof is not None:
         prof.record("batch_norm", time.perf_counter() - started,

@@ -113,8 +113,6 @@ class Profiler:
         self._ops: Dict[str, OpStats] = {}
         self._modules: Dict[str, Dict[str, float]] = {}
         self._local = threading.local()
-        self.peak_nbytes = 0
-        self._live_nbytes = 0
 
     # -- op recording ---------------------------------------------------
     def record(self, name: str, seconds: float, flops: int = 0,
@@ -128,14 +126,6 @@ class Profiler:
             stats.seconds += seconds
             stats.flops += flops
             stats.nbytes += nbytes
-            self._live_nbytes += nbytes
-            if self._live_nbytes > self.peak_nbytes:
-                self.peak_nbytes = self._live_nbytes
-
-    def release(self, nbytes: int) -> None:
-        """Account an allocation as freed (drops live, not peak)."""
-        with self._lock:
-            self._live_nbytes -= nbytes
 
     def record_backward(self, name: str, seconds: float) -> None:
         with self._lock:
@@ -228,8 +218,7 @@ class Profiler:
         lines.append("-" * len(header))
         lines.append(
             f"total op time {self.total_seconds() * 1e3:.3f} ms | "
-            f"{self.total_flops() / 1e9:.3f} GFLOP | "
-            f"peak alloc {self.peak_nbytes / 1e6:.3f} MB")
+            f"{self.total_flops() / 1e9:.3f} GFLOP")
         return "\n".join(lines)
 
     def module_table(self) -> str:

@@ -4,6 +4,7 @@ pre-training and litho-guided GAN updates."""
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import (GanOpcConfig, GanOpcTrainer, ILTGuidedPretrainer,
                         MaskGenerator, PairDiscriminator)
 from repro.layoutgen import SyntheticDataset
@@ -125,3 +126,49 @@ class TestLithoGuidedGan:
         history = trainer.train(dataset, 3, rng=np.random.default_rng(5))
         assert history.iterations == 3
         assert all(np.isfinite(history.generator_loss))
+
+    def test_guided_gradients_are_plain_plus_litho_vjp(self, litho32,
+                                                       kernels32, config,
+                                                       dataset):
+        """The guided G step's generator gradients are the plain loss's
+        gradients plus J^T upstream of the litho term, each taken here
+        from its own graph: both objectives reach the weights through
+        the step's one backward pass."""
+        from dataclasses import replace
+        config = replace(config, litho_weight=0.5, batch_size=2)
+        engine = LithoEngine.for_conditions(
+            kernels32, ConditionSet.dose_corners(0.04))
+        generator = _generator(config)
+        discriminator = PairDiscriminator(GRID, config.discriminator_channels,
+                                          rng=np.random.default_rng(1))
+        targets, masks = dataset.pairs_batch([0, 1])
+
+        def step_gradients(litho_weight):
+            trainer = GanOpcTrainer(
+                generator, discriminator,
+                replace(config, litho_weight=litho_weight),
+                litho_config=litho32, engine=engine)
+            trainer.optimizer_g.step = lambda: None  # keep the weights
+            trainer.generator_step(targets, masks)
+            return [p.grad.copy() for p in generator.parameters()]
+
+        guided = step_gradients(0.5)
+        plain = step_gradients(0.0)
+
+        generator.zero_grad()
+        fake = generator(nn.Tensor(targets))
+        _, litho_grads = engine.condition_error_and_gradient_wrt_mask(
+            fake.data[:, 0], targets[:, 0], objective=config.pw_objective,
+            threshold=litho32.threshold,
+            resist_steepness=litho32.resist_steepness)
+        fake.backward(0.5 / len(targets) * litho_grads[:, None])
+        litho = [p.grad for p in generator.parameters()]
+
+        # Over all weights at once: a conv bias ahead of a batch-norm
+        # has a zero gradient up to rounding.
+        guided, plain, litho = (np.concatenate([g.ravel() for g in grads])
+                                for grads in (guided, plain, litho))
+        expected = plain + litho
+        assert (np.linalg.norm(guided - expected)
+                <= 1e-12 * np.linalg.norm(expected))
+        assert np.linalg.norm(guided - plain) > 1e-3 * np.linalg.norm(plain)

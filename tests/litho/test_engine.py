@@ -32,7 +32,7 @@ BATCHES = (1, 3)
 # ----------------------------------------------------------------------
 def reference_aerial(mask, kernels, dose=1.0):
     spectrum = np.fft.fft2(mask)
-    fields = np.fft.ifft2(spectrum[None] * kernels.freq_kernels,
+    fields = np.fft.ifft2(spectrum[None] * kernels.full_grid(),
                           axes=(-2, -1))
     intensity = np.einsum("k,kxy->xy", kernels.weights,
                           np.abs(fields) ** 2)
@@ -44,7 +44,7 @@ def reference_aerial(mask, kernels, dose=1.0):
 def reference_gradient_wrt_mask(mask_relaxed, target, kernels, threshold,
                                 resist_steepness, dose=1.0):
     spectrum = np.fft.fft2(mask_relaxed)
-    fields = np.fft.ifft2(spectrum[None] * kernels.freq_kernels,
+    fields = np.fft.ifft2(spectrum[None] * kernels.full_grid(),
                           axes=(-2, -1))
     intensity = np.einsum("k,kxy->xy", kernels.weights,
                           np.abs(fields) ** 2)
@@ -57,7 +57,7 @@ def reference_gradient_wrt_mask(mask_relaxed, target, kernels, threshold,
     grad_intensity = 2.0 * resist_steepness * diff * wafer * (1.0 - wafer)
     if dose != 1.0:
         grad_intensity = grad_intensity * dose
-    flipped = np.roll(kernels.freq_kernels[:, ::-1, ::-1], 1, axis=(-2, -1))
+    flipped = np.roll(kernels.full_grid()[:, ::-1, ::-1], 1, axis=(-2, -1))
     weighted = grad_intensity[None] * np.conj(fields)
     grad = np.fft.ifft2(np.fft.fft2(weighted, axes=(-2, -1)) * flipped,
                         axes=(-2, -1))

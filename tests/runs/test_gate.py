@@ -117,6 +117,20 @@ class TestCompare:
         assert any(absent in line and "REGRESSION" in line
                    for line in lines)
 
+    def test_missing_clip_and_mean_regress(self, gate):
+        candidate = _record()
+        del candidate["clips"]["ILT"]["iccad13-02"]
+        del candidate["aggregates"]["PGAN-OPC"]
+        lines, regressions = gate.compare(_record(), candidate,
+                                          rel_tol=0.05, abs_tol=1.0,
+                                          skip=[])
+        assert regressions == [
+            "ILT/iccad13-02.epe_violations", "ILT/iccad13-02.l2_nm2",
+            "ILT/iccad13-02.pvband_nm2", "PGAN-OPC/mean.epe_violations",
+            "PGAN-OPC/mean.l2_nm2", "PGAN-OPC/mean.pvband_nm2"]
+        assert sum("missing" in line and "REGRESSION" in line
+                   for line in lines) == 6
+
     def test_baseline_only_method_noted_not_compared(self, gate):
         candidate = _record()
         del candidate["clips"]["PGAN-OPC"]
@@ -167,6 +181,24 @@ class TestMain:
         assert gate.main(self._args(base, cand)) == 1
         out = capsys.readouterr().out
         assert "ILT/iccad13-01.pvband_nm2" in out and "null" in out
+
+    def test_baseline_with_a_clip_deleted_fails(self, gate, tmp_path,
+                                                capsys):
+        """The committed baseline, with iccad13-03 deleted from every
+        method, fails the gate as CI runs it."""
+        baseline = os.path.join(os.path.dirname(_SCRIPT),
+                                "BASELINE_quality.json")
+        with open(baseline) as handle:
+            candidate = json.load(handle)
+        for clips in candidate["clips"].values():
+            del clips["iccad13-03"]
+        cand = _write(tmp_path, "cand.json", candidate)
+        assert gate.main(self._args(
+            baseline, cand, "--require", "ILT", "--require", "GAN-OPC",
+            "--require", "PGAN-OPC")) == 1
+        out = capsys.readouterr().out
+        for method in ("ILT", "GAN-OPC", "PGAN-OPC"):
+            assert f"{method}/iccad13-03.l2_nm2" in out
 
     def test_improvement_passes(self, gate, tmp_path, capsys):
         base = _write(tmp_path, "base.json", _record())
