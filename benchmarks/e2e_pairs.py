@@ -22,6 +22,12 @@ parent.  ``worse`` means the change's median is worse than the
 parent's by more than the metric's ``bound``, as a fraction of the
 parent's median.  Failed operations are counted per side.
 
+Before the pairs of a workload, each tree runs one set-up and one pass
+at the first pair's seed, in a subprocess that imports that tree's own
+``perfbench/workloads.py``, and the two ``PassResult.fingerprint``
+digests are compared: the entry's ``outputs_identical`` says whether the
+change left every output of the pass bit-identical.
+
 Pair ``i`` runs seed ``s + i``, where ``s`` is one past the highest
 seed already recorded in ``BENCH_e2e.json`` (1 for an empty record),
 so every run measures seeds no earlier run has seen.  As each workload
@@ -49,6 +55,30 @@ RECORD = os.path.join(ROOT, "BENCH_e2e.json")
 
 #: share of all pairs the change must win for ``gain``
 WIN_SHARE = 0.9
+
+#: Run from a tree's root: one set-up and one pass of workload
+#: ``argv[1]`` at seed ``argv[2]`` and scale ``argv[3]``, printing the
+#: pass's fingerprint.  Importing ``perfbench/run.py`` applies the
+#: benchmark's thread budget and environment before numpy loads.
+_FINGERPRINT = """
+import sys, tempfile
+sys.path.insert(0, "perfbench")
+import run
+sys.path.insert(0, run.SRC)
+import workloads
+workload = workloads.WORKLOADS[sys.argv[1]]
+with tempfile.TemporaryDirectory() as workdir:
+    state = workload.setup(workloads.SCALES[sys.argv[3]], int(sys.argv[2]),
+                           workdir)
+    try:
+        result = workload.run_pass(state)
+    finally:
+        workload.close(state)
+        workloads.join_children()
+if result.error:
+    sys.exit(result.error)
+print(result.fingerprint)
+"""
 
 
 def _git(*args: str) -> str:
@@ -102,6 +132,17 @@ def run_once(tree: str, workload: str, seed: int,
         return json.loads(lines[-1]) if proc.returncode == 0 else None
     except (IndexError, json.JSONDecodeError):
         return None
+
+
+def fingerprint(tree: str, workload: str, seed: int,
+                scale: str = "full") -> Optional[str]:
+    """Fingerprint of one set-up and one pass of ``workload`` run with
+    ``tree``'s own benchmark and program; ``None`` when it failed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FINGERPRINT, workload, str(seed), scale],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return lines[-1] if proc.returncode == 0 and lines else None
 
 
 def spread(values: List[float]) -> Dict[str, float]:
@@ -236,6 +277,12 @@ def main(argv=None) -> int:
                   f"the working tree", file=sys.stderr)
             return 2
         for workload in args.workload or names:
+            digests = [fingerprint(tree, workload, seeds[0])
+                       for tree in (parent_tree, ROOT)]
+            identical = digests[0] is not None and digests[0] == digests[1]
+            print(f"{workload} outputs at seed {seeds[0]}: "
+                  f"{'identical' if identical else 'DIFFERENT'} "
+                  f"(parent {digests[0]}, change {digests[1]})", flush=True)
             pairs = []
             for i, seed in enumerate(seeds):
                 order = [("parent", parent_tree), ("change", ROOT)]
@@ -251,6 +298,7 @@ def main(argv=None) -> int:
             append_record([{
                 "rev": rev, "parent": parent_rev, "workload": workload,
                 "seconds": args.seconds, "seeds": seeds,
+                "outputs_identical": identical,
                 "nproc": os.cpu_count(),
                 "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                time.gmtime()),

@@ -26,13 +26,13 @@ Quick example::
 from . import functional
 from . import init
 from . import utils
-from .functional import (avg_pool2d, bce_loss, bce_with_logits, conv2d,
-                         conv_transpose2d, l1_loss, linear, max_pool2d,
-                         mse_loss, softmax, upsample_nearest2d)
-from .modules import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d,
-                      ConvTranspose2d, Dropout, Flatten, LeakyReLU, Linear,
-                      MaxPool2d, Module, Parameter, ReLU, Sequential,
-                      Sigmoid, Tanh, UpsampleNearest2d, frozen)
+from .functional import (bce_loss, bce_with_logits, conv2d,
+                         conv_transpose2d, l1_loss, linear, mse_loss,
+                         softmax, upsample_nearest2d)
+from .modules import (BatchNorm1d, BatchNorm2d, Conv2d, ConvTranspose2d,
+                      Dropout, Flatten, LeakyReLU, Linear, Module, Parameter,
+                      ReLU, Sequential, Sigmoid, Tanh, UpsampleNearest2d,
+                      frozen)
 from .optim import (SGD, Adam, ExponentialLR, Optimizer, StepLR,
                     clip_grad_norm_, global_grad_norm)
 from .serialization import CheckpointLoadError, load_state, save_state
@@ -46,13 +46,11 @@ __all__ = [
     "zeros", "ones", "full", "concatenate", "stack", "where", "maximum",
     "pad2d",
     "functional", "init", "utils",
-    "conv2d", "conv_transpose2d", "linear", "avg_pool2d", "max_pool2d",
-    "upsample_nearest2d", "mse_loss", "l1_loss", "bce_loss",
-    "bce_with_logits", "softmax",
+    "conv2d", "conv_transpose2d", "linear", "upsample_nearest2d",
+    "mse_loss", "l1_loss", "bce_loss", "bce_with_logits", "softmax",
     "Module", "Parameter", "Sequential", "Linear", "Conv2d",
     "ConvTranspose2d", "BatchNorm1d", "BatchNorm2d", "ReLU", "LeakyReLU",
-    "Sigmoid", "Tanh", "Flatten", "AvgPool2d", "MaxPool2d",
-    "UpsampleNearest2d", "Dropout", "frozen",
+    "Sigmoid", "Tanh", "Flatten", "UpsampleNearest2d", "Dropout", "frozen",
     "Optimizer", "SGD", "Adam", "StepLR", "ExponentialLR",
     "clip_grad_norm_", "global_grad_norm",
     "save_state", "load_state", "CheckpointLoadError",

@@ -320,26 +320,6 @@ class Flatten(Module):
         return x.flatten(self.start_dim)
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: F.IntPair, stride: Optional[F.IntPair] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel_size: F.IntPair, stride: Optional[F.IntPair] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
 class UpsampleNearest2d(Module):
     def __init__(self, scale: int):
         super().__init__()

@@ -1,5 +1,7 @@
-"""Summary rules of the end-to-end pair runner (benchmarks/e2e_pairs.py),
-on canned benchmark reports: no subprocess, no git."""
+"""The end-to-end pair runner (benchmarks/e2e_pairs.py): its summary
+rules on canned benchmark reports, and the output-identity fingerprint
+of a tree's pass (a subprocess at the 32 px scale, or a stub tree); no
+git."""
 
 import importlib.util
 import json
@@ -149,3 +151,38 @@ class TestRecord:
         assert record["schema"] == 1
         assert [e["workload"] for e in record["entries"]] == ["table2",
                                                               "chip"]
+
+
+_STUB_WORKLOADS = '''
+import types
+SCALES = {"full": None}
+def join_children():
+    pass
+class Stub:
+    def setup(self, scale, seed, workdir):
+        return seed
+    def run_pass(self, seed):
+        return types.SimpleNamespace(error=ERROR, fingerprint=f"pass-{seed}")
+    def close(self, state):
+        pass
+WORKLOADS = {"stub": Stub()}
+'''
+
+
+class TestOutputIdentity:
+    def test_fingerprint_of_a_tree_pass(self, pairs):
+        """One set-up and one pass run with the tree's own benchmark."""
+        first = pairs.fingerprint(pairs.ROOT, "train", 5, scale="tiny")
+        assert first is not None and len(first) == 64
+        int(first, 16)
+        assert pairs.fingerprint(pairs.ROOT, "train", 5, "tiny") == first
+
+    def test_failed_pass_has_no_fingerprint(self, pairs, tmp_path):
+        for name, error in (("ok", None), ("broken", "'boom'")):
+            bench = tmp_path / name / "perfbench"
+            bench.mkdir(parents=True)
+            (bench / "run.py").write_text("SRC = 'src'\n")
+            (bench / "workloads.py").write_text(
+                f"ERROR = {error}\n{_STUB_WORKLOADS}")
+        assert pairs.fingerprint(str(tmp_path / "ok"), "stub", 3) == "pass-3"
+        assert pairs.fingerprint(str(tmp_path / "broken"), "stub", 3) is None

@@ -57,7 +57,7 @@ class TestColumnCaching:
 
     def test_backward_matches_einsum_reference(self, rng):
         """The batched-matmul backward is the same math as the obvious
-        einsum contraction."""
+        einsum contraction over 3x3 windows of the padded arrays."""
         x_data = rng.normal(size=(3, 2, 6, 6))
         w_data = rng.normal(size=(5, 2, 3, 3))
         x = Tensor(x_data, requires_grad=True)
@@ -66,12 +66,16 @@ class TestColumnCaching:
         grad_out = rng.normal(size=out.shape)
         out.backward(grad_out)
 
-        cols = F.im2col(x_data, (3, 3), (1, 1), (1, 1))
-        grad_flat = grad_out.reshape(3, 5, -1)
-        ref_w = np.einsum("nfl,nkl->fk", grad_flat, cols).reshape(w_data.shape)
+        def windows(a):
+            padded = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            return np.lib.stride_tricks.sliding_window_view(
+                padded, (3, 3), axis=(2, 3))
+
+        ref_w = np.einsum("nfyx,ncyxij->fcij", grad_out, windows(x_data))
         np.testing.assert_allclose(w.grad, ref_w, rtol=1e-10, atol=1e-12)
-        ref_cols = np.einsum("fk,nfl->nkl", w_data.reshape(5, -1), grad_flat)
-        ref_x = F.col2im(ref_cols, x_data.shape, (3, 3), (1, 1), (1, 1))
+        # The input gradient correlates the gradient with the flipped kernel.
+        ref_x = np.einsum("nfyxij,fcij->ncyx", windows(grad_out),
+                          w_data[:, :, ::-1, ::-1])
         np.testing.assert_allclose(x.grad, ref_x, rtol=1e-10, atol=1e-12)
 
 

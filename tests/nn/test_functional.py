@@ -1,4 +1,4 @@
-"""Unit tests for nn functional ops: convolutions, pooling, norm, losses."""
+"""Unit tests for nn functional ops: convolutions, upsampling, norm, losses."""
 
 import numpy as np
 import pytest
@@ -7,39 +7,9 @@ from repro import nn
 from repro.core import MaskGenerator, PairDiscriminator
 from repro.core.unet import UNetMaskGenerator
 from repro.nn import functional as F
-from repro.nn.functional import col2im, im2col
 from repro.nn.tensor import Tensor
 
 from ..conftest import numeric_gradient
-
-
-class TestIm2Col:
-    def test_shape(self, rng):
-        x = rng.normal(size=(2, 3, 8, 8))
-        cols = im2col(x, (3, 3), (1, 1), (1, 1))
-        assert cols.shape == (2, 27, 64)
-
-    def test_values_simple(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        cols = im2col(x, (2, 2), (2, 2), (0, 0))
-        # First patch is the top-left 2x2 block.
-        np.testing.assert_allclose(cols[0, :, 0], [0, 1, 4, 5])
-
-    def test_empty_output_raises(self):
-        with pytest.raises(ValueError):
-            im2col(np.zeros((1, 1, 2, 2)), (5, 5), (1, 1), (0, 0))
-
-    def test_col2im_is_adjoint(self, rng):
-        """<im2col(x), y> == <x, col2im(y)> — the defining property the
-        conv backward pass relies on."""
-        shape = (2, 3, 6, 6)
-        kernel, stride, padding = (3, 3), (2, 2), (1, 1)
-        x = rng.normal(size=shape)
-        cols = im2col(x, kernel, stride, padding)
-        y = rng.normal(size=cols.shape)
-        lhs = float((cols * y).sum())
-        rhs = float((x * col2im(y, shape, kernel, stride, padding)).sum())
-        assert abs(lhs - rhs) < 1e-9
 
 
 class TestConv2d:
@@ -146,30 +116,6 @@ class TestConvTranspose2d:
 
 
 class TestPooling:
-    def test_avg_pool_exact(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradient(self):
-        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        F.avg_pool2d(x, 2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
-    def test_max_pool_exact(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = F.max_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[5, 7], [13, 15]])
-
-    def test_max_pool_gradient_to_argmax(self):
-        data = np.zeros((1, 1, 2, 2))
-        data[0, 0, 1, 1] = 5.0
-        x = Tensor(data, requires_grad=True)
-        F.max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((1, 1, 2, 2))
-        expected[0, 0, 1, 1] = 1.0
-        np.testing.assert_allclose(x.grad, expected)
-
     def test_upsample_nearest(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2),
                    requires_grad=True)
