@@ -192,8 +192,7 @@ def cmd_chip(args) -> int:
 
 def _tiled_config(args):
     from .tiling import TilingConfig
-    return TilingConfig(tile=args.tile_size, halo=args.halo,
-                        blend=args.blend)
+    return TilingConfig(tile=args.tile_size, halo=args.halo)
 
 
 def _chip_target(path: str, tiling_config, litho):
@@ -886,9 +885,6 @@ def _add_tiling(p) -> None:
     p.add_argument("--halo", type=int, default=8,
                    help="overlap ring in px around each tile core "
                         "(default: 8)")
-    p.add_argument("--blend", type=int, default=0,
-                   help="feather width in px for stitching the relaxed "
-                        "mask (default: 0, hard core crop)")
 
 
 def _add_corners(p, default_objective: str = "nominal") -> None:

@@ -10,22 +10,21 @@ corner stacks for process-variation-band evaluation.
 
 from .conditions import PW_OBJECTIVES, Condition, ConditionSet
 from .config import LithoConfig, OpticsConfig
-from .engine import EngineStats, LithoEngine, real_spectrum
+from .engine import EngineStats, LithoEngine
 from .kernels import KernelSet, build_kernels, clear_cache, config_hash
 from .pupil import frequency_grid, pupil_function
-from .resist import (binarize_mask, hard_resist, sigmoid_mask,
-                     sigmoid_resist)
-from .source import source_map, source_points
+from .resist import binarize_mask, hard_resist, sigmoid_mask
+from .source import source_points
 from .window import (ProcessWindow, depth_of_focus, exposure_latitude,
                      process_window_matrix)
 
 __all__ = [
     "OpticsConfig", "LithoConfig",
     "Condition", "ConditionSet", "PW_OBJECTIVES",
-    "EngineStats", "LithoEngine", "real_spectrum",
+    "EngineStats", "LithoEngine",
     "KernelSet", "build_kernels", "clear_cache", "config_hash",
-    "frequency_grid", "pupil_function", "source_points", "source_map",
-    "hard_resist", "sigmoid_resist", "sigmoid_mask", "binarize_mask",
+    "frequency_grid", "pupil_function", "source_points",
+    "hard_resist", "sigmoid_mask", "binarize_mask",
     "ProcessWindow", "process_window_matrix", "exposure_latitude",
     "depth_of_focus",
 ]

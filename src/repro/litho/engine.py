@@ -182,28 +182,6 @@ class EngineStats:
                     self.gradient_seconds - before["gradient_seconds"]}
 
 
-def real_spectrum(masks: np.ndarray) -> np.ndarray:
-    """Full complex FFT of a real mask (stack) via ``rfft2``.
-
-    Computes the half-spectrum with a real-input transform and expands
-    it to the full FFT grid using Hermitian symmetry
-    ``F[-u, -v] = conj(F[u, v])``.  The full grid serves the reference
-    paths (:meth:`LithoEngine.fields`), which image the complex kernels
-    ``H_k`` themselves; the hot paths split each kernel into Hermitian
-    parts and never leave the half passband.
-    """
-    masks = np.asarray(masks, dtype=float)
-    grid = masks.shape[-1]
-    half = np.fft.rfft2(masks, axes=(-2, -1))
-    n_half = half.shape[-1]
-    full = np.empty(masks.shape[:-2] + (grid, grid), dtype=complex)
-    full[..., :n_half] = half
-    rows = (-np.arange(grid)) % grid
-    cols = grid - np.arange(n_half, grid)
-    full[..., n_half:] = np.conj(half[..., rows, :][..., cols])
-    return full
-
-
 def _dft_factor(a: np.ndarray, b: np.ndarray, sign: int, scale: float,
                 grid: int, cdtype: np.dtype) -> np.ndarray:
     """DFT factor matrix ``exp(sign * 2j*pi/grid * a b^T) * scale``."""
@@ -652,46 +630,9 @@ class LithoEngine:
         self.stats.record_forward(n, time.perf_counter() - started)
         return out
 
-    def _fields(self, batch: np.ndarray,
-                spectrum: Optional[np.ndarray] = None) -> np.ndarray:
-        """Coherent fields ``M (x) h_k`` on the full raster,
-        ``(N, K, grid, grid)`` — a reference path off the hot loops,
-        imaging the complex kernels from the :func:`real_spectrum`."""
-        stack, grid = self._nominal, self.grid
-        if spectrum is None:
-            spectrum = real_spectrum(batch)
-        block = (slice(None), stack.rows[:, None], stack.cols[None, :])
-        compact = np.asarray(spectrum[block], dtype=self._cdtype)
-        kernels = np.asarray(self.kernels.block(stack.rows, stack.cols),
-                             dtype=self._cdtype)
-        x = np.arange(grid)
-        row = _dft_factor(x, stack.rows, +1, 1.0 / grid, grid, self._cdtype)
-        col = _dft_factor(stack.cols, x, +1, 1.0 / grid, grid, self._cdtype)
-        stacked = row @ ((kernels[:, None] * compact[None]) @ col)
-        return stacked.transpose(1, 0, 2, 3)
-
     # ------------------------------------------------------------------
     # Forward model
     # ------------------------------------------------------------------
-    def spectrum(self, mask: np.ndarray) -> np.ndarray:
-        """Full FFT of a mask or mask batch (rfft2 + Hermitian expand).
-
-        A reference path: the hot paths never call it — they evaluate
-        the passband directly via matmul-DFTs.
-        """
-        batch, single = self._as_batch(mask)
-        full = real_spectrum(batch)
-        return full[0] if single else full
-
-    def fields(self, mask: np.ndarray,
-               spectrum: Optional[np.ndarray] = None) -> np.ndarray:
-        """Coherent fields per kernel: ``(K, H, W)`` or ``(N, K, H, W)``."""
-        batch, single = self._as_batch(mask)
-        if spectrum is not None and spectrum.ndim == 2:
-            spectrum = spectrum[None]
-        fields = self._fields(batch, spectrum)
-        return fields[0] if single else fields
-
     def aerial(self, mask: np.ndarray, dose: float = 1.0) -> np.ndarray:
         """Aerial image (Eq. 2), scaled by the exposure ``dose``."""
         batch, single = self._as_batch(mask)
@@ -699,42 +640,19 @@ class LithoEngine:
                                   batch)[:, 0]
         return intensity[0] if single else intensity
 
-    def aerial_and_fields(self, mask: np.ndarray, dose: float = 1.0
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(intensity, fields)``, fields on the full raster."""
-        batch, single = self._as_batch(mask)
-        intensity = self.aerial(batch, dose=dose)
-        fields = self._fields(batch)
-        if single:
-            return intensity[0], fields[0]
-        return intensity, fields
-
     def wafer(self, mask: np.ndarray, dose: float = 1.0) -> np.ndarray:
         """Binary wafer image under the hard-threshold resist (Eq. 3)."""
         return hard_resist(self.aerial(mask, dose=dose), self.threshold)
 
-    def relaxed_wafer(self, mask: np.ndarray, dose: float = 1.0,
-                      resist_steepness: Optional[float] = None) -> np.ndarray:
-        """Differentiable wafer image under the sigmoid resist (Eq. 12)."""
-        steepness = resist_steepness or self.config.resist_steepness
-        return stable_sigmoid(
-            steepness * (self.aerial(mask, dose=dose) - self.threshold))
-
     def litho_error(self, mask: np.ndarray, target: np.ndarray,
-                    relaxed: bool = False, dose: float = 1.0) -> ArrayOrScalar:
-        """Squared L2 litho error ``||Z_t - Z||^2`` (Eq. 11) per mask."""
+                    dose: float = 1.0) -> ArrayOrScalar:
+        """Discrete squared L2 (Eq. 11, Definition 1) of the hard-resist
+        wafer, ``||Z_t - Z||^2`` per mask."""
         batch, single = self._as_batch(mask)
         targets = self._as_targets(target)
-        wafer = (self.relaxed_wafer(batch, dose=dose) if relaxed
-                 else self.wafer(batch, dose=dose))
-        diff = wafer - targets
+        diff = self.wafer(batch, dose=dose) - targets
         errors = np.sum(diff * diff, axis=(-2, -1))
         return float(errors[0]) if single else errors
-
-    def discrete_l2(self, mask: np.ndarray, target: np.ndarray,
-                    dose: float = 1.0) -> ArrayOrScalar:
-        """Discrete squared-L2 (Definition 1) of hard-resist wafers."""
-        return self.litho_error(mask, target, relaxed=False, dose=dose)
 
     # ------------------------------------------------------------------
     # Adjoint model (Eq. 14)
@@ -876,7 +794,7 @@ class LithoEngine:
                         ) -> Tuple[np.ndarray, ArrayOrScalar]:
         """Binarize relaxed parameters and score the hard-resist wafer.
 
-        Returns ``(masks, discrete_l2)`` — the evaluate step the ILT
+        Returns ``(masks, l2)`` — the evaluate step the ILT
         optimizer runs every few iterations to track the best discrete
         mask (Definition 1).
         """
@@ -884,7 +802,7 @@ class LithoEngine:
                 else mask_steepness)
         masks = binarize_mask(sigmoid_mask(
             np.asarray(mask_params, dtype=np.float64), beta))
-        return masks, self.discrete_l2(masks, target)
+        return masks, self.litho_error(masks, target)
 
     # ------------------------------------------------------------------
     # Condition stacks (process-window corners)
@@ -947,23 +865,14 @@ class LithoEngine:
         """Hard-resist wafers at every corner (Eq. 3 per corner)."""
         return hard_resist(self.condition_aerial(mask), self.threshold)
 
-    def condition_relaxed_wafers(self, mask: np.ndarray,
-                                 resist_steepness: Optional[float] = None
-                                 ) -> np.ndarray:
-        """Sigmoid-resist wafers at every corner (Eq. 12 per corner)."""
-        steepness = resist_steepness or self.config.resist_steepness
-        return stable_sigmoid(
-            steepness * (self.condition_aerial(mask) - self.threshold))
-
-    def condition_litho_errors(self, mask: np.ndarray, target: np.ndarray,
-                               relaxed: bool = False) -> np.ndarray:
-        """Per-corner litho errors ``(C,)`` or ``(N, C)`` (Eq. 11)."""
+    def condition_litho_errors(self, mask: np.ndarray, target: np.ndarray
+                               ) -> np.ndarray:
+        """Per-corner hard-resist litho errors ``(C,)`` or ``(N, C)``
+        (Eq. 11)."""
         batch, single = self._as_batch(mask)
         targets = self._as_targets(target)
-        wafers = (self.condition_relaxed_wafers(batch) if relaxed
-                  else self.condition_wafers(batch))
-        diff = wafers - (targets[..., None, :, :]
-                         if targets.ndim == 3 else targets)
+        diff = self.condition_wafers(batch) - (
+            targets[..., None, :, :] if targets.ndim == 3 else targets)
         errors = np.sum(diff * diff, axis=(-2, -1))
         return errors[0] if single else errors
 

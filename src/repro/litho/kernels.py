@@ -110,8 +110,9 @@ _CACHE: Dict[Tuple, KernelSet] = {}
 
 # Bump when the decomposition math changes: every config hash changes
 # with it, so kernels built by incompatible code are never reused and run
-# records tell the two apart.
-_DECOMPOSITION_VERSION = 1
+# records tell the two apart.  Version 2 stores the Eq. 1 kernels, not
+# their complex conjugates.
+_DECOMPOSITION_VERSION = 2
 
 # Bump when the archive layout changes; an archive in any other format is
 # rebuilt.  Version 2 stores the passband values and their indices, not
@@ -235,7 +236,9 @@ def build_kernels(config: LithoConfig, cache: bool = True,
     _, singular, vh = np.linalg.svd(rows, full_matrices=False)
     rank = min(config.optics.num_kernels, len(singular))
     eigenvalues = singular[:rank] ** 2
-    vectors = vh[:rank].conj()  # eigenvectors of A^H A
+    # Eq. 1 reads the TCC as sum_s w_s P(f + f_s) P*(f' + f_s), that is
+    # A^T conj(A) = conj(A^H A): its eigenvectors are the rows of vh.
+    vectors = vh[:rank]
 
     rows, cols = np.nonzero(passband)
 

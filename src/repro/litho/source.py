@@ -37,16 +37,3 @@ def source_points(optics: OpticsConfig) -> Tuple[np.ndarray, np.ndarray]:
                          "increase source_points")
     weights = np.full(len(points), 1.0 / len(points))
     return points, weights
-
-
-def source_map(optics: OpticsConfig, resolution: int = 64) -> np.ndarray:
-    """Render the source intensity distribution on a square grid.
-
-    Purely diagnostic — useful to visualize the annular illumination in
-    examples and docs.
-    """
-    axis = np.linspace(-1.0, 1.0, resolution)
-    sx, sy = np.meshgrid(axis, axis, indexing="ij")
-    radius = np.hypot(sx, sy)
-    inside = (radius <= optics.sigma_outer) & (radius >= optics.sigma_inner)
-    return inside.astype(float)

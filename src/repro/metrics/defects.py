@@ -71,17 +71,21 @@ def detect_necks(wafer: np.ndarray, target: np.ndarray,
     narrow_axis = np.where(runs_h <= runs_v, 1, 0)
     narrow = np.minimum(runs_h, runs_v)
     violating = wafer & target & (narrow < min_width_px)
-    labels, count = _label_components(violating)
-    defects: List[NeckDefect] = []
-    for label in range(1, count + 1):
-        rows, cols = np.nonzero(labels == label)
-        # Representative pixel: the narrowest point of the region.
-        widths = narrow[rows, cols]
-        pick = int(np.argmin(widths))
-        defects.append(NeckDefect(row=int(rows[pick]), col=int(cols[pick]),
-                                  width_px=int(widths[pick]),
-                                  axis=int(narrow_axis[rows[pick], cols[pick]])))
-    return defects
+    labels, _ = _label_components(violating)
+    # Representative pixel of each region: its narrowest point, the first
+    # in raster order among equals.  One stable sort by (label, width)
+    # over the raster-ordered pixels puts it first in its label's group.
+    pixels = np.flatnonzero(labels)
+    label_of = labels.ravel()[pixels]
+    order = np.lexsort((narrow.ravel()[pixels], label_of))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = label_of[order[1:]] != label_of[order[:-1]]
+    picks = pixels[order[first]]
+    return [NeckDefect(row=int(pick // wafer.shape[1]),
+                       col=int(pick % wafer.shape[1]),
+                       width_px=int(narrow.ravel()[pick]),
+                       axis=int(narrow_axis.ravel()[pick]))
+            for pick in picks]
 
 
 def detect_bridges(wafer: np.ndarray, target: np.ndarray) -> List[BridgeDefect]:
@@ -91,17 +95,23 @@ def detect_bridges(wafer: np.ndarray, target: np.ndarray) -> List[BridgeDefect]:
     if wafer.shape != target.shape:
         raise ValueError("wafer/target shape mismatch")
 
-    target_labels, _ = _label_components(target)
-    wafer_labels, wafer_count = _label_components(wafer)
-    defects: List[BridgeDefect] = []
-    for label in range(1, wafer_count + 1):
-        blob = wafer_labels == label
-        touched = np.unique(target_labels[blob])
-        touched = tuple(int(t) for t in touched if t != 0)
-        if len(touched) >= 2:
-            defects.append(BridgeDefect(component_labels=touched,
-                                        pixels=int(blob.sum())))
-    return defects
+    target_labels, target_count = _label_components(target)
+    wafer_labels, _ = _label_components(wafer)
+    sizes = np.bincount(wafer_labels.ravel())
+    # Every distinct (wafer blob, target component) overlap, sorted by
+    # blob and then by component.
+    both = (wafer_labels > 0) & (target_labels > 0)
+    pairs = np.unique(wafer_labels[both] * (target_count + 1)
+                      + target_labels[both])
+    blobs, touched = np.divmod(pairs, target_count + 1)
+    blob_ids, starts, counts = np.unique(blobs, return_index=True,
+                                         return_counts=True)
+    return [BridgeDefect(
+                component_labels=tuple(int(t) for t in
+                                       touched[start:start + count]),
+                pixels=int(sizes[blob]))
+            for blob, start, count in zip(blob_ids, starts, counts)
+            if count >= 2]
 
 
 def _run_lengths(image: np.ndarray, axis: int) -> np.ndarray:

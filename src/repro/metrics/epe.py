@@ -131,45 +131,49 @@ def measure_epe(wafer: np.ndarray, layout: Layout, threshold: float = 10.0,
         How far (nm) to scan along the normal for the printed contour.
     """
     wafer = np.asarray(wafer) > 0.5
-    grid = wafer.shape[0]
-    pixel = layout.extent / grid
-    samples: List[EPESample] = []
-    for rect in layout.rects:
-        for x, y, normal in control_points(rect, spacing, edge_margin):
-            epe = _contour_offset(wafer, x, y, normal, pixel, search_range)
-            samples.append(EPESample(x=x, y=y, normal=normal, epe=epe))
+    pixel = layout.extent / wafer.shape[0]
+    points = [point for rect in layout.rects
+              for point in control_points(rect, spacing, edge_margin)]
+    offsets = _contour_offsets(wafer, points, pixel, search_range)
+    samples = [EPESample(x=x, y=y, normal=normal, epe=float(epe))
+               for (x, y, normal), epe in zip(points, offsets)]
     return EPEReport(samples=samples, threshold=threshold)
 
 
-def _contour_offset(wafer: np.ndarray, x: float, y: float,
-                    normal: Tuple[int, int], pixel: float,
-                    search_range: float) -> float:
-    """Signed distance from the edge point to the wafer contour along
-    the outward normal (positive outward)."""
+def _contour_offsets(wafer: np.ndarray,
+                     points: List[Tuple[float, float, Tuple[int, int]]],
+                     pixel: float, search_range: float) -> np.ndarray:
+    """Signed distance from each edge point to the wafer contour along
+    its outward normal (positive outward), one gather for all points.
+
+    A point whose pixel just inside the edge prints has its contour at
+    ``k`` pixels, the first ``k`` whose probe at ``(k + 0.5)`` pixels
+    outward is OFF (``+inf`` if none within range); otherwise at ``-k``
+    pixels, the first ``k >= 1`` whose probe ``(k + 0.5)`` pixels inward
+    is ON (``-inf`` if none).  A probe maps to the pixel ``int()`` of its
+    coordinates, which truncates toward zero, and probes off the grid
+    read OFF.
+    """
     grid = wafer.shape[0]
     steps = max(int(search_range / pixel), 1)
-
-    def _sample(offset_nm: float) -> bool:
-        sx = x + normal[0] * offset_nm
-        sy = y + normal[1] * offset_nm
-        col = int(sx / pixel)
-        row = int(sy / pixel)
-        if not (0 <= row < grid and 0 <= col < grid):
-            return False
-        return bool(wafer[row, col])
-
-    # Whether the printed pattern covers the point just inside the edge.
-    inside_on = _sample(-0.5 * pixel)
-    if inside_on:
-        # Contour lies at or outside the edge: walk outward until OFF.
-        for k in range(steps + 1):
-            offset = (k + 0.5) * pixel
-            if not _sample(offset):
-                return k * pixel
-        return float("inf")
-    # Pattern pulled back: walk inward until ON.
-    for k in range(1, steps + 1):
-        offset = -(k + 0.5) * pixel
-        if _sample(offset):
-            return -k * pixel
-    return float("-inf")
+    k = np.arange(steps + 1)
+    # Probe 0 is just inside the edge, probes 1..steps+1 walk outward
+    # (k = 0..steps) and the rest walk inward (k = 1..steps).
+    offsets = np.concatenate(([-0.5 * pixel], (k + 0.5) * pixel,
+                              -((k[1:] + 0.5) * pixel)))
+    position = np.array([(x, y) for x, y, _ in points],
+                        dtype=float).reshape(-1, 2, 1)
+    normal = np.array([normal for _, _, normal in points],
+                      dtype=float).reshape(-1, 2, 1)
+    index = np.trunc((position + normal * offsets) / pixel)
+    inside = ((index >= 0) & (index < grid)).all(axis=1)
+    on = np.zeros(inside.shape, dtype=bool)
+    rows, cols = index[:, 1][inside], index[:, 0][inside]
+    on[inside] = wafer[rows.astype(np.intp), cols.astype(np.intp)]
+    outward_off = ~on[:, 1:steps + 2]
+    inward_on = on[:, steps + 2:]
+    out = np.where(outward_off.any(axis=1),
+                   outward_off.argmax(axis=1) * pixel, np.inf)
+    back = np.where(inward_on.any(axis=1),
+                    -(inward_on.argmax(axis=1) + 1) * pixel, -np.inf)
+    return np.where(on[:, 0], out, back)

@@ -4,7 +4,7 @@ The paper implements GAN-OPC on TensorFlow + GPU; this environment has
 neither, so the framework itself is reproduced: reverse-mode autograd
 (:mod:`repro.nn.tensor`), convolutional primitives
 (:mod:`repro.nn.functional`), a module/layer system
-(:mod:`repro.nn.modules`), optimizers (:mod:`repro.nn.optim`) and
+(:mod:`repro.nn.modules`), the Adam optimizer (:mod:`repro.nn.optim`) and
 checkpointing (:mod:`repro.nn.serialization`).
 
 Quick example::
@@ -26,33 +26,27 @@ Quick example::
 from . import functional
 from . import init
 from . import utils
-from .functional import (bce_loss, bce_with_logits, conv2d,
-                         conv_transpose2d, l1_loss, linear, mse_loss,
-                         softmax, upsample_nearest2d)
-from .modules import (BatchNorm1d, BatchNorm2d, Conv2d, ConvTranspose2d,
-                      Dropout, Flatten, LeakyReLU, Linear, Module, Parameter,
-                      ReLU, Sequential, Sigmoid, Tanh, UpsampleNearest2d,
-                      frozen)
-from .optim import (SGD, Adam, ExponentialLR, Optimizer, StepLR,
-                    clip_grad_norm_, global_grad_norm)
+from .functional import (bce_loss, conv2d, conv_transpose2d, linear,
+                         mse_loss)
+from .modules import (BatchNorm2d, Conv2d, ConvTranspose2d, Flatten,
+                      LeakyReLU, Linear, Module, Parameter, ReLU, Sequential,
+                      Sigmoid, frozen)
+from .optim import Adam, clip_grad_norm_, global_grad_norm
 from .serialization import CheckpointLoadError, load_state, save_state
-from .tensor import (GraphReleasedError, Tensor, concatenate, full,
-                     is_grad_enabled, maximum, no_grad, ones, pad2d, stack,
-                     where, zeros)
+from .tensor import (GraphReleasedError, Tensor, concatenate, full, maximum,
+                     no_grad, ones, stack, where, zeros)
 from .utils import compute_dtype, to_dtype
 
 __all__ = [
-    "Tensor", "GraphReleasedError", "no_grad", "is_grad_enabled",
+    "Tensor", "GraphReleasedError", "no_grad",
     "zeros", "ones", "full", "concatenate", "stack", "where", "maximum",
-    "pad2d",
     "functional", "init", "utils",
-    "conv2d", "conv_transpose2d", "linear", "upsample_nearest2d",
-    "mse_loss", "l1_loss", "bce_loss", "bce_with_logits", "softmax",
+    "conv2d", "conv_transpose2d", "linear",
+    "mse_loss", "bce_loss",
     "Module", "Parameter", "Sequential", "Linear", "Conv2d",
-    "ConvTranspose2d", "BatchNorm1d", "BatchNorm2d", "ReLU", "LeakyReLU",
-    "Sigmoid", "Tanh", "Flatten", "UpsampleNearest2d", "Dropout", "frozen",
-    "Optimizer", "SGD", "Adam", "StepLR", "ExponentialLR",
-    "clip_grad_norm_", "global_grad_norm",
+    "ConvTranspose2d", "BatchNorm2d", "ReLU", "LeakyReLU",
+    "Sigmoid", "Flatten", "frozen",
+    "Adam", "clip_grad_norm_", "global_grad_norm",
     "save_state", "load_state", "CheckpointLoadError",
     "to_dtype", "compute_dtype",
 ]

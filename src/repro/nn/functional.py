@@ -2,8 +2,7 @@
 
 Implements the convolutional primitives the GAN-OPC generator (stacked
 conv encoder + deconv decoder, Figure 4 of the paper) and discriminator
-are built from, with batch-norm, upsampling and the losses they train
-with.
+are built from, with batch-norm and the losses they train with.
 
 Both convolutions run on one phase-split tap-GEMM core (DESIGN.md §17).
 A convolution relates a *fine* grid (conv input, deconv output) to a
@@ -455,23 +454,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Upsampling
-# ----------------------------------------------------------------------
-def upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
-    """Nearest-neighbour upsampling by an integer factor."""
-    scale = int(scale)
-    a = x
-    out = a.data.repeat(scale, axis=-2).repeat(scale, axis=-1)
-    n, c, h, w = a.shape
-
-    def backward(grad):
-        g = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        return (g,)
-
-    return Tensor._make(out, (a,), backward)
-
-
-# ----------------------------------------------------------------------
 # Normalization
 # ----------------------------------------------------------------------
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -487,7 +469,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                training: bool, momentum: float = 0.1,
                eps: float = 1e-5,
                negative_slope: Optional[float] = None) -> Tensor:
-    """Batch normalization over the channel axis of NCHW (or NC) input,
+    """Batch normalization over the channel axis of NCHW input,
     and the rectifier that follows it, as one autograd node.
 
     ``running_mean`` / ``running_var`` are plain arrays updated in place
@@ -502,14 +484,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``k·(g − mean(g) − x̂·mean(g·x̂))``, ``k = γ/√(var+ε)``, from the
     γ and β gradient sums (DESIGN.md §18).
     """
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
-    elif x.ndim == 2:
-        axes = (0,)
-        shape = (1, -1)
-    else:
-        raise ValueError(f"batch_norm expects 2D or 4D input, got {x.ndim}D")
+    if x.ndim != 4:
+        raise ValueError(f"batch_norm expects 4D input, got {x.ndim}D")
+    axes = (0, 2, 3)
+    shape = (1, -1, 1, 1)
     if negative_slope is not None and not 0.0 <= negative_slope <= 1.0:
         raise ValueError(
             f"negative_slope must be in [0, 1], got {negative_slope}")
@@ -584,17 +562,6 @@ def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Ten
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def l1_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    diff = (prediction - (target if isinstance(target, Tensor) else Tensor(target))).abs()
-    if reduction == "mean":
-        return diff.mean()
-    if reduction == "sum":
-        return diff.sum()
-    if reduction == "none":
-        return diff
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
 def bce_loss(probability: Tensor, target: Tensor, eps: float = 1e-7,
              reduction: str = "mean") -> Tensor:
     """Binary cross-entropy on probabilities (post-sigmoid).
@@ -613,26 +580,3 @@ def bce_loss(probability: Tensor, target: Tensor, eps: float = 1e-7,
     if reduction == "none":
         return loss
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def bce_with_logits(logits: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    """Numerically stable BCE on raw logits:
-    ``max(z, 0) - z * t + log(1 + exp(-|z|))``."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    z = logits
-    relu_z = z.relu()
-    abs_z = z.abs()
-    loss = relu_z - z * target + ((-abs_z).exp() + 1.0).log()
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    if reduction == "none":
-        return loss
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)

@@ -1,10 +1,8 @@
 """Weight initialization schemes for ``repro.nn`` modules.
 
-Provides the standard fan-based initializers.  The GAN-OPC generator and
-discriminator use Kaiming initialization for ReLU-family stacks and
-Xavier for the sigmoid output layers, matching common DCGAN-era practice
-(the paper predates careful init ablations and reports none, so we follow
-the defaults of its TensorFlow version).
+Every layer initializes its weights with Kaiming (He) uniform and its
+bias with the fan-in uniform, as PyTorch's layers do.  The paper
+reports no initialization, so these follow common DCGAN-era practice.
 """
 
 from __future__ import annotations
@@ -14,46 +12,22 @@ from typing import Tuple
 import numpy as np
 
 
-def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """Compute fan-in / fan-out for linear or convolutional weights."""
-    if len(shape) == 2:  # (out, in)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # conv: (out, in, kh, kw) or deconv: (in, out, kh, kw)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        size = int(np.prod(shape))
-        fan_in = fan_out = size
-    return fan_in, fan_out
-
-
-def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform: U(-a, a) with a = gain * sqrt(6 / (fi + fo))."""
-    fan_in, fan_out = _fan_in_out(tuple(shape))
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(tuple(shape))
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
+def _fan_in(shape: Tuple[int, ...]) -> int:
+    """Fan-in of linear ``(out, in)`` or convolutional weights; a deconv's
+    ``(in, out, kh, kw)`` weight counts its second axis, as PyTorch does."""
+    if len(shape) == 2:
+        return shape[1]
+    if len(shape) == 4:
+        return shape[1] * shape[2] * shape[3]
+    return int(np.prod(shape))
 
 
 def kaiming_uniform(shape, rng: np.random.Generator, a: float = 0.0) -> np.ndarray:
     """He uniform for (leaky-)ReLU nonlinearities."""
-    fan_in, _ = _fan_in_out(tuple(shape))
+    fan_in = _fan_in(tuple(shape))
     gain = np.sqrt(2.0 / (1.0 + a ** 2))
     bound = gain * np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape, rng: np.random.Generator, a: float = 0.0) -> np.ndarray:
-    fan_in, _ = _fan_in_out(tuple(shape))
-    gain = np.sqrt(2.0 / (1.0 + a ** 2))
-    std = gain / np.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def uniform_bias(shape, rng: np.random.Generator, fan_in: int) -> np.ndarray:

@@ -280,10 +280,6 @@ class BatchNorm2d(Module):
                             self.eps, self.negative_slope)
 
 
-class BatchNorm1d(BatchNorm2d):
-    """Batch normalization over features of NC input (shares implementation)."""
-
-
 # ----------------------------------------------------------------------
 # Activations / utility layers
 # ----------------------------------------------------------------------
@@ -306,11 +302,6 @@ class Sigmoid(Module):
         return x.sigmoid()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Flatten(Module):
     def __init__(self, start_dim: int = 1):
         super().__init__()
@@ -318,30 +309,3 @@ class Flatten(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.flatten(self.start_dim)
-
-
-class UpsampleNearest2d(Module):
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.upsample_nearest2d(x, self.scale)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep) / keep
-        return x * Tensor(mask)

@@ -1,10 +1,9 @@
-"""Optimizers and learning-rate schedules for ``repro.nn``.
+"""The optimizer and gradient clipping for ``repro.nn``.
 
-Algorithm 1 of the paper updates both networks with mini-batch gradient
-descent ``W <- W - (lambda/m) * dW``; :class:`SGD` implements exactly
-that (plus optional momentum), while :class:`Adam` is provided because
-the released GAN-OPC code and most follow-ups (e.g. OpenILT) train with
-Adam for stability at small batch sizes.
+Algorithm 1 of the paper writes the update as mini-batch gradient
+descent ``W <- W - (lambda/m) * dW``; the training loops use
+:class:`Adam`, as the released GAN-OPC code and most follow-ups (e.g.
+OpenILT) do, for stability at small batch sizes.
 """
 
 from __future__ import annotations
@@ -16,91 +15,18 @@ import numpy as np
 from .modules import Parameter
 
 
-class Optimizer:
-    """Base optimizer over a list of :class:`Parameter`."""
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015) with bias correction, over a
+    list of :class:`Parameter`."""
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float):
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
+                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.grad = None
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def state_dict(self) -> Dict:
-        return {"lr": self.lr}
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.lr = float(state["lr"])
-
-    def to_dtype(self, dtype) -> "Optimizer":
-        """Cast any per-parameter optimizer state (momentum/moment
-        buffers) to ``dtype`` in place.  The base optimizer keeps no
-        such state; subclasses override.  ``nn.to_dtype`` calls this
-        for every optimizer it is handed, so a module cast mid-run
-        stays dtype-consistent with a freshly built one.
-        """
-        np.dtype(dtype)  # validate
-        return self
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(param.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            param.data = param.data - self.lr * grad
-
-    def state_dict(self) -> Dict:
-        return {"lr": self.lr, "momentum": self.momentum,
-                "weight_decay": self.weight_decay,
-                "velocity": [None if v is None else v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._velocity = [None if v is None else v.copy() for v in state["velocity"]]
-
-    def to_dtype(self, dtype) -> "SGD":
-        dtype = np.dtype(dtype)
-        self._velocity = [None if v is None else v.astype(dtype, copy=False)
-                          for v in self._velocity]
-        return self
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
@@ -111,6 +37,10 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._v: List[Optional[np.ndarray]] = [None] * len(self.parameters)
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.grad = None
 
     def step(self) -> None:
         self._step_count += 1
@@ -150,6 +80,11 @@ class Adam(Optimizer):
         self._v = [None if v is None else v.copy() for v in state["v"]]
 
     def to_dtype(self, dtype) -> "Adam":
+        """Cast the moment buffers to ``dtype`` in place.
+        ``nn.to_dtype`` calls this for every optimizer it is handed, so
+        a module cast mid-run stays dtype-consistent with a freshly
+        built one.
+        """
         dtype = np.dtype(dtype)
         self._m = [None if m is None else m.astype(dtype, copy=False)
                    for m in self._m]
@@ -188,35 +123,3 @@ def clip_grad_norm_(parameters: Iterable[Parameter],
         for param in params:
             param.grad = param.grad * scale
     return norm
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch += 1
-        decays = self._epoch // self.step_size
-        self.optimizer.lr = self._base_lr * (self.gamma ** decays)
-
-
-class ExponentialLR:
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float):
-        self.optimizer = optimizer
-        self.gamma = gamma
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch += 1
-        self.optimizer.lr = self._base_lr * (self.gamma ** self._epoch)

@@ -65,11 +65,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
-
-
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
     if isinstance(data, np.ndarray):
         array = data
@@ -527,14 +522,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise nonlinearities (primitives; layers live in modules/)
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            return (grad * out_data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def log(self) -> "Tensor":
         a = self.data
 
@@ -546,27 +533,11 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
-    def abs(self) -> "Tensor":
-        a = self.data
-
-        def backward(grad):
-            return (grad * np.sign(a),)
-
-        return Tensor._make(np.abs(a), (self,), backward)
-
     def sigmoid(self) -> "Tensor":
         out_data = stable_sigmoid(self.data)
 
         def backward(grad):
             return (grad * out_data * (1.0 - out_data),)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            return (grad * (1.0 - out_data ** 2),)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -677,18 +648,3 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(grad * (~take_a), b_shape))
 
     return Tensor._make(np.maximum(a.data, b.data), (a, b), backward)
-
-
-def pad2d(x: Tensor, padding: Tuple[int, int]) -> Tensor:
-    """Zero-pad the last two (spatial) axes of an NCHW tensor."""
-    ph, pw = padding
-    if ph == 0 and pw == 0:
-        return x
-    pads = [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)]
-    out_data = np.pad(x.data, pads)
-
-    def backward(grad):
-        idx = (Ellipsis, slice(ph, grad.shape[-2] - ph), slice(pw, grad.shape[-1] - pw))
-        return (grad[idx],)
-
-    return Tensor._make(out_data, (x,), backward)

@@ -1,55 +1,12 @@
-"""Training utilities: gradient clipping and parameter inspection.
-
-GAN training at small batch sizes occasionally produces gradient
-spikes (the discriminator saturating); global-norm clipping is the
-standard remedy and is exposed to the trainers via
-``GanOpcConfig``-level hooks or manual calls between ``backward`` and
-``step``.
+"""Precision utilities: cast a module to a dtype and read the dtype it
+computes in.  (Gradient clipping is :func:`repro.nn.optim.clip_grad_norm_`.)
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .modules import Module, Parameter
-
-
-def global_grad_norm(parameters: Iterable[Parameter]) -> float:
-    """L2 norm over all parameters' gradients (missing grads count 0)."""
-    total = 0.0
-    for param in parameters:
-        if param.grad is not None:
-            total += float(np.sum(param.grad ** 2))
-    return float(np.sqrt(total))
-
-
-def clip_grad_norm(parameters: Iterable[Parameter],
-                   max_norm: float) -> float:
-    """Scale gradients in place so their global norm is <= ``max_norm``.
-
-    Returns the pre-clipping norm (useful for logging).
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    parameters = list(parameters)
-    norm = global_grad_norm(parameters)
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for param in parameters:
-            if param.grad is not None:
-                param.grad = param.grad * scale
-    return norm
-
-
-def clip_grad_value(parameters: Iterable[Parameter], limit: float) -> None:
-    """Clamp every gradient element to ``[-limit, limit]`` in place."""
-    if limit <= 0:
-        raise ValueError(f"limit must be positive, got {limit}")
-    for param in parameters:
-        if param.grad is not None:
-            np.clip(param.grad, -limit, limit, out=param.grad)
+from .modules import Module
 
 
 def to_dtype(module: Module, dtype, optimizers=()) -> Module:
@@ -62,7 +19,7 @@ def to_dtype(module: Module, dtype, optimizers=()) -> Module:
     end to end.
 
     ``optimizers`` takes any optimizers already bound to the module's
-    parameters; their per-parameter state (SGD velocity, Adam moments)
+    parameters; their per-parameter state (Adam moments)
     is cast alongside via ``Optimizer.to_dtype``.  Without this, a
     module cast after its optimizer has stepped would keep f64 moment
     buffers, and every subsequent update would silently promote the
@@ -99,16 +56,3 @@ def compute_dtype(module: Module) -> np.dtype:
     for param in module.parameters():
         return np.dtype(param.data.dtype)
     return np.dtype(np.float64)
-
-
-def parameter_summary(module: Module) -> str:
-    """Human-readable table of a module's parameters (name, shape,
-    count), ending with the total — handy in examples and docs."""
-    lines = [f"{'parameter':40s} {'shape':>18s} {'count':>10s}"]
-    total = 0
-    for name, param in module.named_parameters():
-        count = param.size
-        total += count
-        lines.append(f"{name:40s} {str(param.shape):>18s} {count:>10d}")
-    lines.append(f"{'total':40s} {'':>18s} {total:>10d}")
-    return "\n".join(lines)

@@ -25,7 +25,7 @@ from ..geometry.raster import rasterize
 from ..litho.config import LithoConfig
 from ..litho.engine import LithoEngine
 from ..litho.kernels import KernelSet, build_kernels
-from ..metrics.epe import _contour_offset
+from ..metrics.epe import _contour_offsets
 from ..metrics.l2 import squared_l2
 from .fragments import EdgeSegment, fragment_layout
 
@@ -117,16 +117,10 @@ class ModelBasedOPC:
         """Signed EPE at each fragment's control point (nm); non-finite
         measurements (contour out of range) are returned as +/- range."""
         pixel = layout.extent / wafer.shape[0]
-        epes = np.zeros(len(segments))
         limit = self.config.search_range
-        for i, segment in enumerate(segments):
-            x, y = segment.midpoint
-            epe = _contour_offset(wafer > 0.5, x, y, segment.normal, pixel,
-                                  self.config.search_range)
-            if not np.isfinite(epe):
-                epe = limit if epe > 0 else -limit
-            epes[i] = epe
-        return epes
+        points = [(*segment.midpoint, segment.normal) for segment in segments]
+        epes = _contour_offsets(wafer > 0.5, points, pixel, limit)
+        return np.where(np.isfinite(epes), epes, np.sign(epes) * limit)
 
     # ------------------------------------------------------------------
     def optimize(self, layout: Layout) -> MbOpcResult:

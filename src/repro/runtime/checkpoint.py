@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..nn.modules import Module
-from ..nn.optim import Optimizer
+from ..nn.optim import Adam
 from ..nn.utils import to_dtype
 
 CHECKPOINT_VERSION = 1
@@ -62,7 +62,7 @@ class TrainingState:
 
 
 def capture_state(iteration: int, modules: Dict[str, Module],
-                  optimizers: Dict[str, Optimizer],
+                  optimizers: Dict[str, Adam],
                   rng: Optional[np.random.Generator] = None,
                   history: Optional[Dict[str, List[float]]] = None,
                   phase: str = "train") -> TrainingState:
@@ -81,7 +81,7 @@ def capture_state(iteration: int, modules: Dict[str, Module],
 
 
 def restore_state(state: TrainingState, modules: Dict[str, Module],
-                  optimizers: Dict[str, Optimizer],
+                  optimizers: Dict[str, Adam],
                   rng: Optional[np.random.Generator] = None) -> None:
     """Load a :class:`TrainingState` back into live training objects.
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..litho.engine import LithoEngine
 from ..nn.modules import Module
-from ..nn.optim import Optimizer, clip_grad_norm_
+from ..nn.optim import Adam, clip_grad_norm_
 from .checkpoint import Checkpointer, capture_state, restore_state
 from .guards import POLICIES, DivergenceError, nonfinite_entries
 from .telemetry import RunLogger
@@ -113,7 +113,7 @@ class TrainingHarness:
     """Checkpoint/guard/telemetry services around one training loop."""
 
     def __init__(self, phase: str, modules: Dict[str, Module],
-                 optimizers: Dict[str, Optimizer],
+                 optimizers: Dict[str, Adam],
                  config: Optional[RunConfig] = None):
         self.phase = phase
         self.modules = dict(modules)
@@ -210,7 +210,7 @@ class TrainingHarness:
     # ------------------------------------------------------------------
     def apply_update(self, losses: Dict[str, float],
                      backward: Callable[[], None],
-                     optimizer: Optimizer,
+                     optimizer: Adam,
                      tag: str = "update") -> str:
         """Guard a loss, back-propagate, clip and step.
 

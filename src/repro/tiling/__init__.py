@@ -9,7 +9,7 @@ stitches the optimized masks back together by exact core-region
 cropping with optional seam feathering — see DESIGN.md §12.
 """
 
-from .grid import Tile, TileGrid, extract_window, rasterize_window
+from .grid import Tile, TileGrid, extract_window
 from .runner import TiledResult, TilingConfig, tiled_flow, tiled_ilt
 from .stitch import stitch_cores, stitch_feathered
 
@@ -17,7 +17,6 @@ __all__ = [
     "Tile",
     "TileGrid",
     "extract_window",
-    "rasterize_window",
     "stitch_cores",
     "stitch_feathered",
     "TilingConfig",

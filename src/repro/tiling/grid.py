@@ -21,8 +21,6 @@ from typing import Iterator, List
 
 import numpy as np
 
-from ..geometry.layout import Layout
-from ..geometry.raster import rasterize_region
 
 
 @dataclass(frozen=True)
@@ -154,27 +152,4 @@ def extract_window(chip_image: np.ndarray, tile: Tile) -> np.ndarray:
         window[row0 - tile.window_row0:row1 - tile.window_row0,
                col0 - tile.window_col0:col1 - tile.window_col0] = \
             chip_image[row0:row1, col0:col1]
-    return window
-
-
-def rasterize_window(layout: Layout, grid: TileGrid, tile: Tile,
-                     antialias: bool = True) -> np.ndarray:
-    """Rasterize one tile window directly from vector geometry.
-
-    Bit-exact equal to ``extract_window(rasterize(layout,
-    grid.chip_grid), tile)`` — the in-window part is painted with
-    global pixel coordinates via
-    :func:`~repro.geometry.raster.rasterize_region` — without ever
-    materializing the monolithic chip raster.
-    """
-    window = np.zeros((tile.size, tile.size), dtype=float)
-    row0 = max(tile.window_row0, 0)
-    row1 = min(tile.window_row1, grid.chip_grid)
-    col0 = max(tile.window_col0, 0)
-    col1 = min(tile.window_col1, grid.chip_grid)
-    if row0 < row1 and col0 < col1:
-        window[row0 - tile.window_row0:row1 - tile.window_row0,
-               col0 - tile.window_col0:col1 - tile.window_col0] = \
-            rasterize_region(layout, grid.chip_grid, row0, row1, col0, col1,
-                             antialias=antialias)
     return window

@@ -139,7 +139,7 @@ class TestDescentPrecision:
             engine = LithoEngine.for_kernels(kernels32, precision)
             result = ILTOptimizer(litho32, config,
                                   engine=engine).optimize(target)
-            assert result.l2 == engine.discrete_l2(result.mask, target)
+            assert result.l2 == engine.litho_error(result.mask, target)
             results[precision] = result
         f64, f32 = results["f64"], results["f32"]
         assert f64.relaxed_history == f32.relaxed_history

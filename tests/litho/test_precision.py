@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.litho import LithoEngine
-from repro.litho.engine import (PRECISION_DTYPES, real_spectrum,
-                                resolve_precision)
+from repro.litho.engine import PRECISION_DTYPES, resolve_precision
+
+from .reference import real_spectrum
 
 
 @pytest.fixture(scope="module")

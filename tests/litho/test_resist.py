@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.litho import (binarize_mask, hard_resist, sigmoid_mask,
-                         sigmoid_resist)
+from repro.litho import binarize_mask, hard_resist, sigmoid_mask
 from repro.numerics import stable_sigmoid
+
+
+def sigmoid_resist(intensity, threshold, steepness):
+    """Eq. 12 as the engine's adjoint evaluates it:
+    ``Z = sigma(alpha * (I - I_th))``."""
+    return stable_sigmoid(steepness * (np.asarray(intensity) - threshold))
 
 
 def _masked_sigmoid(x):

@@ -115,23 +115,12 @@ class TestConvTranspose2d:
         assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-9
 
 
-class TestPooling:
-    def test_upsample_nearest(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2),
-                   requires_grad=True)
-        out = F.upsample_nearest2d(x, 2)
-        assert out.shape == (1, 1, 4, 4)
-        np.testing.assert_allclose(out.data[0, 0, :2, :2], 1.0)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 2, 2), 4.0))
-
-
 def _unfused_batch_norm(x, gamma, beta, running_mean, running_var, training,
                         grad, negative_slope=None, momentum=0.1, eps=1e-5):
     """Reference: batch-norm, then ``Tensor.relu`` / ``Tensor.leaky_relu``
     as separate steps.  Returns the output and the x, gamma and beta
     gradients of ``grad``; running statistics are updated in place."""
-    axes, shape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
+    axes, shape = (0, 2, 3), (1, -1, 1, 1)
     count = x.size // x.shape[1]
     if training:
         mean = x.mean(axis=axes)
@@ -199,13 +188,6 @@ class TestBatchNorm:
         out = F.batch_norm(x, gamma, beta, rm, rv, training=False)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
-    def test_2d_input(self, rng):
-        x = Tensor(rng.normal(size=(10, 3)))
-        gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        out = F.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3),
-                           training=True)
-        assert out.shape == (10, 3)
-
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             F.batch_norm(Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(3)),
@@ -242,14 +224,14 @@ class TestBatchNorm:
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
                                             (np.float32, 1e-5)])
     @pytest.mark.parametrize("negative_slope", [None, 0.0, 0.2])
-    @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (10, 3)])
+    # (10, 3, 1, 1) normalizes over the batch alone.
+    @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (10, 3, 1, 1)])
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_unfused_formula(self, rng, dtype, tol, negative_slope,
                                      shape, training):
         x_data = rng.normal(3.0, 2.0, size=shape).astype(dtype)
         grad = rng.normal(size=shape).astype(dtype)
-        bn = (nn.BatchNorm2d if len(shape) == 4 else nn.BatchNorm1d)(
-            shape[1], negative_slope=negative_slope)
+        bn = nn.BatchNorm2d(shape[1], negative_slope=negative_slope)
         bn.gamma.data = (rng.random(shape[1]) + 0.5).astype(dtype)
         bn.beta.data = rng.normal(size=shape[1]).astype(dtype)
         bn.running_mean[...] = rng.normal(3.0, 1.0, size=shape[1])
@@ -353,10 +335,6 @@ class TestLosses:
         loss = F.mse_loss(Tensor(a), Tensor(b), "sum")
         np.testing.assert_allclose(float(loss.data), ((a - b) ** 2).sum())
 
-    def test_l1(self):
-        loss = F.l1_loss(Tensor([2.0, -1.0]), Tensor([0.0, 0.0]), "sum")
-        assert float(loss.data) == 3.0
-
     def test_bce_matches_formula(self):
         p = Tensor([0.8])
         t = Tensor([1.0])
@@ -366,23 +344,6 @@ class TestLosses:
     def test_bce_saturated_is_finite(self):
         loss = F.bce_loss(Tensor([0.0, 1.0]), Tensor([1.0, 0.0]))
         assert np.isfinite(float(loss.data))
-
-    def test_bce_with_logits_matches_bce(self, rng):
-        z = rng.normal(size=(6,))
-        t = (rng.random(6) > 0.5).astype(float)
-        direct = F.bce_with_logits(Tensor(z), Tensor(t))
-        via_sigmoid = F.bce_loss(Tensor(z).sigmoid(), Tensor(t))
-        np.testing.assert_allclose(float(direct.data),
-                                   float(via_sigmoid.data), rtol=1e-6)
-
-    def test_bce_with_logits_stable_at_extremes(self):
-        loss = F.bce_with_logits(Tensor([100.0, -100.0]), Tensor([0.0, 1.0]))
-        assert np.isfinite(float(loss.data))
-
-    def test_softmax_sums_to_one(self, rng):
-        x = Tensor(rng.normal(size=(3, 5)))
-        out = F.softmax(x, axis=1)
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(3), rtol=1e-10)
 
     def test_linear(self, rng):
         x = Tensor(rng.normal(size=(4, 3)))

@@ -1,4 +1,4 @@
-"""Unit tests for optimizers and LR schedules."""
+"""Unit tests for the Adam optimizer and gradient-norm clipping."""
 
 import numpy as np
 import pytest
@@ -22,70 +22,24 @@ def _step(param, opt, steps=1):
 class TestOptimizerBase:
     def test_requires_parameters(self):
         with pytest.raises(ValueError):
-            nn.SGD([], lr=0.1)
+            nn.Adam([], lr=0.1)
 
     def test_requires_positive_lr(self):
         with pytest.raises(ValueError):
-            nn.SGD([_quadratic_param()], lr=0.0)
+            nn.Adam([_quadratic_param()], lr=0.0)
 
     def test_zero_grad(self):
         p = _quadratic_param()
         p.grad = np.array([1.0])
-        opt = nn.SGD([p], lr=0.1)
+        opt = nn.Adam([p], lr=0.1)
         opt.zero_grad()
         assert p.grad is None
 
     def test_skips_parameters_without_grad(self):
         p = _quadratic_param()
-        opt = nn.SGD([p], lr=0.1)
+        opt = nn.Adam([p], lr=0.1)
         opt.step()  # no grad set: must not crash or move
         np.testing.assert_allclose(p.data, [5.0])
-
-
-class TestSGD:
-    def test_vanilla_update(self):
-        p = _quadratic_param(4.0)
-        opt = nn.SGD([p], lr=0.25)
-        _step(p, opt)
-        np.testing.assert_allclose(p.data, [3.0])
-
-    def test_momentum_accumulates(self):
-        p = _quadratic_param(1.0)
-        opt = nn.SGD([p], lr=0.1, momentum=0.9)
-        p.grad = np.array([1.0]); opt.step()
-        np.testing.assert_allclose(p.data, [0.9])
-        p.grad = np.array([1.0]); opt.step()
-        # velocity = 0.9*(-0.1) ... v1=-0.1 -> p 0.9; v2 = 0.9*v1 - ...
-        # v2 = 0.9*(-0.1) + (-0.1) = -0.19 -> p = 0.71
-        np.testing.assert_allclose(p.data, [0.71])
-
-    def test_weight_decay(self):
-        p = _quadratic_param(1.0)
-        opt = nn.SGD([p], lr=0.1, weight_decay=1.0)
-        p.grad = np.array([0.0])
-        opt.step()
-        np.testing.assert_allclose(p.data, [0.9])
-
-    def test_validates_momentum(self):
-        with pytest.raises(ValueError):
-            nn.SGD([_quadratic_param()], lr=0.1, momentum=1.0)
-
-    def test_converges_on_quadratic(self):
-        p = _quadratic_param(10.0)
-        opt = nn.SGD([p], lr=0.3, momentum=0.5)
-        _step(p, opt, steps=60)
-        assert abs(float(p.data[0])) < 1e-3
-
-    def test_state_dict_roundtrip(self):
-        p = _quadratic_param()
-        opt = nn.SGD([p], lr=0.1, momentum=0.9)
-        _step(p, opt, 3)
-        state = opt.state_dict()
-        opt2 = nn.SGD([p], lr=0.5, momentum=0.1)
-        opt2.load_state_dict(state)
-        assert opt2.lr == 0.1
-        assert opt2.momentum == 0.9
-        np.testing.assert_allclose(opt2._velocity[0], opt._velocity[0])
 
 
 class TestAdam:
@@ -125,31 +79,6 @@ class TestAdam:
         assert opt2._step_count == 5
         np.testing.assert_allclose(opt2._m[0], opt._m[0])
         np.testing.assert_allclose(opt2._v[0], opt._v[0])
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        p = _quadratic_param()
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        np.testing.assert_allclose(opt.lr, 0.1)
-        sched.step(); sched.step()
-        np.testing.assert_allclose(opt.lr, 0.01)
-
-    def test_step_lr_validates(self):
-        with pytest.raises(ValueError):
-            nn.StepLR(nn.SGD([_quadratic_param()], lr=1.0), step_size=0)
-
-    def test_exponential_lr(self):
-        opt = nn.SGD([_quadratic_param()], lr=2.0)
-        sched = nn.ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        np.testing.assert_allclose(opt.lr, 1.0)
-        sched.step()
-        np.testing.assert_allclose(opt.lr, 0.5)
 
 
 class TestGradNorm:

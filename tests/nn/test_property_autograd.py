@@ -75,13 +75,13 @@ class TestNumericAgreement:
     @given(small_arrays(min_side=2, max_side=3))
     @settings(max_examples=15, deadline=None)
     def test_random_pipeline_matches_numeric(self, data):
-        """tanh -> * -> sum pipeline agrees with finite differences."""
+        """sigmoid -> * -> sum pipeline agrees with finite differences."""
         a = Tensor(data.copy(), requires_grad=True)
-        ((a.tanh() * a).sum()).backward()
+        ((a.sigmoid() * a).sum()).backward()
 
         def objective():
             x = Tensor(data)
-            return float((x.tanh() * x).data.sum())
+            return float((x.sigmoid() * x).data.sum())
 
         numeric = numeric_gradient(objective, data, eps=1e-6)
         np.testing.assert_allclose(a.grad, numeric, rtol=1e-4, atol=1e-6)

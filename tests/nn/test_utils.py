@@ -1,12 +1,11 @@
-"""Unit tests for nn training utilities."""
+"""Unit tests for gradient-norm clipping and the dtype utilities."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.modules import Parameter
-from repro.nn.utils import (clip_grad_norm, clip_grad_value,
-                            global_grad_norm, parameter_summary)
+from repro.nn.optim import clip_grad_norm_, global_grad_norm
 
 
 def _params_with_grads():
@@ -29,35 +28,14 @@ class TestGradNorm:
 
     def test_clip_scales_down(self):
         a, b = _params_with_grads()
-        norm = clip_grad_norm([a, b], max_norm=5.0)
+        norm = clip_grad_norm_([a, b], max_norm=5.0)
         assert norm == 10.0
         assert abs(global_grad_norm([a, b]) - 5.0) < 1e-9
 
     def test_clip_noop_below_threshold(self):
         a, b = _params_with_grads()
-        clip_grad_norm([a, b], max_norm=100.0)
+        clip_grad_norm_([a, b], max_norm=100.0)
         assert global_grad_norm([a, b]) == 10.0
-
-    def test_clip_validates(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], max_norm=0.0)
-
-    def test_clip_value(self):
-        a, b = _params_with_grads()
-        clip_grad_value([a, b], limit=2.0)
-        assert a.grad.max() == 2.0
-        assert b.grad.max() == 2.0
-        with pytest.raises(ValueError):
-            clip_grad_value([a], limit=-1.0)
-
-
-class TestParameterSummary:
-    def test_lists_parameters_and_total(self):
-        net = nn.Sequential(nn.Linear(3, 2, rng=np.random.default_rng(0)))
-        summary = parameter_summary(net)
-        assert "0.weight" in summary
-        assert "total" in summary
-        assert str(net.num_parameters()) in summary
 
 
 class TestToDtype:

@@ -109,22 +109,6 @@ class TestRngAndHistory:
         assert state.history == {"loss": [1.0, 0.5]}
         assert state.iteration == 5
 
-    def test_sgd_momentum_round_trip(self, tmp_path):
-        module = _build("generator", seed=1)
-        optimizer = nn.SGD(module.parameters(), lr=0.1, momentum=0.9)
-        _adam_update(module, optimizer, _synthetic_grads(module, 10))
-        ckpt = Checkpointer(str(tmp_path))
-        ckpt.save(capture_state(1, {"net": module}, {"net": optimizer}))
-        restored = _build("generator", seed=2)
-        restored_opt = nn.SGD(restored.parameters(), lr=0.5)
-        restore_state(ckpt.load(), {"net": restored},
-                      {"net": restored_opt})
-        grads = _synthetic_grads(module, 20)
-        after_a = _adam_update(module, optimizer, grads)
-        after_b = _adam_update(restored, restored_opt, grads)
-        assert all(np.array_equal(a, b) for a, b in zip(after_a, after_b))
-
-
 class TestRetentionAndAtomicity:
     def test_keep_last_prunes_old_checkpoints(self, tmp_path):
         ckpt = Checkpointer(str(tmp_path), keep_last=2)

@@ -7,7 +7,7 @@ without the dtype-faithful restore in ``runtime.checkpoint`` the
 resumed run would silently continue in double precision, diverging
 from the run that wrote the checkpoint.  Optimizer moments must make
 the same trip: ``nn.to_dtype(module, dtype, optimizers=...)`` casts
-SGD velocity and Adam moment buffers alongside the parameters.
+the Adam moment buffers alongside the parameters.
 """
 
 import numpy as np
@@ -107,14 +107,6 @@ class TestToDtypeOptimizerState:
         nn.to_dtype(module, np.float32, optimizers=[optimizer])
         assert all(m.dtype == np.float32 for m in optimizer._m)
         assert all(v.dtype == np.float32 for v in optimizer._v)
-
-    def test_sgd_velocity_cast(self):
-        module = _module("f64")
-        optimizer = nn.SGD(module.parameters(), lr=1e-2, momentum=0.9)
-        _train_steps(module, optimizer)
-        assert all(v.dtype == np.float64 for v in optimizer._velocity)
-        nn.to_dtype(module, np.float32, optimizers=[optimizer])
-        assert all(v.dtype == np.float32 for v in optimizer._velocity)
 
     def test_cast_after_step_matches_fresh_f32(self):
         """Module cast mid-run with optimizer state == updates computed

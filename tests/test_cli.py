@@ -94,6 +94,21 @@ class TestSraf:
         original = glp.load(clip_file)
         assert len(assisted) >= len(original)
 
+    def test_width_and_offset_place_the_bars(self, tmp_path, capsys):
+        from repro.geometry import Layout, Rect
+        square = Rect(400.0, 400.0, 600.0, 600.0)
+        clip = str(tmp_path / "square.glp")
+        glp.save(Layout(extent=1024.0, rects=[square]), clip)
+        out = str(tmp_path / "assisted.glp")
+        assert main(["sraf", clip, "--width", "16", "--offset", "60",
+                     "--out", out]) == 0
+        assert "inserted 4 assist bars" in capsys.readouterr().out
+        bars = [rect for rect in glp.load(out) if rect != square]
+        assert len(bars) == 4
+        for bar in bars:
+            assert min(bar.x1 - bar.x0, bar.y1 - bar.y0) == 16.0
+            assert bar.gap(square) == 60.0
+
 
 class TestTrain:
     def _args(self, tmp_path, *extra):
@@ -132,6 +147,97 @@ class TestTrain:
         events = [r["event"] for r in records]
         assert "resume" in events
         assert events.count("iteration") == 2
+
+    def test_init_starts_from_the_given_weights(self, tmp_path, capsys):
+        config = GanOpcConfig.small(32)
+        start = str(tmp_path / "start.npz")
+        nn.save_state(MaskGenerator(config.generator_channels,
+                                    rng=np.random.default_rng(5)), start)
+        outs = {}
+        for name, extra in (("init", ["--init", start]), ("fresh", [])):
+            outs[name] = str(tmp_path / f"{name}.npz")
+            args = self._args(tmp_path, "--out", outs[name], *extra)
+            args[args.index("--iterations") + 1] = "0"
+            assert main(args) == 0
+        weights = {name: np.load(path) for name, path in outs.items()}
+        reference = np.load(start)
+        assert all(np.array_equal(weights["init"][key], reference[key])
+                   for key in reference.files)
+        assert not all(np.array_equal(weights["fresh"][key], reference[key])
+                       for key in reference.files)
+
+    def test_keep_last_bounds_the_retained_checkpoints(self, tmp_path,
+                                                       capsys):
+        args = self._args(tmp_path, "--keep-last", "1")
+        args[args.index("--iterations") + 1] = "3"
+        assert main(args) == 0
+        assert len(os.listdir(str(tmp_path / "ckpts" / "pretrain"))) == 1
+
+    def test_verbose_prints_training_progress(self, tmp_path, capsys):
+        args = self._args(tmp_path, "--verbose")
+        args[args.index("--iterations") + 1] = "10"
+        assert main(args) == 0
+        assert "[pretrain 10/10] litho error" in capsys.readouterr().out
+
+    def _poison_second_iteration(self, monkeypatch):
+        """Make the pretrainer's litho errors NaN on its second call."""
+        from repro.core import ILTGuidedPretrainer
+        original = ILTGuidedPretrainer.batch_litho_gradient
+        calls = {"n": 0}
+
+        def poisoned(pretrainer, masks, targets):
+            errors, gradients = original(pretrainer, masks, targets)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                errors = np.full_like(errors, np.nan)
+            return errors, gradients
+
+        monkeypatch.setattr(ILTGuidedPretrainer, "batch_litho_gradient",
+                            poisoned)
+
+    def _divergences(self, tmp_path):
+        _, records = _run_records(str(tmp_path / "runs"))
+        return [r for r in records if r["event"] == "anomaly"
+                and r.get("kind") == "divergence"]
+
+    def test_policy_skip_survives_a_nan_that_raise_stops(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.runtime import DivergenceError
+        self._poison_second_iteration(monkeypatch)
+        with pytest.raises(DivergenceError):
+            main(self._args(tmp_path / "raise"))
+        self._poison_second_iteration(monkeypatch)
+        assert main(self._args(tmp_path, "--policy", "skip")) == 0
+        (divergence,) = self._divergences(tmp_path)
+        assert divergence["action"] == "skip"
+
+    def test_rollback_backs_off_by_lr_backoff(self, tmp_path, monkeypatch,
+                                              capsys):
+        self._poison_second_iteration(monkeypatch)
+        assert main(self._args(tmp_path, "--policy", "rollback",
+                               "--lr-backoff", "0.25")) == 0
+        (divergence,) = self._divergences(tmp_path)
+        assert divergence["action"] == "rollback"
+        lr = GanOpcConfig.small(32).pretrain_learning_rate
+        assert divergence["learning_rates"] == {"generator": 0.25 * lr}
+
+    def test_max_grad_norm_shrinks_the_updates(self, tmp_path, capsys):
+        config = GanOpcConfig.small(32)
+        start = {name: param.data for name, param in MaskGenerator(
+            config.generator_channels,
+            rng=np.random.default_rng(11)).named_parameters()}
+        moved = {}
+        for name, extra in (("clipped", ["--max-grad-norm", "1e-9"]),
+                            ("free", [])):
+            out = str(tmp_path / f"{name}.npz")
+            assert main(self._args(tmp_path / name, "--out", out,
+                                   *extra)) == 0
+            weights = np.load(out)
+            # Parameters only: batch-norm statistics move without
+            # gradients.
+            moved[name] = max(float(np.abs(weights[key] - start[key]).max())
+                              for key in start)
+        assert 0.0 < moved["clipped"] < 0.1 * moved["free"]
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         assert main(["train", "--resume"]) == 2
@@ -396,6 +502,17 @@ class TestTraceDir:
         assert summary["trace_file"] == os.path.join(trace_dir,
                                                      "flow-trace.json")
         assert summary["spans"]["flow.refine"]["count"] == 1
+
+
+class TestTable2:
+    def test_verbose_prints_training_progress(self, capsys):
+        assert main(["table2", "--scale", "quick", "--clips", "iccad13-01",
+                     "--verbose", "--no-run-record"]) == 0
+        out = capsys.readouterr().out
+        # Quick scale: 10 pretraining steps, then 20 GAN iterations for
+        # each of GAN-OPC and PGAN-OPC.
+        assert out.count("[pretrain 10/10] litho error") == 1
+        assert out.count("[gan 20/20] l_g") == 2
 
 
 class TestParser:
@@ -680,6 +797,33 @@ class TestRunsLedger:
         assert "config deltas:" in diffed
         assert "params.iterations" in diffed
         assert "aggregate quality" in diffed
+
+    def test_runs_diff_metrics_and_no_clips(self, clip_file, tmp_path,
+                                            capsys):
+        store = self._record_run(clip_file, tmp_path, iterations="5")
+        self._record_run(clip_file, tmp_path, iterations="10")
+        from repro.runs import RunStore
+        first, second = RunStore(store).run_ids()
+        capsys.readouterr()
+
+        def diff(*extra):
+            """The first word of each row of every section, by section."""
+            assert main(["runs", "diff", first, second, "--runs-dir", store,
+                         *extra]) == 0
+            sections = {}
+            for block in capsys.readouterr().out.split("\n\n")[1:]:
+                header, *rows = block.splitlines()
+                sections[header.split()[0]] = [row.split()[0] for row in rows
+                                               if row.startswith("  ")]
+            return sections
+
+        full = diff()
+        assert {"l2_nm2", "pvband_nm2"} <= set(full["aggregate"])
+        assert full["per-clip"]
+        narrowed = diff("--metrics", "l2_nm2,pvband_nm2", "--no-clips")
+        assert narrowed["aggregate"] == ["l2_nm2", "pvband_nm2"]
+        assert "per-clip" not in narrowed
+        assert narrowed["litho"] == full["litho"]
 
     def test_manifest_records_resolved_precision(self, clip_file, tmp_path,
                                                  capsys):

@@ -1,13 +1,13 @@
-"""Seam-error metrics for tiled mask optimization.
+"""Reference oracles for the tiling tests.
 
-A stitched tiled result differs from a monolithic run only where a
-tile's simulation could not see far enough — near the interior core
-boundaries of the :class:`~repro.tiling.grid.TileGrid`.  These metrics
-quantify that: :func:`seam_band` marks the pixels within a given
-distance of any interior seam, and :func:`seam_report` compares a
-stitched image against a monolithic reference inside and outside that
-band.  The halo-sufficiency sweep in tests/tiling asserts that the
-band mismatch decays as the halo grows (DESIGN.md §12).
+:func:`rasterize_window` paints one tile window straight from vector
+geometry, so the window extraction can be checked against it bit for
+bit.  :func:`seam_band` marks the pixels within a given distance of an
+interior seam, and :func:`seam_report` compares a stitched chip image
+with a monolithic reference inside and outside that band; the parity
+fixture and the halo sweep read their seam error from it (DESIGN.md
+§12).  The tiled runner itself rasterizes the whole chip and needs
+neither.
 """
 
 from __future__ import annotations
@@ -15,6 +15,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.geometry.layout import Layout
+from repro.geometry.raster import rasterize_region
+from repro.tiling import Tile, TileGrid
+
+
+def rasterize_window(layout: Layout, grid: TileGrid, tile: Tile,
+                     antialias: bool = True) -> np.ndarray:
+    """Rasterize one tile window directly from vector geometry.
+
+    Bit-exact equal to ``extract_window(rasterize(layout,
+    grid.chip_grid), tile)`` — the in-window part is painted with
+    global pixel coordinates via
+    :func:`~repro.geometry.raster.rasterize_region` — without ever
+    materializing the monolithic chip raster.
+    """
+    window = np.zeros((tile.size, tile.size), dtype=float)
+    row0 = max(tile.window_row0, 0)
+    row1 = min(tile.window_row1, grid.chip_grid)
+    col0 = max(tile.window_col0, 0)
+    col1 = min(tile.window_col1, grid.chip_grid)
+    if row0 < row1 and col0 < col1:
+        window[row0 - tile.window_row0:row1 - tile.window_row0,
+               col0 - tile.window_col0:col1 - tile.window_col0] = \
+            rasterize_region(layout, grid.chip_grid, row0, row1, col0, col1,
+                             antialias=antialias)
+    return window
 
 
 def seam_band(chip_grid: int, core: int, width: int) -> np.ndarray:

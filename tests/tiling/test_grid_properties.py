@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from repro.geometry.layout import Layout
 from repro.geometry.raster import rasterize, rasterize_region
 from repro.geometry.shapes import Rect
-from repro.tiling import (TileGrid, extract_window, rasterize_window,
-                          stitch_cores)
+from repro.tiling import TileGrid, extract_window, stitch_cores
+
+from .oracles import rasterize_window
 
 
 @st.composite

@@ -27,8 +27,9 @@ from repro.ilt.optimizer import ILTConfig, ILTOptimizer
 from repro.litho.config import LithoConfig
 from repro.litho.engine import LithoEngine
 from repro.litho.kernels import build_kernels
-from repro.metrics import seam_report
 from repro.tiling import TilingConfig, tiled_ilt
+
+from .oracles import seam_report
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CHIP_GRID = 96

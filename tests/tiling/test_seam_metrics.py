@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics import SeamReport, seam_band, seam_report
+from .oracles import SeamReport, seam_band, seam_report
 
 
 def test_seam_band_marks_interior_seams_only():
