@@ -238,7 +238,9 @@ def build_kernels(config: LithoConfig, cache: bool = True,
     eigenvalues = singular[:rank] ** 2
     # Eq. 1 reads the TCC as sum_s w_s P(f + f_s) P*(f' + f_s), that is
     # A^T conj(A) = conj(A^H A): its eigenvectors are the rows of vh.
-    vectors = vh[:rank]
+    # Copied, so the set does not keep all of vh (one row per source
+    # point) alive.
+    vectors = vh[:rank].copy()
 
     rows, cols = np.nonzero(passband)
 

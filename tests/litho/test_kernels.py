@@ -58,6 +58,11 @@ class TestBuildKernels:
         assert np.all(full[:, outside] == 0)
         np.testing.assert_array_equal(
             full[:, kernels32.rows, kernels32.cols], kernels32.values)
+        # A freshly built set owns its values: a view would keep the
+        # whole SVD factor, one row per source point, alive with it.
+        fresh = build_kernels(kernels32.config, cache=False,
+                              disk_cache=False)
+        assert fresh.values.base is None
 
     def test_weights_positive_and_sorted(self, kernels32):
         assert np.all(kernels32.weights > 0)
