@@ -96,22 +96,20 @@ def detect_bridges(wafer: np.ndarray, target: np.ndarray) -> List[BridgeDefect]:
         raise ValueError("wafer/target shape mismatch")
 
     target_labels, target_count = _label_components(target)
-    wafer_labels, _ = _label_components(wafer)
-    sizes = np.bincount(wafer_labels.ravel())
-    # Every distinct (wafer blob, target component) overlap, sorted by
-    # blob and then by component.
-    both = (wafer_labels > 0) & (target_labels > 0)
-    pairs = np.unique(wafer_labels[both] * (target_count + 1)
-                      + target_labels[both])
-    blobs, touched = np.divmod(pairs, target_count + 1)
-    blob_ids, starts, counts = np.unique(blobs, return_index=True,
-                                         return_counts=True)
+    wafer_labels, wafer_count = _label_components(wafer)
+    # One count per (wafer blob, target component) pair, background
+    # included: row b holds blob b's pixels split by the component
+    # under them.
+    overlap = np.bincount(
+        (wafer_labels * (target_count + 1) + target_labels).ravel(),
+        minlength=(wafer_count + 1) * (target_count + 1),
+    ).reshape(wafer_count + 1, target_count + 1)[1:]
+    touched = overlap[:, 1:] > 0
     return [BridgeDefect(
-                component_labels=tuple(int(t) for t in
-                                       touched[start:start + count]),
-                pixels=int(sizes[blob]))
-            for blob, start, count in zip(blob_ids, starts, counts)
-            if count >= 2]
+                component_labels=tuple(int(t) + 1
+                                       for t in np.flatnonzero(touched[b])),
+                pixels=int(overlap[b].sum()))
+            for b in np.flatnonzero(touched.sum(axis=1) >= 2)]
 
 
 def _run_lengths(image: np.ndarray, axis: int) -> np.ndarray:

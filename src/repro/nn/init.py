@@ -17,9 +17,7 @@ def _fan_in(shape: Tuple[int, ...]) -> int:
     ``(in, out, kh, kw)`` weight counts its second axis, as PyTorch does."""
     if len(shape) == 2:
         return shape[1]
-    if len(shape) == 4:
-        return shape[1] * shape[2] * shape[3]
-    return int(np.prod(shape))
+    return shape[1] * shape[2] * shape[3]
 
 
 def kaiming_uniform(shape, rng: np.random.Generator, a: float = 0.0) -> np.ndarray:
